@@ -12,6 +12,7 @@ from .errors import (
     BoundaryZero,
     DegenerateZero,
     DegreeError,
+    DimensionLimit,
     GroupMismatch,
     InputError,
     MarginFailure,

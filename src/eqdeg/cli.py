@@ -32,6 +32,7 @@ from .errors import (
     BoundaryZero,
     DegenerateZero,
     DegreeError,
+    DimensionLimit,
     InputError,
     MarginFailure,
     NearSingular,
@@ -66,6 +67,7 @@ _CERTIFICATION_ERRORS = (
     DegenerateZero,
     NearSingular,
     ZeroOutsideFixedSpace,
+    DimensionLimit,
 )
 
 

@@ -14,25 +14,33 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DimensionLimit
+
 _SEED_CAP = 20000
 _HALTON_COUNT = 4096
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 def _halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
-    """Deterministic low-discrepancy points in the unit cube."""
+    """Deterministic low-discrepancy points in the unit cube.
+
+    The radical inverse of every index is built one digit at a time, in the
+    same order of operations for all indices at once.
+    """
     if dims > len(_PRIMES):
-        raise ValueError(f"halton sampler supports at most {len(_PRIMES)} dimensions")
+        raise DimensionLimit(
+            f"halton sampler supports at most {len(_PRIMES)} dimensions, got {dims}"
+        )
     out = np.empty((count, dims))
     for j in range(dims):
         base = _PRIMES[j]
-        for i in range(count):
-            n, f, x = i + skip + 1, 1.0, 0.0
-            while n > 0:
-                f /= base
-                n, r = divmod(n, base)
-                x += f * r
-            out[i, j] = x
+        n = np.arange(skip + 1, skip + 1 + count)
+        f, x = 1.0, np.zeros(count)
+        while n.any():
+            f /= base
+            n, r = np.divmod(n, base)
+            x += f * r
+        out[:, j] = x
     return out
 
 

@@ -61,5 +61,10 @@ class UnresolvedZeroCluster(DegreeError):
     """Grid refinement exhausted without separating candidate zeros."""
 
 
+class DimensionLimit(DegreeError):
+    """A sampler was asked for more dimensions than it supports, so seed
+    coverage cannot be provided."""
+
+
 class InputError(DegreeError):
     """Malformed problem description."""

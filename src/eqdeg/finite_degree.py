@@ -5,7 +5,9 @@ the fixed-point space is the sum over those zeros of the closed-form
 degree of the Hessian: a sign from the Morse index on the fixed space and
 one first-order coefficient per rotation mode (higher products vanish by
 nilpotency of the mode classes).  Zeros are located by multi-start damped
-Newton from a deterministic seed grid; zeros off the fixed-point space are
+Newton from a deterministic seed grid, using the field's exact Jacobian
+when it supplies one and central differences otherwise, which also give
+the Hessians at zeros; zeros off the fixed-point space are
 detected by randomized full-space probes and rejected, since slice
 linearization around free orbits is out of scope.
 
@@ -36,6 +38,7 @@ SEED_FRACTION = 0.125          # Newton seed grid spacing, as a fraction of the 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10
 MERGE_TOL = 1e-7
+SINGULAR_LOG_RATIO = np.log(1e-12)  # Newton solves below this |det J| / Hadamard bound use pinv
 BOUNDARY_PER_DIM = 64
 EQUIV_TOL = 1e-8
 DEFAULT_BOUNDARY_MARGIN = 1e-8
@@ -49,8 +52,11 @@ class GradientField:
     ``vectorized=True`` it must accept (m, dim)-shaped batches.  ``layout``
     describes how coordinates carry the circle action and defaults to the
     canonical layout of ``rep``.  ``hessian``, when given, returns the
-    blockwise Hessian at a fixed point; otherwise central differences are
-    used.
+    blockwise Hessian at a fixed point.  ``jacobian(X, idx)``, when given,
+    returns the exact derivative of ``value`` at an (m, dim) batch X,
+    restricted to the rows and columns idx, as an (m, |idx|, |idx|) array;
+    Newton steps and the Hessians at zeros then use it.  A field with
+    neither falls back to central differences.
     """
 
     rep: Rep
@@ -60,6 +66,7 @@ class GradientField:
     layout: Optional[Layout] = None
     vectorized: bool = False
     name: str = "field"
+    jacobian: Optional[Callable] = None
 
     def __post_init__(self):
         if self.layout is None:
@@ -149,8 +156,13 @@ def _fd_jacobian(fld: GradientField, X: np.ndarray, idx: list[int]) -> np.ndarra
 
 def _solve_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     steps = np.empty_like(F)
-    dets = np.abs(np.linalg.det(J))
-    ok = dets > 1e-300
+    # |det J| against Hadamard's bound, the product of the row norms: a
+    # ratio at rounding level marks a matrix that is singular but for
+    # rounding, which the pseudo-inverse handles like an exact zero
+    sign, logdet = np.linalg.slogdet(J)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = logdet - np.sum(np.log(np.linalg.norm(J, axis=2)), axis=1)
+    ok = (sign != 0) & (ratio > SINGULAR_LOG_RATIO)
     if ok.any():
         try:
             steps[ok] = np.linalg.solve(J[ok], F[ok][..., None])[..., 0]
@@ -188,7 +200,7 @@ def _newton_batch(
         run, Xa, F, fn = run[~done], Xa[~done], F[~done], fn[~done]
         if not len(run):
             break
-        J = _fd_jacobian(fld, Xa, idx)
+        J = fld.jacobian(Xa, idx) if fld.jacobian is not None else _fd_jacobian(fld, Xa, idx)
         steps = _solve_steps(J, F)
         finite = np.isfinite(steps).all(axis=1)
         status[run[~finite]] = 2
@@ -219,14 +231,15 @@ def _newton_batch(
 
 
 def _dedupe(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
+    """Greedy merge in lexicographic order: keep the first remaining point,
+    drop every point within tol of it, repeat."""
     if not len(points):
         return points
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
+    rest = points[np.lexsort(points.T[::-1])]
     kept: list[np.ndarray] = []
-    for p in pts:
-        if all(np.linalg.norm(p - q) > tol for q in kept):
-            kept.append(p)
+    while len(rest):
+        kept.append(rest[0])
+        rest = rest[np.linalg.norm(rest - rest[0], axis=1) > tol]
     return np.array(kept)
 
 
@@ -337,9 +350,14 @@ def blocks_from_matrix(S: np.ndarray, layout: Layout) -> EquivariantSymOp:
 
 
 def _hessian_op_at(fld: GradientField, x: np.ndarray) -> EquivariantSymOp:
+    x = np.asarray(x, dtype=float)
     if fld.hessian is not None:
-        return fld.hessian(np.asarray(x, dtype=float))
-    S = _fd_hessian_full(fld, np.asarray(x, dtype=float))
+        return fld.hessian(x)
+    if fld.jacobian is not None:
+        J = fld.jacobian(x[None, :], list(range(len(x))))[0]
+        S = 0.5 * (J + J.T)
+    else:
+        S = _fd_hessian_full(fld, x)
     return blocks_from_matrix(S, fld.layout)
 
 
@@ -387,7 +405,8 @@ def grad_degree(
         _scan_off_space_zeros(fld, rng, probe_scale=scale)
 
     # a Hessian eigenvalue far below the field's own derivative scale marks
-    # a degenerate zero that finite differences cannot sign reliably
+    # a degenerate zero whose sign rounding (or, without an exact Jacobian,
+    # finite-difference error) could flip
     floor = 1e-9 * derivative_scale
     total = ring_zero(CIRCLE)
     for z in zeros:

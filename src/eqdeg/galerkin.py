@@ -148,8 +148,13 @@ class LocalMapSpec:
 
     ``nonlinearity(X, basis)`` receives an (m, basis.dim) batch of
     eigencoordinates of V_{basis.level} and must return the projection of
-    F onto that space in the same coordinates.  ``region`` bounds the
-    invariant domain in the graph norm.  ``min_level`` is the first
+    F onto that space in the same coordinates.  ``jacobian(X, basis, idx)``
+    optionally returns the exact derivative of that projection on the rows
+    and columns idx, as an (m, |idx|, |idx|) array; it defaults to the
+    nonlinearity's own ``jacobian`` attribute, which the nonlinearities of
+    this module and the Hamiltonian local map carry.  Without one, Newton
+    and the Hessians at zeros use central differences.  ``region`` bounds
+    the invariant domain in the graph norm.  ``min_level`` is the first
     truncation level at which the nonlinearity is meaningful.
     ``check_equivariance`` controls the sampled equivariance contract
     check; disabling it asserts the contract without verification.
@@ -161,6 +166,11 @@ class LocalMapSpec:
     min_level: int = 1
     check_equivariance: bool = True
     name: str = "local map"
+    jacobian: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.jacobian is None:
+            self.jacobian = getattr(self.nonlinearity, "jacobian", None)
 
     def with_region(self, region) -> "LocalMapSpec":
         return dataclasses.replace(self, region=region)
@@ -175,6 +185,12 @@ def shell_field(f: LocalMapSpec, n: int, basis: Optional[ShellBasis] = None) -> 
         X = np.atleast_2d(X)
         return X * eigs - f.nonlinearity(X, basis)
 
+    jacobian = None
+    if f.jacobian is not None:
+
+        def jacobian(X, idx):
+            return np.diag(eigs[idx]) - f.jacobian(np.atleast_2d(X), basis, idx)
+
     return GradientField(
         rep=basis.rep,
         value=value,
@@ -182,6 +198,7 @@ def shell_field(f: LocalMapSpec, n: int, basis: Optional[ShellBasis] = None) -> 
         layout=basis.layout,
         vectorized=True,
         name=f"{f.name} | V_{n}",
+        jacobian=jacobian,
     )
 
 
@@ -484,8 +501,16 @@ def restriction_consistency(f: LocalMapSpec, region1, region2, **kwargs) -> bool
 # Common nonlinearities and products
 
 
+def _diagonal_jacobian(X, diag) -> np.ndarray:
+    """One diagonal matrix repeated for each point of the batch X."""
+    return np.repeat(np.diag(diag)[None], len(np.atleast_2d(X)), axis=0)
+
+
 def zero_nonlinearity(X, basis):
     return np.zeros_like(np.atleast_2d(X))
+
+
+zero_nonlinearity.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.zeros(len(idx)))
 
 
 def scalar_nonlinearity(c: float):
@@ -494,6 +519,7 @@ def scalar_nonlinearity(c: float):
     def F(X, basis):
         return c * np.atleast_2d(X)
 
+    F.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.full(len(idx), float(c)))
     return F
 
 
@@ -507,22 +533,42 @@ def kernel_projection_nonlinearity():
         out[:, :d0] = -X[:, :d0]
         return out
 
+    def jacobian(X, basis, idx):
+        return _diagonal_jacobian(X, -(np.asarray(idx) < basis.prefix_dim(0)).astype(float))
+
+    F.jacobian = jacobian
     return F
 
 
 def potential_nonlinearity(poly: Polynomial):
     """F = grad of a polynomial potential in the leading eigencoordinates."""
 
-    def F(X, basis):
-        X = np.atleast_2d(X)
+    def check(basis):
         if basis.dim < poly.nvars:
             raise ValueError(
                 f"potential uses {poly.nvars} coordinates, basis has {basis.dim}"
             )
+
+    def F(X, basis):
+        X = np.atleast_2d(X)
+        check(basis)
         out = np.zeros_like(X)
         out[:, : poly.nvars] = poly.gradient(X[:, : poly.nvars])
         return out
 
+    def jacobian(X, basis, idx):
+        X = np.atleast_2d(X)
+        check(basis)
+        idx = np.asarray(idx)
+        J = np.zeros((len(X), len(idx), len(idx)))
+        rows = np.flatnonzero(idx < poly.nvars)
+        if len(rows):
+            var = idx[rows]
+            H = poly.hessian(X[:, : poly.nvars])
+            J[:, rows[:, None], rows] = H[:, var[:, None], var]
+        return J
+
+    F.jacobian = jacobian
     return F
 
 

@@ -9,9 +9,12 @@ f(z) = Az - lambda * grad H(z), so a nonzero stabilized degree of f on an
 invariant ball certifies existence.
 
 Hamiltonians are polynomials; the gradient of the action functional is
-evaluated pointwise on a uniform time grid and projected back by FFT,
-which is exact (no aliasing) once the grid has at least deg(H)*N + 1
-points for N retained modes.
+evaluated pointwise on a uniform time grid and projected back by
+quadrature on the same grid, both through one synthesis matrix per
+truncation level.  This is exact (no aliasing) once the grid has at least
+deg(H)*N + 1 points for N retained modes.  The exact Jacobian of the local
+map, the Galerkin matrix of lambda * Hessian H along the loop, is
+alias-free on the same grid.
 """
 
 from __future__ import annotations
@@ -174,11 +177,17 @@ class LoopState:
 
     def values_on_grid(self, size: int) -> np.ndarray:
         """Evaluate the loop on a uniform grid of the given size."""
-        t = 2.0 * math.pi * np.arange(size) / size
-        ks = np.arange(1, self.modes + 1)
-        cosmat = np.cos(np.outer(t, ks))
-        sinmat = np.sin(np.outer(t, ks))
-        return self.constant[None, :] + cosmat @ self.cos + sinmat @ self.sin
+        return _grid_values(self.constant, self.cos, self.sin, size)
+
+
+def _grid_values(c0: np.ndarray, C: np.ndarray, S: np.ndarray, size: int) -> np.ndarray:
+    """Loops with constant terms c0 (..., 2dof) and mode coefficients C, S
+    (..., modes, 2dof), evaluated on a uniform grid: shape (..., size, 2dof)."""
+    t = 2.0 * math.pi * np.arange(size) / size
+    ks = np.arange(1, C.shape[-2] + 1)
+    cosmat = np.cos(np.outer(t, ks))
+    sinmat = np.sin(np.outer(t, ks))
+    return c0[..., None, :] + cosmat @ C + sinmat @ S
 
 
 def _fourier_batches(X: np.ndarray, dof: int, level: int):
@@ -243,6 +252,22 @@ def default_quadrature_size(poly_degree: int, modes: int) -> int:
     return _pow2_at_least(max(poly_degree, 2) * max(modes, 1) + 1)
 
 
+def _synthesis_matrix(dof: int, level: int, size: int) -> np.ndarray:
+    """Grid values of the eigencoordinate basis loops of V_level.
+
+    Row t * 2dof + j, column i holds component j at time 2*pi*t/size of the
+    loop whose eigencoordinates are the i-th unit vector.  The rows form a
+    (size * 2dof, dim V_level) read-only matrix B: a batch X of
+    eigencoordinates has grid values X B^T, and since the basis loops are
+    orthonormal in L^2, grid values W project back to (2*pi/size) W B.
+    """
+    dim = 2 * dof * (2 * level + 1)
+    loops = _grid_values(*_fourier_batches(np.eye(dim), dof, level), size)
+    B = np.moveaxis(loops, 0, -1).reshape(size * 2 * dof, dim)
+    B.setflags(write=False)
+    return B
+
+
 def hamiltonian_gradient(
     spec: HamiltonianSpec, state: LoopState, quadrature_size: Optional[int] = None
 ) -> LoopState:
@@ -262,46 +287,52 @@ def hamiltonian_gradient(
             f"{spec.potential.degree} and {N} modes"
         )
     M = int(quadrature_size)
-    u = state.values_on_grid(M)
-    w = spec.potential.gradient(u)
-    Wf = np.fft.rfft(w, axis=0)
-    c0 = Wf[0].real / M
-    C = 2.0 * Wf[1 : N + 1].real / M
-    S = -2.0 * Wf[1 : N + 1].imag / M
-    return LoopState(state.dof, c0, C, S)
+    B = _synthesis_matrix(state.dof, N, M)
+    w = spec.potential.gradient(state.values_on_grid(M))
+    c0, C, S = _fourier_batches((2.0 * math.pi / M) * w.reshape(1, -1) @ B, state.dof, N)
+    return LoopState(state.dof, c0[0], C[0], S[0])
 
 
 def local_map(spec: HamiltonianSpec, radius: float, *, name: Optional[str] = None) -> LocalMapSpec:
-    """The local map f(z) = Az - lambda grad H(z) on a graph-norm ball."""
+    """The local map f(z) = Az - lambda grad H(z) on a graph-norm ball,
+    with the exact Jacobian of its nonlinearity."""
     op = loop_operator(spec.dof)
     poly = spec.potential
-    dof = spec.dof
+    n2 = 2 * spec.dof
     lam = spec.lam
+    synthesis: dict[int, np.ndarray] = {}  # level -> B, built on first use
+
+    def loop_values(X, basis):
+        """B, the quadrature weight lambda * 2*pi/M and the (m, M, 2dof) grid values."""
+        B = synthesis.get(basis.level)
+        if B is None:
+            size = default_quadrature_size(poly.degree, basis.level)
+            B = synthesis[basis.level] = _synthesis_matrix(spec.dof, basis.level, size)
+        M = len(B) // n2
+        return B, lam * 2.0 * math.pi / M, (X @ B.T).reshape(len(X), M, n2)
 
     def nonlinearity(X, basis):
         X = np.atleast_2d(X)
-        level = basis.level
-        M = default_quadrature_size(poly.degree, level)
-        c0, C, S = _fourier_batches(X, dof, level)
-        t = 2.0 * math.pi * np.arange(M) / M
-        ks = np.arange(1, level + 1)
-        cosmat = np.cos(np.outer(t, ks))
-        sinmat = np.sin(np.outer(t, ks))
-        u = c0[:, None, :] + np.einsum("tk,mkj->mtj", cosmat, C) + np.einsum(
-            "tk,mkj->mtj", sinmat, S
-        )
-        w = poly.gradient(u)
-        Wf = np.fft.rfft(w, axis=1)
-        gc0 = Wf[:, 0, :].real / M
-        gC = 2.0 * Wf[:, 1 : level + 1, :].real / M
-        gS = -2.0 * Wf[:, 1 : level + 1, :].imag / M
-        return lam * _coords_batches(gc0, gC, gS, dof)
+        B, weight, u = loop_values(X, basis)
+        return weight * poly.gradient(u).reshape(len(X), -1) @ B
+
+    def jacobian(X, basis, idx):
+        X = np.atleast_2d(X)
+        B, weight, u = loop_values(X, basis)
+        m, M, k = len(X), u.shape[1], len(idx)
+        Bi = B[:, idx]
+        # Hessian H(u) times B_idx, laid out (grid time, component, point, idx)
+        # so that one product with B_idx^T sums over the grid for every point
+        HB = poly.hessian(u).transpose(1, 2, 0, 3) @ Bi.reshape(M, 1, n2, k)
+        J = (Bi.T @ HB.reshape(M * n2, m * k)).reshape(k, m, k)
+        return weight * J.transpose(1, 0, 2)
 
     return LocalMapSpec(
         operator=op,
         nonlinearity=nonlinearity,
         region=RegionSpec.ball(radius),
         name=name or f"hamiltonian(dof={spec.dof}, lambda={spec.lam:g})",
+        jacobian=jacobian,
     )
 
 

@@ -1,4 +1,4 @@
-"""Multivariate polynomials with vectorized value/gradient evaluation.
+"""Multivariate polynomials with vectorized value, gradient and Hessian evaluation.
 
 Used for declarative problem nonlinearities (potentials) and Hamiltonians:
 a polynomial is a list of (exponent multi-index, coefficient) terms.
@@ -65,10 +65,10 @@ class Polynomial:
                 out[..., i] += term
         return out
 
-    def hessian_at(self, x: np.ndarray) -> np.ndarray:
-        """Exact Hessian matrix at a single point."""
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """Hessian at x with shape (..., nvars); returns shape (..., nvars, nvars)."""
         x = np.asarray(x, dtype=float)
-        h = np.zeros((self.nvars, self.nvars))
+        out = np.zeros(x.shape + (self.nvars,))
         for exps, coeff in self.terms:
             for i, ei in enumerate(exps):
                 if ei == 0:
@@ -82,17 +82,17 @@ class Polynomial:
                         if ej == 0:
                             continue
                         factor = coeff * ei * ej
-                    term = factor
+                    term = np.full(x.shape[:-1], factor)
                     for l, el in enumerate(exps):
-                        p = el
-                        if l == i:
-                            p -= 1
-                        if l == j:
-                            p -= 1
+                        p = el - (l == i) - (l == j)
                         if p:
-                            term = term * x[l] ** p
-                    h[i, j] += term
-        return h
+                            term = term * x[..., l] ** p
+                    out[..., i, j] += term
+        return out
+
+    def hessian_at(self, x: np.ndarray) -> np.ndarray:
+        """Exact Hessian matrix at a single point."""
+        return self.hessian(x)
 
     def to_json(self) -> list:
         return [{"exps": list(e), "coeff": c} for e, c in self.terms]

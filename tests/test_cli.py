@@ -155,3 +155,13 @@ def test_selftest_deterministic_output(capsys):
     main(["selftest", "--suite", "oracle", "--seed", "3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_dof9_hamiltonian_is_a_certification_failure(tmp_path, capsys):
+    # 18 constant-loop coordinates exceed the seed sampler's 16 dimensions
+    terms = [{"exps": [2 if j == i else 0 for j in range(18)], "coeff": 0.5} for i in range(18)]
+    problem = dict(quadratic_problem(), dof=9, terms=terms)
+    code = main(["compute", write(tmp_path, "p.json", problem)])
+    assert code == EXIT_CERTIFICATION
+    err = capsys.readouterr().err
+    assert "certification failure (DimensionLimit)" in err

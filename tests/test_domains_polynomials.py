@@ -9,6 +9,7 @@ from eqdeg.domains import (
     UnionDomain,
     _halton,
 )
+from eqdeg.errors import DimensionLimit
 from eqdeg.polynomials import Polynomial
 
 
@@ -53,6 +54,35 @@ def test_halton_is_deterministic_and_in_cube():
     b = _halton(64, 3)
     assert np.array_equal(a, b)
     assert np.all((a >= 0) & (a < 1))
+
+
+def halton_loop(count, dims, skip=20):
+    """The scalar radical-inverse loop that the vectorized sampler replaced."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    out = np.empty((count, dims))
+    for j in range(dims):
+        base = primes[j]
+        for i in range(count):
+            n, f, x = i + skip + 1, 1.0, 0.0
+            while n > 0:
+                f /= base
+                n, r = divmod(n, base)
+                x += f * r
+            out[i, j] = x
+    return out
+
+
+def test_halton_is_bit_identical_to_the_scalar_loop():
+    # columns of the loop are independent, so one 16-column reference
+    # serves every dimension
+    ref = halton_loop(4096, 16)
+    for dims in range(1, 17):
+        assert np.array_equal(_halton(4096, dims), ref[:, :dims])
+
+
+def test_halton_refuses_more_than_16_dimensions_with_a_typed_error():
+    with pytest.raises(DimensionLimit):
+        _halton(8, 17)
 
 
 def test_union_requires_disjoint_parts():

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from eqdeg.domains import Ball, UnionDomain
-from eqdeg.errors import BoundaryZero, DegenerateZero, ZeroOutsideFixedSpace
+from eqdeg.errors import BoundaryZero, DegenerateZero, DimensionLimit, ZeroOutsideFixedSpace
 from eqdeg.euler_ring import CIRCLE, FULL, SubgroupClass, basis_element, unit, unit_class
 from eqdeg.finite_degree import (
+    MERGE_TOL,
     GradientField,
+    _dedupe,
     OrbitNormalForm,
     brouwer_oracle,
     field_from_operator,
@@ -308,3 +310,44 @@ def test_free_orbit_plus_origin_consistency():
     orbit = orbit_normal_form_degree(OrbitNormalForm(SubgroupClass.finite(1), Rep(0, ((1, 1),))))
     assert origin + orbit == ONE
     assert (ONE - e(1)) * (ONE + e(1)) == ONE
+
+
+def dedupe_loop(points, tol=MERGE_TOL):
+    """The greedy all-pairs merge that the vectorized _dedupe replaced."""
+    pts = points[np.lexsort(points.T[::-1])]
+    kept = []
+    for p in pts:
+        if all(np.linalg.norm(p - q) > tol for q in kept):
+            kept.append(p)
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_dedupe_keeps_the_points_of_the_greedy_loop(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        centers = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 6)), dim))
+        parts = []
+        for c in centers:
+            spread = MERGE_TOL * rng.uniform(0.1, 3.0)
+            parts.append(c + spread * rng.standard_normal((int(rng.integers(1, 30)), dim)))
+            u = rng.standard_normal(dim)
+            u /= np.linalg.norm(u)
+            for factor in (1.0 - 1e-6, 1.0 + 1e-6):  # just inside and just outside
+                parts.append(np.stack([c, c + factor * MERGE_TOL * u]))
+        pts = rng.permutation(np.vstack(parts))
+        assert np.array_equal(_dedupe(pts), dedupe_loop(pts))
+
+
+def test_dedupe_pairs_at_the_tolerance():
+    inside = np.array([[0.0], [(1.0 - 1e-6) * MERGE_TOL]])
+    outside = np.array([[0.0], [(1.0 + 1e-6) * MERGE_TOL]])
+    assert len(_dedupe(inside)) == 1
+    assert len(_dedupe(outside)) == 2
+
+
+def test_seed_dimension_cliff_raises_a_typed_error():
+    # 17 fixed coordinates need more Halton dimensions than the sampler has
+    fld = field_from_operator(EquivariantSymOp.scalar(Rep(17), 1.0))
+    with pytest.raises(DimensionLimit):
+        grad_degree(fld)
