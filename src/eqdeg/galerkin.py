@@ -405,7 +405,6 @@ def deg_infinite(
         "zero_counts": zero_counts,
         "sample_budget": sample_budget,
         "margin_ratio": (tail / epsilon) if epsilon > 0 else float("inf"),
-        "uses_orbit_normalization": False,
     }
     return DegreeResult(
         value=values[0],
@@ -607,23 +606,47 @@ def _embedding_indices(
 
 
 def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
-    """The product map f x g on the direct sum of the operators."""
+    """The product map f x g on the direct sum of the operators.
+
+    Its Jacobian, present when both summands have one, is block diagonal.
+    """
     op = f.operator.direct_sum(g.operator)
+    levels: dict[int, tuple] = {}  # level -> (ia, basisA, ib, basisB), built on first use
+
+    def split(basis):
+        """The (ascending) indices of each summand's coordinates and the summand bases."""
+        parts = levels.get(basis.level)
+        if parts is None:
+            ia, ib = _embedding_indices(f.operator, g.operator, basis)
+            parts = levels[basis.level] = (
+                ia, ShellBasis(f.operator, basis.level), ib, ShellBasis(g.operator, basis.level)
+            )
+        return parts
 
     def nonlinearity(X, basis):
         X = np.atleast_2d(X)
-        ia, ib = _embedding_indices(f.operator, g.operator, basis)
-        basisA = ShellBasis(f.operator, basis.level)
-        basisB = ShellBasis(g.operator, basis.level)
+        ia, basisA, ib, basisB = split(basis)
         out = np.zeros_like(X)
         out[:, ia] = f.nonlinearity(X[:, ia], basisA)
         out[:, ib] = g.nonlinearity(X[:, ib], basisB)
         return out
 
+    jacobian = None
+    if f.jacobian is not None and g.jacobian is not None:
+
+        def jacobian(X, basis, idx):
+            X = np.atleast_2d(X)
+            ia, basisA, ib, basisB = split(basis)
+            idx = np.asarray(idx, dtype=int)
+            J = np.zeros((len(X), len(idx), len(idx)))
+            for h, coords, part in ((f, ia, basisA), (g, ib, basisB)):
+                rows = np.flatnonzero(np.isin(idx, coords))
+                within = np.searchsorted(coords, idx[rows])
+                J[:, rows[:, None], rows] = h.jacobian(X[:, coords], part, within)
+            return J
+
     def region(basis):
-        ia, ib = _embedding_indices(f.operator, g.operator, basis)
-        basisA = ShellBasis(f.operator, basis.level)
-        basisB = ShellBasis(g.operator, basis.level)
+        ia, basisA, ib, basisB = split(basis)
         return ProductDomain(
             ia, realize_region(f.region, basisA), ib, realize_region(g.region, basisB)
         )
@@ -634,4 +657,5 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
         region=region,
         min_level=max(f.min_level, g.min_level),
         name=f"{f.name} x {g.name}",
+        jacobian=jacobian,
     )

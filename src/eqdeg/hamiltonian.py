@@ -8,13 +8,17 @@ periodic solution of dz/dt = J grad H(z) corresponds to a zero of
 f(z) = Az - lambda * grad H(z), so a nonzero stabilized degree of f on an
 invariant ball certifies existence.
 
-Hamiltonians are polynomials; the gradient of the action functional is
-evaluated pointwise on a uniform time grid and projected back by
-quadrature on the same grid, both through one synthesis matrix per
-truncation level.  This is exact (no aliasing) once the grid has at least
-deg(H)*N + 1 points for N retained modes.  The exact Jacobian of the local
-map, the Galerkin matrix of lambda * Hessian H along the loop, is
-alias-free on the same grid.
+Hamiltonians are polynomials.  The local map keeps the Galerkin projection
+of the affine gradient of the terms of degree <= 2 as an exact matrix per
+truncation level.  The remaining terms depend only on their active
+variables; their gradient is evaluated pointwise on a uniform time grid
+over those variables and projected back by quadrature on the same grid,
+both through the active rows of one synthesis matrix per level.  This is
+exact (no aliasing) once the grid has at least deg(H)*N + 1 points for N
+retained modes.  The exact Jacobian of the local map, the affine matrix
+plus the Galerkin matrix of lambda * Hessian along the loop, is alias-free
+on the same grid.  ``hamiltonian_gradient`` projects a single loop through
+the whole grid.
 """
 
 from __future__ import annotations
@@ -295,37 +299,63 @@ def hamiltonian_gradient(
 
 def local_map(spec: HamiltonianSpec, radius: float, *, name: Optional[str] = None) -> LocalMapSpec:
     """The local map f(z) = Az - lambda grad H(z) on a graph-norm ball,
-    with the exact Jacobian of its nonlinearity."""
+    with the exact Jacobian of its nonlinearity.
+
+    H splits into its terms of degree <= 2, whose gradient g0 + S z is
+    affine, and the rest R, which depends only on the active variables of
+    the terms of degree >= 3.  With the synthesis matrix B of a level, its
+    rows B_a for the active components and w = lambda * 2*pi/M, the map
+    keeps per level the exact Galerkin matrix L = w B^T (I_M x S) B and
+    vector f0 = w (1_M x g0)^T B of the affine part, so that
+
+        F(X) = X L + f0 + w grad R(X B_a^T) B_a,
+
+    and the idx-block of the Jacobian is
+    L[idx, idx] + w B_a[:, idx]^T hess R B_a[:, idx].  Only R is evaluated
+    on the grid, whose size M stays the alias-free size for deg H.
+    """
     op = loop_operator(spec.dof)
     poly = spec.potential
     n2 = 2 * spec.dof
-    lam = spec.lam
-    synthesis: dict[int, np.ndarray] = {}  # level -> B, built on first use
+    affine = Polynomial(n2, tuple(t for t in poly.terms if sum(t[0]) <= 2))
+    higher = [t for t in poly.terms if sum(t[0]) > 2]
+    active = sorted({j for exps, _ in higher for j, e in enumerate(exps) if e})
+    rest = Polynomial(len(active), tuple((tuple(e[j] for j in active), c) for e, c in higher))
+    origin = np.zeros(n2)
+    g0, S = affine.gradient(origin), affine.hessian(origin)
+    levels: dict[int, tuple] = {}  # level -> (M, w, L, f0, B_a), built on first use
 
-    def loop_values(X, basis):
-        """B, the quadrature weight lambda * 2*pi/M and the (m, M, 2dof) grid values."""
-        B = synthesis.get(basis.level)
-        if B is None:
-            size = default_quadrature_size(poly.degree, basis.level)
-            B = synthesis[basis.level] = _synthesis_matrix(spec.dof, basis.level, size)
-        M = len(B) // n2
-        return B, lam * 2.0 * math.pi / M, (X @ B.T).reshape(len(X), M, n2)
+    def active_values(X, basis):
+        """The level's matrices and the (m, M, |active|) grid values of the active variables."""
+        mats = levels.get(basis.level)
+        if mats is None:
+            M = default_quadrature_size(poly.degree, basis.level)
+            B = _synthesis_matrix(spec.dof, basis.level, M).reshape(M, n2, basis.dim)
+            w = spec.lam * 2.0 * math.pi / M
+            L = w * B.reshape(M * n2, -1).T @ (S @ B).reshape(M * n2, -1)
+            # symmetric up to rounding; made exact so that L[idx, idx] is the derivative of X L
+            L = 0.5 * (L + L.T)
+            f0 = w * g0 @ B.sum(axis=0)
+            Ba = B[:, active, :].reshape(M * len(active), basis.dim)
+            mats = levels[basis.level] = (M, w, L, f0, Ba)
+        M, Ba = mats[0], mats[-1]
+        return mats, (X @ Ba.T).reshape(len(X), M, len(active))
 
     def nonlinearity(X, basis):
         X = np.atleast_2d(X)
-        B, weight, u = loop_values(X, basis)
-        return weight * poly.gradient(u).reshape(len(X), -1) @ B
+        (M, w, L, f0, Ba), u = active_values(X, basis)
+        return X @ L + f0 + w * rest.gradient(u).reshape(len(X), -1) @ Ba
 
     def jacobian(X, basis, idx):
         X = np.atleast_2d(X)
-        B, weight, u = loop_values(X, basis)
-        m, M, k = len(X), u.shape[1], len(idx)
-        Bi = B[:, idx]
-        # Hessian H(u) times B_idx, laid out (grid time, component, point, idx)
-        # so that one product with B_idx^T sums over the grid for every point
-        HB = poly.hessian(u).transpose(1, 2, 0, 3) @ Bi.reshape(M, 1, n2, k)
-        J = (Bi.T @ HB.reshape(M * n2, m * k)).reshape(k, m, k)
-        return weight * J.transpose(1, 0, 2)
+        (M, w, L, f0, Ba), u = active_values(X, basis)
+        m, na, k = len(X), len(active), len(idx)
+        Bi = Ba[:, idx]
+        # Hessian of R times B_a[:, idx], laid out (grid time, component, point,
+        # idx) so that one product with B_a[:, idx]^T sums over the grid
+        HB = rest.hessian(u).transpose(1, 2, 0, 3) @ Bi.reshape(M, 1, na, k)
+        J = (Bi.T @ HB.reshape(M * na, m * k)).reshape(k, m, k)
+        return L[np.ix_(idx, idx)] + w * J.transpose(1, 0, 2)
 
     return LocalMapSpec(
         operator=op,

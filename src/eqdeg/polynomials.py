@@ -37,57 +37,71 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
+    def _powers(self, x: np.ndarray) -> list[list[np.ndarray]]:
+        """Powers by repeated multiplication: entry [j][p - 1] is x_j^p, for
+        p up to the largest exponent of variable j in any term."""
+        tops = [max((exps[j] for exps, _ in self.terms), default=0) for j in range(self.nvars)]
+        powers = []
+        for j, top in enumerate(tops):
+            column = [x[..., j]] if top else []
+            while len(column) < top:
+                column.append(column[-1] * x[..., j])
+            powers.append(column)
+        return powers
+
+    @staticmethod
+    def _monomial(powers, factor: float, exps, shape) -> np.ndarray:
+        """factor * prod_j x_j^exps[j], from the table of powers."""
+        term = None
+        for j, p in enumerate(exps):
+            if p:
+                term = factor * powers[j][p - 1] if term is None else term * powers[j][p - 1]
+        return np.full(shape, factor) if term is None else term
+
     def value(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at x with shape (..., nvars); returns shape (...)."""
         x = np.asarray(x, dtype=float)
+        powers = self._powers(x)
         out = np.zeros(x.shape[:-1])
         for exps, coeff in self.terms:
-            term = np.full(x.shape[:-1], coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * x[..., i] ** e
-            out += term
+            out += self._monomial(powers, coeff, exps, x.shape[:-1])
         return out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient at x with shape (..., nvars); same output shape."""
         x = np.asarray(x, dtype=float)
+        powers = self._powers(x)
         out = np.zeros_like(x)
         for exps, coeff in self.terms:
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                term = np.full(x.shape[:-1], coeff * e)
-                for j, ej in enumerate(exps):
-                    p = ej - 1 if j == i else ej
-                    if p:
-                        term = term * x[..., j] ** p
-                out[..., i] += term
+                if e:
+                    lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
+                    out[..., i] += self._monomial(powers, coeff * e, lowered, x.shape[:-1])
         return out
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Hessian at x with shape (..., nvars); returns shape (..., nvars, nvars)."""
+        """Hessian at x with shape (..., nvars); returns shape (..., nvars, nvars).
+
+        Each off-diagonal term is computed once and written to both
+        triangles, so the result is exactly symmetric."""
         x = np.asarray(x, dtype=float)
+        powers = self._powers(x)
         out = np.zeros(x.shape + (self.nvars,))
         for exps, coeff in self.terms:
             for i, ei in enumerate(exps):
-                if ei == 0:
+                if not ei:
                     continue
-                for j, ej in enumerate(exps):
-                    if i == j:
-                        if ei < 2:
-                            continue
-                        factor = coeff * ei * (ei - 1)
-                    else:
-                        if ej == 0:
-                            continue
-                        factor = coeff * ei * ej
-                    term = np.full(x.shape[:-1], factor)
-                    for l, el in enumerate(exps):
-                        p = el - (l == i) - (l == j)
-                        if p:
-                            term = term * x[..., l] ** p
+                for j in range(i, self.nvars):
+                    lowered = list(exps)
+                    lowered[i] -= 1
+                    lowered[j] -= 1
+                    if lowered[j] < 0:
+                        continue
+                    factor = coeff * ei * (ei - 1) if i == j else coeff * ei * exps[j]
+                    term = self._monomial(powers, factor, lowered, x.shape[:-1])
                     out[..., i, j] += term
+                    if i != j:
+                        out[..., j, i] += term
         return out
 
     def hessian_at(self, x: np.ndarray) -> np.ndarray:

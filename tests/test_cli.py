@@ -1,5 +1,7 @@
 import json
 
+import eqdeg.cli
+import eqdeg.galerkin
 from eqdeg.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, EXIT_ZERO_DEGREE, main
 
 
@@ -67,6 +69,38 @@ def test_compute_quadratic_hamiltonian(tmp_path):
     report = json.loads(out.read_text())
     assert report["degree"]["value"] == [{"coeff": 1, "subgroup": "S1"}]
     assert report["verdict"].startswith("periodic solution certified")
+
+
+def test_compute_reuses_the_main_result_for_the_restriction_check(tmp_path, monkeypatch):
+    calls = []
+    original = eqdeg.galerkin.deg_infinite
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eqdeg.galerkin, "deg_infinite", counting)
+    monkeypatch.setattr(eqdeg.cli, "deg_infinite", counting)
+    assert main(["compute", write(tmp_path, "p.json", quadratic_problem())]) == EXIT_OK
+    assert len(calls) == 3  # the result, the normalization self-test, the shrunk ball
+
+
+def test_restriction_check_fails_with_zeros_outside_the_shrunk_ball(tmp_path):
+    # double well -x^3 + a^2 x on the first kernel coordinate: the zeros +-a
+    # lie between 0.9 R and R, so the shrunk ball holds only the zero at 0
+    a = 0.95
+    problem = normalization_problem()
+    problem["nonlinearity"]["terms"] = [
+        {"exps": [4, 0], "coeff": 0.25},
+        {"exps": [2, 0], "coeff": -a * a / 2},
+        {"exps": [0, 2], "coeff": -0.5},
+    ]
+    out = tmp_path / "report.json"
+    code = main(["compute", write(tmp_path, "p.json", problem), "--json", str(out)])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["degree"]["value"] == [{"coeff": -1, "subgroup": "S1"}]
+    assert report["checks"]["restriction_consistency"] == "fail"
 
 
 def test_compute_zero_degree_exit_code(tmp_path):

@@ -1,5 +1,7 @@
-"""Exact Jacobians against central differences, the vectorized polynomial
-Hessian, and the synthesis-matrix value path of the Hamiltonian local map."""
+"""Exact Jacobians against central differences, polynomial evaluation
+against the term-by-term power loops, the synthesis-matrix value path of the
+Hamiltonian local map, and its affine/grid split against the whole-grid
+formula."""
 
 import math
 
@@ -10,11 +12,19 @@ import eqdeg.finite_degree as finite_degree
 from eqdeg.errors import ZeroOutsideFixedSpace
 from eqdeg.euler_ring import FULL
 from eqdeg.finite_degree import _fd_jacobian, brouwer_oracle, grad_degree
-from eqdeg.galerkin import LocalMapSpec, ShellBasis, deg_infinite, normalization_map, shell_field
+from eqdeg.galerkin import (
+    LocalMapSpec,
+    ShellBasis,
+    deg_infinite,
+    direct_sum_local_maps,
+    normalization_map,
+    shell_field,
+)
 from eqdeg.hamiltonian import (
     HamiltonianSpec,
     _coords_batches,
     _fourier_batches,
+    _synthesis_matrix,
     default_quadrature_size,
     local_map,
     loop_operator,
@@ -22,14 +32,17 @@ from eqdeg.hamiltonian import (
 from eqdeg.polynomials import Polynomial
 from eqdeg.selftest import (
     corpus_local_maps,
+    quadratic_hamiltonian,
     quartic_hamiltonian,
     random_fixed_space_field,
     synthetic_operator_a,
 )
 
 JAC_RTOL = 1e-6  # exact against central differences, relative to the largest entry
-HESS_RTOL = 1e-12  # Polynomial.hessian against the single-point loop, relative to the largest entry
+HESS_RTOL = 1e-12  # Polynomial.hessian against the loop at single points, relative to the largest entry
 SYNTH_RTOL = 1e-12  # synthesis-matrix values against the cos/sin + rfft reference
+POWER_RTOL = 1e-13  # multiplied powers against the ** loops, relative to the largest entry
+SPLIT_RTOL = 1e-12  # affine matrix plus active grid against the whole-grid formula
 
 CORPUS = {inst.name: inst for inst in corpus_local_maps()}
 COUPLED_QUARTIC = HamiltonianSpec.from_terms(  # the Hamiltonian of loop2-coupled-quartic
@@ -41,13 +54,32 @@ COUPLED_QUARTIC = HamiltonianSpec.from_terms(  # the Hamiltonian of loop2-couple
     ],
     0.45,
 )
+S_COUPLED = HamiltonianSpec.from_terms(  # demo 04: quadratic with a (1,1) term
+    1, [((2, 0), 0.8), ((0, 2), 0.3), ((1, 1), 0.25)], 0.9
+)
+CUBIC = HamiltonianSpec.from_terms(  # cubic in z_1, z_2, with linear and constant terms
+    2,
+    [
+        ((2, 0, 0, 0), 0.5), ((0, 2, 0, 0), 0.5),
+        ((0, 0, 2, 0), 0.5), ((0, 0, 0, 2), 0.5), ((1, 0, 0, 1), 0.2),
+        ((3, 0, 0, 0), 0.1), ((1, 2, 0, 0), -0.05),
+        ((1, 0, 0, 0), 0.3), ((0, 0, 1, 0), -0.2), ((0, 0, 0, 0), 1.0),
+    ],
+    0.4,
+)
+QUADRATIC = quadratic_hamiltonian(2, [2.0, 0.5, 2.0, 0.5], 0.7)  # no active variables
 
 
 def jacobian_maps():
     return {
         "quartic dof=1": local_map(quartic_hamiltonian(1, 0.4), radius=0.8),
         "quartic dof=2": local_map(quartic_hamiltonian(2, 0.4), radius=0.8),
+        "cubic dof=2": local_map(CUBIC, radius=0.8),
+        "quadratic dof=2": local_map(QUADRATIC, radius=1.0),
         "loop2-coupled-quartic": CORPUS["loop2-coupled-quartic"].build(),
+        "loop2-quadratic-mixed x abstract-b": direct_sum_local_maps(
+            CORPUS["loop2-quadratic-mixed"].build(), CORPUS["abstract-b"].build()
+        ),
         "abstract-a potential": CORPUS["abstract-a"].build(),
         "abstract-b potential": CORPUS["abstract-b"].build(),
         "normalization loop": normalization_map(loop_operator(2)),
@@ -72,9 +104,37 @@ def test_exact_jacobian_matches_central_differences(name, level):
         assert relative_gap(exact, _fd_jacobian(fld, X, idx)) <= JAC_RTOL
 
 
+def value_loop(p, x):
+    """Polynomial.value as it was, with ** on every factor."""
+    out = np.zeros(x.shape[:-1])
+    for exps, coeff in p.terms:
+        term = np.full(x.shape[:-1], coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * x[..., i] ** e
+        out += term
+    return out
+
+
+def gradient_loop(p, x):
+    """Polynomial.gradient as it was, with ** on every factor."""
+    out = np.zeros_like(x)
+    for exps, coeff in p.terms:
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            term = np.full(x.shape[:-1], coeff * e)
+            for j, ej in enumerate(exps):
+                q = ej - 1 if j == i else ej
+                if q:
+                    term = term * x[..., j] ** q
+            out[..., i] += term
+    return out
+
+
 def hessian_loop(p, x):
-    """The single-point Hessian loop that Polynomial.hessian replaced."""
-    h = np.zeros((p.nvars, p.nvars))
+    """Polynomial.hessian as it was, with ** on every factor; x may be a single point."""
+    out = np.zeros(x.shape + (p.nvars,))
     for exps, coeff in p.terms:
         for i, ei in enumerate(exps):
             if ei == 0:
@@ -88,13 +148,13 @@ def hessian_loop(p, x):
                     if ej == 0:
                         continue
                     factor = coeff * ei * ej
-                term = factor
+                term = np.full(x.shape[:-1], factor)
                 for l, el in enumerate(exps):
                     q = el - (l == i) - (l == j)
                     if q:
-                        term = term * x[l] ** q
-                h[i, j] += term
-    return h
+                        term = term * x[..., l] ** q
+                out[..., i, j] += term
+    return out
 
 
 def test_polynomial_hessian_matches_the_single_point_loop_row_by_row():
@@ -112,6 +172,65 @@ def test_polynomial_hessian_matches_the_single_point_loop_row_by_row():
             ref = hessian_loop(p, X[i, j])
             assert np.array_equal(p.hessian_at(X[i, j]), H[i, j])
             assert np.max(np.abs(H[i, j] - ref)) <= HESS_RTOL * np.max(np.abs(ref))
+
+
+POWER_POLYNOMIALS = {
+    "sextic": Polynomial.from_terms(
+        3,
+        [((6, 0, 0), 0.3), ((2, 3, 1), -1.25), ((0, 5, 0), 0.7), ((1, 1, 4), 2.0),
+         ((3, 0, 2), -0.4), ((0, 0, 2), 1.5), ((1, 0, 0), -0.8), ((0, 0, 0), 2.5)],
+    ),
+    "linear and constant": Polynomial.from_terms(2, [((1, 0), 0.5), ((0, 1), -2.0), ((0, 0), 1.0)]),
+    "no terms": Polynomial(3, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_POLYNOMIALS))
+@pytest.mark.parametrize("shape", [(), (7,), (5, 9)], ids=["point", "batch", "grid"])
+def test_polynomial_powers_by_multiplication_match_the_power_loops(name, shape):
+    p = POWER_POLYNOMIALS[name]
+    x = np.random.default_rng(5).uniform(-1.6, 1.6, size=shape + (p.nvars,))
+    for got, ref in (
+        (p.value(x), value_loop(p, x)),
+        (p.gradient(x), gradient_loop(p, x)),
+        (p.hessian(x), hessian_loop(p, x)),
+    ):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref), initial=0.0) <= POWER_RTOL * np.max(np.abs(ref), initial=0.0)
+    if not shape:
+        assert np.array_equal(p.hessian_at(x), p.hessian(x))
+        assert np.array_equal(p.hessian_at(x), p.hessian_at(x).T)
+
+
+def whole_grid_reference(spec, X, level, idx):
+    """The whole-grid formula that the affine/grid split replaced:
+    F = w grad H(X B^T) B and the idx-block w B[:, idx]^T hess H B[:, idx]."""
+    poly, n2 = spec.potential, 2 * spec.dof
+    M = default_quadrature_size(poly.degree, level)
+    B = _synthesis_matrix(spec.dof, level, M)
+    w = spec.lam * 2.0 * math.pi / M
+    u = (X @ B.T).reshape(len(X), M, n2)
+    F = w * poly.gradient(u).reshape(len(X), -1) @ B
+    Bi = B[:, idx].reshape(M, n2, len(idx))
+    J = w * np.einsum("tjk,mtjl,tli->mki", Bi, poly.hessian(u), Bi)
+    return F, J
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [quartic_hamiltonian(1, 0.4), COUPLED_QUARTIC, S_COUPLED, CUBIC, QUADRATIC],
+    ids=["quartic", "coupled-quartic", "demo04-S-coupled", "cubic", "quadratic"],
+)
+def test_affine_matrix_split_matches_the_whole_grid_formula(spec):
+    lm = local_map(spec, radius=0.9)
+    rng = np.random.default_rng(17)
+    for level in range(1, 13):
+        basis = ShellBasis(lm.operator, level)
+        X = rng.uniform(-0.5, 0.5, size=(6, basis.dim))
+        idx = sorted(rng.choice(basis.dim, size=min(basis.dim, 9), replace=False))
+        F, J = whole_grid_reference(spec, X, level, idx)
+        assert relative_gap(lm.nonlinearity(X, basis), F) <= SPLIT_RTOL
+        assert relative_gap(lm.jacobian(X, basis, idx), J) <= SPLIT_RTOL
 
 
 def reference_nonlinearity(spec, X, level):
