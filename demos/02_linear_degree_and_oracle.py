@@ -38,7 +38,6 @@ well = GradientField(
     Rep(1),
     lambda X: np.atleast_2d(X) ** 3 - np.atleast_2d(X),
     Ball(np.zeros(1), 2.0),
-    vectorized=True,
     name="double well",
 )
 deg = grad_degree(well)

@@ -13,6 +13,7 @@ from .errors import (
     DegenerateZero,
     DegreeError,
     DimensionLimit,
+    EquivarianceFailure,
     GroupMismatch,
     InputError,
     MarginFailure,

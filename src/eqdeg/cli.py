@@ -33,6 +33,7 @@ from .errors import (
     DegenerateZero,
     DegreeError,
     DimensionLimit,
+    EquivarianceFailure,
     InputError,
     MarginFailure,
     NearSingular,
@@ -67,6 +68,7 @@ _CERTIFICATION_ERRORS = (
     NearSingular,
     ZeroOutsideFixedSpace,
     DimensionLimit,
+    EquivarianceFailure,
 )
 
 

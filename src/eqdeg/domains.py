@@ -4,11 +4,13 @@ A ball may carry per-coordinate weights so that ellipsoids (for instance
 graph-norm balls over an eigencoordinate basis) are expressed in plain
 coordinates.  Degree computations only need membership tests, boundary
 samples and interior seed points, so unions, intersections and products
-are supported through that interface.
+are supported through that interface.  ``section(indices)`` restricts a
+domain to the coordinate subspace on the given axes, through the center.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
@@ -21,8 +23,10 @@ _HALTON_COUNT = 4096
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
+@functools.lru_cache(maxsize=None)
 def _halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
-    """Deterministic low-discrepancy points in the unit cube.
+    """Deterministic low-discrepancy points in the unit cube, as a read-only
+    array built once per argument set.
 
     The radical inverse of every index is built one digit at a time, in the
     same order of operations for all indices at once.
@@ -41,6 +45,7 @@ def _halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
             n, r = np.divmod(n, base)
             x += f * r
         out[:, j] = x
+    out.setflags(write=False)
     return out
 
 
@@ -90,6 +95,10 @@ class Ball:
         y /= np.sqrt(np.sum(self.weights * y * y, axis=1))[:, None]
         radii = self.radius * rng.random(count) ** (1.0 / self.dim)
         return self.center + radii[:, None] * y
+
+    def section(self, indices: Sequence[int]) -> "Ball":
+        idx = np.asarray(indices, dtype=int)
+        return Ball(self.center[idx], self.radius, self.weights[idx])
 
     def seed_points(self, indices: Sequence[int], fraction: float = 0.125) -> np.ndarray:
         """Deterministic grid of Newton seeds on the given coordinate axes.
@@ -160,6 +169,10 @@ class ShellDomain:
                 break
         return np.vstack(got) if got else np.zeros((0, self.dim))
 
+    def section(self, indices) -> "ShellDomain":
+        inner = self.inner.section(indices)
+        return ShellDomain(inner.center, inner.radius, self.outer.radius, inner.weights)
+
     def seed_points(self, indices, fraction: float = 0.125) -> np.ndarray:
         pts = self.outer.seed_points(indices, fraction)
         keep = np.atleast_1d(self.contains(pts))
@@ -212,6 +225,9 @@ class UnionDomain:
     def interior_samples(self, count: int, rng) -> np.ndarray:
         share = max(1, count // len(self.parts))
         return np.vstack([b.interior_samples(share, rng) for b in self.parts])
+
+    def section(self, indices) -> "UnionDomain":
+        return UnionDomain([b.section(indices) for b in self.parts])
 
     def seed_points(self, indices, fraction: float = 0.125) -> np.ndarray:
         return np.vstack([b.seed_points(indices, fraction) for b in self.parts])
@@ -281,6 +297,9 @@ class IntersectionDomain:
             raise ValueError("intersection appears to have empty interior")
         return np.vstack(got)
 
+    def section(self, indices) -> "IntersectionDomain":
+        return IntersectionDomain([b.section(indices) for b in self.parts])
+
     def seed_points(self, indices, fraction: float = 0.125) -> np.ndarray:
         pts = self.parts[0].seed_points(indices, fraction)
         keep = np.ones(len(pts), dtype=bool)
@@ -344,11 +363,22 @@ class ProductDomain:
         xb = self.db.interior_samples(count, rng)
         return self._join(xa, xb)
 
+    def _split_indices(self, indices):
+        """For each factor, the positions in ``indices`` of the coordinates it
+        holds and their indices within the factor: (at_a, sub_a, at_b, sub_b)."""
+        out = []
+        for own in (self.ia, self.ib):
+            pos = {int(g): j for j, g in enumerate(own)}
+            at = [j for j, i in enumerate(indices) if i in pos]
+            out += [at, [pos[i] for i in indices if i in pos]]
+        return out
+
+    def section(self, indices) -> "ProductDomain":
+        at_a, sub_a, at_b, sub_b = self._split_indices(indices)
+        return ProductDomain(at_a, self.da.section(sub_a), at_b, self.db.section(sub_b))
+
     def seed_points(self, indices, fraction: float = 0.125) -> np.ndarray:
-        pos_a = {int(g): j for j, g in enumerate(self.ia)}
-        pos_b = {int(g): j for j, g in enumerate(self.ib)}
-        sub_a = [pos_a[i] for i in indices if i in pos_a]
-        sub_b = [pos_b[i] for i in indices if i in pos_b]
+        _, sub_a, _, sub_b = self._split_indices(indices)
         seeds_a = self.da.seed_points(sub_a, fraction)
         seeds_b = self.db.seed_points(sub_b, fraction)
         if len(seeds_a) * len(seeds_b) > _SEED_CAP:

@@ -66,5 +66,11 @@ class DimensionLimit(DegreeError):
     coverage cannot be provided."""
 
 
+class EquivarianceFailure(DegreeError, ValueError):
+    """A field failed a check of the equivariance contract: a sampled
+    rotation did not commute with it, or it does not map the fixed-point
+    space to itself."""
+
+
 class InputError(DegreeError):
     """Malformed problem description."""

@@ -4,12 +4,12 @@ The degree of an equivariant gradient field with nondegenerate zeros in
 the fixed-point space is the sum over those zeros of the closed-form
 degree of the Hessian: a sign from the Morse index on the fixed space and
 one first-order coefficient per rotation mode (higher products vanish by
-nilpotency of the mode classes).  Zeros are located by multi-start damped
-Newton from a deterministic seed grid, using the field's exact Jacobian
-when it supplies one and central differences otherwise, which also give
-the Hessians at zeros; zeros off the fixed-point space are
-detected by randomized full-space probes and rejected, since slice
-linearization around free orbits is out of scope.
+nilpotency of the mode classes).  Zeros are located by batched multi-start
+damped Newton from a deterministic seed grid.  A field's one derivative
+source, for Newton steps and Hessians at zeros alike, is its exact
+Jacobian or else central differences.  Equivariance is spot-checked, and
+zeros off the fixed-point space are found by randomized full-space probes
+and rejected, since slice linearization around free orbits is out of scope.
 
 An independent Brouwer-degree oracle (zero enumeration plus the sign of
 the finite-difference Jacobian determinant) provides the verification
@@ -23,10 +23,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import Ball, IntersectionDomain, ProductDomain, ShellDomain, UnionDomain
+from .domains import Ball, ProductDomain, ShellDomain
 from .errors import (
     BoundaryZero,
     DegenerateZero,
+    EquivarianceFailure,
     NearSingular,
     UnresolvedZeroCluster,
     ZeroOutsideFixedSpace,
@@ -41,30 +42,27 @@ MERGE_TOL = 1e-7
 SINGULAR_LOG_RATIO = np.log(1e-12)  # Newton solves below this |det J| / Hadamard bound use pinv
 BOUNDARY_PER_DIM = 64
 EQUIV_TOL = 1e-8
-DEFAULT_BOUNDARY_MARGIN = 1e-8
+BOUNDARY_MARGIN = 1e-8         # sampled boundary |f| at or below this is a boundary zero
 
 
 @dataclass
 class GradientField:
     """An equivariant gradient field on an invariant domain.
 
-    ``value`` maps a coordinate vector to the gradient vector; with
-    ``vectorized=True`` it must accept (m, dim)-shaped batches.  ``layout``
-    describes how coordinates carry the circle action and defaults to the
-    canonical layout of ``rep``.  ``hessian``, when given, returns the
-    blockwise Hessian at a fixed point.  ``jacobian(X, idx)``, when given,
-    returns the exact derivative of ``value`` at an (m, dim) batch X,
-    restricted to the rows and columns idx, as an (m, |idx|, |idx|) array;
-    Newton steps and the Hessians at zeros then use it.  A field with
-    neither falls back to central differences.
+    ``value`` maps an (m, dim) batch of coordinate vectors to the (m, dim)
+    batch of gradient vectors.  ``layout`` describes how coordinates carry
+    the circle action and defaults to the canonical layout of ``rep``.
+    ``jacobian(X, idx)``, when given, returns the exact derivative of
+    ``value`` at an (m, dim) batch X, restricted to the rows and columns
+    idx, as an (m, |idx|, |idx|) array; Newton steps and the Hessians at
+    zeros then use it.  A field without one falls back to central
+    differences.
     """
 
     rep: Rep
     value: Callable
     domain: object
-    hessian: Optional[Callable] = None
     layout: Optional[Layout] = None
-    vectorized: bool = False
     name: str = "field"
     jacobian: Optional[Callable] = None
 
@@ -78,10 +76,7 @@ class GradientField:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Evaluate on an (m, dim) batch."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.vectorized:
-            return np.asarray(self.value(x), dtype=float)
-        return np.stack([np.asarray(self.value(row), dtype=float) for row in x])
+        return np.asarray(self.value(np.atleast_2d(np.asarray(x, dtype=float))), dtype=float)
 
 
 def linear_degree(op: EquivariantSymOp, *, singular_floor: float = 0.0) -> RingElement:
@@ -108,10 +103,11 @@ def field_from_operator(op: EquivariantSymOp, radius: float = 1.0) -> GradientFi
         rep=op.rep,
         value=lambda X: X @ mat.T,
         domain=Ball(np.zeros(op.rep.dim), radius),
-        hessian=lambda x: op,
         layout=lay,
-        vectorized=True,
         name="linear field",
+        jacobian=lambda X, idx: np.broadcast_to(
+            mat[np.ix_(idx, idx)], (len(X), len(idx), len(idx))
+        ),
     )
 
 
@@ -140,18 +136,20 @@ def _full_matrix(op: EquivariantSymOp, lay: Layout) -> np.ndarray:
 # Newton machinery
 
 
-def _fd_jacobian(fld: GradientField, X: np.ndarray, idx: list[int]) -> np.ndarray:
-    """Batched central-difference Jacobian restricted to idx x idx."""
-    m = len(X)
-    h = 1e-6 * (1.0 + np.max(np.abs(X), axis=1))
-    J = np.empty((m, len(idx), len(idx)))
-    for jc, c in enumerate(idx):
-        Xp = X.copy()
-        Xp[:, c] += h
-        Xm = X.copy()
-        Xm[:, c] -= h
-        J[:, :, jc] = (fld.evaluate(Xp)[:, idx] - fld.evaluate(Xm)[:, idx]) / (2 * h)[:, None]
-    return J
+def _fd_jacobian(fld: GradientField, X: np.ndarray, idx, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian at an (m, dim) batch X, restricted to
+    idx x idx, from one evaluation of all the points shifted up and one of
+    all those shifted down; the step at a point x is step * (1 + max|x|)."""
+    idx = np.asarray(idx, dtype=int)
+    k = len(idx)
+    h = step * (1.0 + np.max(np.abs(X), axis=1))
+    Xp = np.repeat(X[None], k, axis=0)  # (k, m, dim): block j shifts coordinate idx[j]
+    Xm = Xp.copy()
+    Xp[np.arange(k), :, idx] += h
+    Xm[np.arange(k), :, idx] -= h
+    Fp = fld.evaluate(Xp.reshape(-1, X.shape[1]))[:, idx].reshape(k, len(X), k)
+    Fm = fld.evaluate(Xm.reshape(-1, X.shape[1]))[:, idx].reshape(k, len(X), k)
+    return ((Fp - Fm) / (2 * h)[:, None]).transpose(1, 2, 0)
 
 
 def _solve_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -178,14 +176,11 @@ def _newton_batch(
     seeds: np.ndarray,
     idx: list[int],
     *,
-    tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
     scale: float = 1.0,
 ) -> np.ndarray:
     """Damped Newton on the coordinates in idx; returns converged points."""
     X = np.array(np.atleast_2d(seeds), dtype=float)
-    if not len(X):
-        return X
     status = np.zeros(len(X), dtype=np.int8)  # 0 running, 1 converged, 2 dead
     cutoff = 50.0 * (scale + 1.0)
     for _ in range(max_iter):
@@ -195,7 +190,7 @@ def _newton_batch(
         Xa = X[run]
         F = fld.evaluate(Xa)[:, idx]
         fn = np.linalg.norm(F, axis=1)
-        done = fn <= tol
+        done = fn <= NEWTON_TOL
         status[run[done]] = 1
         run, Xa, F, fn = run[~done], Xa[~done], F[~done], fn[~done]
         if not len(run):
@@ -247,7 +242,7 @@ def _dedupe(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
 # Equivariance and zero location
 
 
-def _spot_check_equivariance(fld: GradientField, rng: np.random.Generator, tol: float = EQUIV_TOL):
+def _spot_check_equivariance(fld: GradientField, rng: np.random.Generator):
     samples = fld.domain.interior_samples(8, rng)
     if not len(samples):
         return
@@ -257,8 +252,8 @@ def _spot_check_equivariance(fld: GradientField, rng: np.random.Generator, tol: 
         lhs = fld.layout.rotate(theta, vals)
         rhs = fld.evaluate(rotated_in)
         err = np.max(np.linalg.norm(lhs - rhs, axis=1))
-        if err > tol:
-            raise ValueError(
+        if err > EQUIV_TOL:
+            raise EquivarianceFailure(
                 f"{fld.name}: equivariance spot-check failed (|g f(x) - f(g x)| = {err:.2e})"
             )
 
@@ -271,20 +266,18 @@ def _located_fixed_zeros(fld: GradientField, *, probe_scale: float) -> np.ndarra
             return np.zeros((0, fld.layout.size))
         resid = np.linalg.norm(fld.evaluate(candidate)[0])
         if resid > 1e-8 * (1.0 + probe_scale):
-            raise ValueError(
+            raise EquivarianceFailure(
                 f"{fld.name}: origin is forced to be a zero by equivariance but |f(0)|={resid:.2e}"
             )
         return candidate
     seeds = fld.domain.seed_points(fixed, SEED_FRACTION)
     pts = _newton_batch(fld, seeds, fixed, scale=probe_scale)
-    if not len(pts):
-        return np.zeros((0, fld.layout.size))
     pts = pts[np.atleast_1d(fld.domain.contains(pts))]
     pts = _dedupe(pts)
     if len(pts):
         normals = fld.evaluate(pts)[:, fld.layout.normal_indices()]
         if normals.size and np.max(np.abs(normals)) > 1e-7 * (1.0 + probe_scale):
-            raise ValueError(
+            raise EquivarianceFailure(
                 f"{fld.name}: field does not map the fixed space to itself "
                 f"(normal residual {np.max(np.abs(normals)):.2e})"
             )
@@ -295,11 +288,7 @@ def _scan_off_space_zeros(fld: GradientField, rng: np.random.Generator, *, probe
     count = 16 + 8 * min(fld.layout.size, 16)
     probes = fld.domain.interior_samples(count, rng)
     pts = _newton_batch(fld, probes, list(range(fld.layout.size)), scale=probe_scale, max_iter=30)
-    if not len(pts):
-        return
     pts = pts[np.atleast_1d(fld.domain.contains(pts))]
-    if not len(pts):
-        return
     normal_idx = fld.layout.normal_indices()
     norms = np.linalg.norm(pts[:, normal_idx], axis=1)
     off = norms > 1e-6 * (1.0 + np.max(np.abs(pts), axis=1))
@@ -308,18 +297,6 @@ def _scan_off_space_zeros(fld: GradientField, rng: np.random.Generator, *, probe
         raise ZeroOutsideFixedSpace(
             f"{fld.name}: located a zero with nontrivial normal component at {np.round(where, 6)}"
         )
-
-
-def _fd_hessian_full(fld: GradientField, x: np.ndarray) -> np.ndarray:
-    d = len(x)
-    h = 1e-5 * (1.0 + np.max(np.abs(x)))
-    Xp = np.tile(x, (d, 1))
-    Xm = Xp.copy()
-    Xp[np.arange(d), np.arange(d)] += h
-    Xm[np.arange(d), np.arange(d)] -= h
-    cols = (fld.evaluate(Xp) - fld.evaluate(Xm)) / (2 * h)
-    J = cols.T
-    return 0.5 * (J + J.T)
 
 
 def blocks_from_matrix(S: np.ndarray, layout: Layout) -> EquivariantSymOp:
@@ -350,15 +327,10 @@ def blocks_from_matrix(S: np.ndarray, layout: Layout) -> EquivariantSymOp:
 
 
 def _hessian_op_at(fld: GradientField, x: np.ndarray) -> EquivariantSymOp:
-    x = np.asarray(x, dtype=float)
-    if fld.hessian is not None:
-        return fld.hessian(x)
-    if fld.jacobian is not None:
-        J = fld.jacobian(x[None, :], list(range(len(x))))[0]
-        S = 0.5 * (J + J.T)
-    else:
-        S = _fd_hessian_full(fld, x)
-    return blocks_from_matrix(S, fld.layout)
+    X = np.asarray(x, dtype=float)[None, :]
+    idx = list(range(X.shape[1]))
+    J = fld.jacobian(X, idx) if fld.jacobian is not None else _fd_jacobian(fld, X, idx, step=1e-5)
+    return blocks_from_matrix(0.5 * (J[0] + J[0].T), fld.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +341,20 @@ def grad_degree(
     fld: GradientField,
     *,
     seed: int = 0,
-    boundary_margin: float = DEFAULT_BOUNDARY_MARGIN,
-    check_equivariance: bool = True,
-    scan_off_space: bool = True,
     return_zeros: bool = False,
 ):
     """Equivariant gradient degree over the field's domain.
 
     All zeros must be nondegenerate and lie in the fixed-point space; the
     result is the sum of linear degrees of the Hessians there.  Raises
-    BoundaryZero when the sampled boundary margin collapses, DegenerateZero
-    for near-singular Hessians, and ZeroOutsideFixedSpace when a probe
-    finds a zero orbit off the fixed space.
+    EquivarianceFailure when the field breaks the circle action's
+    contract, BoundaryZero when the sampled boundary margin collapses,
+    DegenerateZero for near-singular Hessians, and ZeroOutsideFixedSpace
+    when a probe finds a zero orbit off the fixed space.
     """
     rng = np.random.default_rng(seed)
     scale = fld.domain.scale
-    if check_equivariance and fld.layout.pairs:
+    if fld.layout.pairs:
         _spot_check_equivariance(fld, rng)
 
     count = BOUNDARY_PER_DIM * max(fld.domain.dim, 1)
@@ -394,14 +364,14 @@ def grad_degree(
         bvals = np.linalg.norm(fld.evaluate(bsamples), axis=1)
         if not np.all(np.isfinite(bvals)):
             raise ValueError(f"{fld.name}: field not finite on the boundary")
-        if bvals.min() <= boundary_margin:
+        if bvals.min() <= BOUNDARY_MARGIN:
             raise BoundaryZero(
-                f"{fld.name}: sampled |f| = {bvals.min():.3e} <= {boundary_margin:g} on the boundary"
+                f"{fld.name}: sampled |f| = {bvals.min():.3e} <= {BOUNDARY_MARGIN:g} on the boundary"
             )
         derivative_scale = float(bvals.max()) / max(scale, 1e-300)
 
     zeros = _located_fixed_zeros(fld, probe_scale=scale)
-    if scan_off_space and fld.layout.pairs:
+    if fld.layout.pairs:
         _scan_off_space_zeros(fld, rng, probe_scale=scale)
 
     # a Hessian eigenvalue far below the field's own derivative scale marks
@@ -470,7 +440,7 @@ def _oracle_jacobian(func, X: np.ndarray) -> np.ndarray:
 def fixed_restriction(fld: GradientField):
     """The field restricted to its fixed-point space, as (func, domain)."""
     fixed = list(fld.layout.trivial)
-    domain = _fixed_section(fld.domain, fixed)
+    domain = fld.domain.section(fixed)
 
     def func(Y):
         Y = np.atleast_2d(Y)
@@ -479,31 +449,6 @@ def fixed_restriction(fld: GradientField):
         return fld.evaluate(X)[:, fixed]
 
     return func, domain
-
-
-def _fixed_section(domain, fixed: list[int]):
-    if isinstance(domain, Ball):
-        return Ball(domain.center[fixed], domain.radius, domain.weights[fixed])
-    if isinstance(domain, UnionDomain):
-        return UnionDomain([_fixed_section(b, fixed) for b in domain.parts])
-    if isinstance(domain, IntersectionDomain):
-        return IntersectionDomain([_fixed_section(b, fixed) for b in domain.parts])
-    if isinstance(domain, ShellDomain):
-        inner = domain.inner
-        return ShellDomain(
-            inner.center[fixed], inner.radius, domain.outer.radius, inner.weights[fixed]
-        )
-    if isinstance(domain, ProductDomain):
-        pos_a = {int(g): j for j, g in enumerate(domain.ia)}
-        pos_b = {int(g): j for j, g in enumerate(domain.ib)}
-        sub_a = [pos_a[i] for i in fixed if i in pos_a]
-        sub_b = [pos_b[i] for i in fixed if i in pos_b]
-        da = _fixed_section(domain.da, sub_a)
-        db = _fixed_section(domain.db, sub_b)
-        ia = [j for j, i in enumerate(fixed) if i in pos_a]
-        ib = [j for j, i in enumerate(fixed) if i in pos_b]
-        return ProductDomain(ia, da, ib, db)
-    raise TypeError(f"unsupported domain type {type(domain).__name__}")
 
 
 def brouwer_oracle(target, domain=None, *, vectorized: bool = True, seed: int = 0) -> int:
@@ -558,25 +503,42 @@ def brouwer_oracle(target, domain=None, *, vectorized: bool = True, seed: int = 
 # Products and orbit normal forms
 
 
+def block_diagonal_jacobian(X: np.ndarray, idx, blocks) -> np.ndarray:
+    """The idx x idx Jacobian of a product map at the (m, dim) batch X.
+
+    ``blocks`` holds one (jacobian, coords) pair per factor: its ascending
+    coordinates in X, and its Jacobian, which is called on X[:, coords]
+    with the factor's own indices of the entries of idx it holds.
+    """
+    X = np.atleast_2d(X)
+    idx = np.asarray(idx, dtype=int)
+    J = np.zeros((len(X), len(idx), len(idx)))
+    for jacobian, coords in blocks:
+        rows = np.flatnonzero(np.isin(idx, coords))
+        J[:, rows[:, None], rows] = jacobian(X[:, coords], np.searchsorted(coords, idx[rows]))
+    return J
+
+
 def product_field(f: GradientField, g: GradientField) -> GradientField:
-    """The product field (x, y) -> (f(x), g(y)) on the concatenated layout."""
+    """The product field (x, y) -> (f(x), g(y)) on the concatenated layout,
+    with a block-diagonal Jacobian when both factors have one."""
     da, db = f.rep.dim, g.rep.dim
 
     def value(X):
         X = np.atleast_2d(X)
         return np.concatenate([f.evaluate(X[:, :da]), g.evaluate(X[:, da:])], axis=1)
 
-    hess = None
-    if f.hessian is not None and g.hessian is not None:
-        hess = lambda x: f.hessian(x[:da]).direct_sum(g.hessian(x[da:]))
+    jacobian = None
+    if f.jacobian is not None and g.jacobian is not None:
+        blocks = ((f.jacobian, np.arange(da)), (g.jacobian, np.arange(da, da + db)))
+        jacobian = lambda X, idx: block_diagonal_jacobian(X, idx, blocks)
     return GradientField(
         rep=f.rep + g.rep,
         value=value,
         domain=ProductDomain(range(da), f.domain, range(da, da + db), g.domain),
-        hessian=hess,
         layout=concat_layouts([f.layout, g.layout]),
-        vectorized=True,
         name=f"{f.name} x {g.name}",
+        jacobian=jacobian,
     )
 
 
@@ -639,9 +601,10 @@ def orbit_normal_form_field(o: OrbitNormalForm) -> GradientField:
             return np.atleast_2d(X) - x0
 
         domain = Ball(x0, o.slice_radius)
-        return GradientField(rep, value, domain, layout=lay, vectorized=True,
-                             hessian=lambda x: EquivariantSymOp.scalar(rep, 1.0),
-                             name="normal form (fixed orbit)")
+        return GradientField(
+            rep, value, domain, layout=lay, name="normal form (fixed orbit)",
+            jacobian=lambda X, idx: np.broadcast_to(np.eye(len(idx)), (len(X), len(idx), len(idx))),
+        )
 
     k = o.isotropy.index
     base = next(i for kk, i in lay.pairs if kk == k)
@@ -659,5 +622,4 @@ def orbit_normal_form_field(o: OrbitNormalForm) -> GradientField:
         center, max(o.orbit_radius - o.slice_radius, o.orbit_radius * 0.25),
         o.orbit_radius + o.slice_radius
     )
-    return GradientField(rep, value, domain, layout=lay, vectorized=True,
-                         name=f"normal form (isotropy Z{k})")
+    return GradientField(rep, value, domain, layout=lay, name=f"normal form (isotropy Z{k})")

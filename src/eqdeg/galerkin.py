@@ -41,11 +41,11 @@ from .euler_ring import (
     ring_element_to_json,
     unit,
 )
-from .finite_degree import BOUNDARY_PER_DIM, GradientField, grad_degree, linear_degree
+from .finite_degree import BOUNDARY_PER_DIM, GradientField, block_diagonal_jacobian, grad_degree, linear_degree
 from .polynomials import Polynomial
 from .reps import Rep, SpectralOperator, canonical_layout, concat_layouts, shell_operator
 
-DEFAULT_REFERENCE_OFFSET = 4
+REFERENCE_OFFSET = 4  # margins at level n are certified against level n + REFERENCE_OFFSET
 BOUNDARY_ZERO_TOL = 1e-10
 
 
@@ -155,16 +155,14 @@ class LocalMapSpec:
     this module and the Hamiltonian local map carry.  Without one, Newton
     and the Hessians at zeros use central differences.  ``region`` bounds
     the invariant domain in the graph norm.  ``min_level`` is the first
-    truncation level at which the nonlinearity is meaningful.
-    ``check_equivariance`` controls the sampled equivariance contract
-    check; disabling it asserts the contract without verification.
+    truncation level at which the nonlinearity is meaningful.  The
+    truncated fields are always spot-checked for equivariance.
     """
 
     operator: SpectralOperator
     nonlinearity: Callable
     region: object
     min_level: int = 1
-    check_equivariance: bool = True
     name: str = "local map"
     jacobian: Optional[Callable] = None
 
@@ -176,9 +174,9 @@ class LocalMapSpec:
         return dataclasses.replace(self, region=region)
 
 
-def shell_field(f: LocalMapSpec, n: int, basis: Optional[ShellBasis] = None) -> GradientField:
+def shell_field(f: LocalMapSpec, n: int) -> GradientField:
     """The truncated field f_n = Ax - P_n F(x) on V_n as a gradient field."""
-    basis = basis or ShellBasis(f.operator, n)
+    basis = ShellBasis(f.operator, n)
     eigs = basis.eigenvalues
 
     def value(X):
@@ -196,7 +194,6 @@ def shell_field(f: LocalMapSpec, n: int, basis: Optional[ShellBasis] = None) -> 
         value=value,
         domain=realize_region(f.region, basis),
         layout=basis.layout,
-        vectorized=True,
         name=f"{f.name} | V_{n}",
         jacobian=jacobian,
     )
@@ -223,12 +220,12 @@ def certify_margin(
     *,
     seed: int = 0,
     budget: Optional[int] = None,
-    reference_offset: int = DEFAULT_REFERENCE_OFFSET,
 ) -> tuple[float, float]:
     """Estimate the boundary margin and the projection tail at level n.
 
     Samples the boundary of the truncated domain in V_n, evaluates the map
-    at a finer reference level m = n + reference_offset, and certifies when
+    at a finer reference level m = n + REFERENCE_OFFSET (capped by the
+    operator's declared maximum level), and certifies when
     the sampled tail sup |(P_m - P_n) F| stays below epsilon = half the
     sampled min |f|.  Raises MarginFailure when it does not (raise n), and
     BoundaryZero when a sample sits numerically on the zero set.
@@ -237,7 +234,7 @@ def certify_margin(
     basis_n = ShellBasis(op, n)
     if basis_n.dim == 0:
         raise MarginFailure(f"{f.name}: V_{n} is zero-dimensional; raise the level")
-    m = n + reference_offset
+    m = n + REFERENCE_OFFSET
     if op.max_level is not None:
         m = min(m, op.max_level)
     if m <= n:
@@ -332,7 +329,6 @@ def deg_infinite(
     seed: int = 0,
     max_level: int = 10,
     budget: Optional[int] = None,
-    reference_offset: int = DEFAULT_REFERENCE_OFFSET,
 ) -> DegreeResult:
     """The stabilized degree m_N * deg(f_N) of a local map.
 
@@ -360,9 +356,7 @@ def deg_infinite(
         last: Optional[DegreeError] = None
         for n in range(start, cap + 1):
             try:
-                epsilon, tail = certify_margin(
-                    f, n, seed=seed, budget=budget, reference_offset=reference_offset
-                )
+                epsilon, tail = certify_margin(f, n, seed=seed, budget=budget)
                 N = n
                 break
             except MarginFailure as exc:
@@ -373,9 +367,7 @@ def deg_infinite(
             )
     else:
         N = int(level)
-        epsilon, tail = certify_margin(
-            f, N, seed=seed, budget=budget, reference_offset=reference_offset
-        )
+        epsilon, tail = certify_margin(f, N, seed=seed, budget=budget)
 
     values: list[RingElement] = []
     degrees: list[RingElement] = []
@@ -383,11 +375,8 @@ def deg_infinite(
     for j in range(stabilization_depth + 1):
         n = N + j
         if j:
-            certify_margin(f, n, seed=seed, budget=budget, reference_offset=reference_offset)
-        fld = shell_field(f, n)
-        d, zeros = grad_degree(
-            fld, seed=seed, check_equivariance=f.check_equivariance, return_zeros=True
-        )
+            certify_margin(f, n, seed=seed, budget=budget)
+        d, zeros = grad_degree(shell_field(f, n), seed=seed, return_zeros=True)
         values.append(correction_factor(op, n) * d)
         degrees.append(d)
         zero_counts.append(len(zeros))
@@ -436,7 +425,6 @@ def deg_along_otopy(
     seed: int = 0,
     max_level: int = 10,
     budget: Optional[int] = None,
-    reference_offset: int = DEFAULT_REFERENCE_OFFSET,
     stabilization_depth: int = 1,
 ) -> list[DegreeResult]:
     """Degrees along an otopy: all slices certified at one common level,
@@ -454,7 +442,7 @@ def deg_along_otopy(
         ok = True
         for t, s in slices:
             try:
-                certify_margin(s, n, seed=seed, budget=budget, reference_offset=reference_offset)
+                certify_margin(s, n, seed=seed, budget=budget)
             except BoundaryZero as exc:
                 raise SliceMarginFailure(t, str(exc)) from exc
             except MarginFailure as exc:
@@ -477,7 +465,6 @@ def deg_along_otopy(
                     level=common,
                     seed=seed,
                     budget=budget,
-                    reference_offset=reference_offset,
                     stabilization_depth=stabilization_depth,
                 )
             )
@@ -635,15 +622,12 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
     if f.jacobian is not None and g.jacobian is not None:
 
         def jacobian(X, basis, idx):
-            X = np.atleast_2d(X)
             ia, basisA, ib, basisB = split(basis)
-            idx = np.asarray(idx, dtype=int)
-            J = np.zeros((len(X), len(idx), len(idx)))
-            for h, coords, part in ((f, ia, basisA), (g, ib, basisB)):
-                rows = np.flatnonzero(np.isin(idx, coords))
-                within = np.searchsorted(coords, idx[rows])
-                J[:, rows[:, None], rows] = h.jacobian(X[:, coords], part, within)
-            return J
+            blocks = (
+                (lambda Y, sub: f.jacobian(Y, basisA, sub), ia),
+                (lambda Y, sub: g.jacobian(Y, basisB, sub), ib),
+            )
+            return block_diagonal_jacobian(X, idx, blocks)
 
     def region(basis):
         ia, basisA, ib, basisB = split(basis)

@@ -404,16 +404,20 @@ def periodic_existence(spec: HamiltonianSpec, radius: float, **kwargs) -> Period
 # Parameter sweeps and the quadratic closed form
 
 
-def _hessian_block(S0: np.ndarray, lam: float, k: int) -> np.ndarray:
-    """Linearization of Az - lambda S0 z on the mode-k Fourier pair (cos, sin)."""
-    n2 = S0.shape[0]
-    J = symplectic_matrix(n2 // 2)
-    top = np.concatenate([-lam * S0, -k * J], axis=1)
-    bot = np.concatenate([k * J, -lam * S0], axis=1)
-    return np.concatenate([top, bot], axis=0)
+def _linearization_eigs(spec: HamiltonianSpec, lam: float, top_mode: int) -> list[np.ndarray]:
+    """Eigenvalues of the linearization of Az - lam S0 z at the origin,
+    S0 = hess H(0): entry 0 holds those of -lam S0 on the constant loops,
+    entry k those of the block on the mode-k Fourier pair (cos, sin), for
+    k = 1 .. top_mode.  The largest |eigenvalue| of entry 0 is lam |S0|."""
+    S0 = spec.potential.hessian_at(np.zeros(2 * spec.dof))
+    J = symplectic_matrix(spec.dof)
+    return [np.linalg.eigvalsh(-lam * S0)] + [
+        np.linalg.eigvalsh(np.block([[-lam * S0, -k * J], [k * J, -lam * S0]]))
+        for k in range(1, top_mode + 1)
+    ]
 
 
-def quadratic_spectral_degree(spec: HamiltonianSpec, level: Optional[int] = None) -> RingElement:
+def quadratic_spectral_degree(spec: HamiltonianSpec) -> RingElement:
     """Closed-form degree for a quadratic Hamiltonian H = (1/2) <Sz, z>.
 
     Computed directly from eigenvalue sign counts of the explicit mode
@@ -422,29 +426,27 @@ def quadratic_spectral_degree(spec: HamiltonianSpec, level: Optional[int] = None
     """
     if spec.potential.degree > 2:
         raise ValueError("closed form applies to quadratic Hamiltonians")
-    S0 = spec.potential.hessian_at(np.zeros(2 * spec.dof))
     lam = spec.lam
-    norm = float(np.linalg.norm(S0, 2)) if S0.size else 0.0
-    if level is None:
-        level = int(math.ceil(lam * norm)) + 1
-
-    def neg_count(mat: np.ndarray, tol_scale: float) -> int:
-        eigs = np.linalg.eigvalsh(mat)
-        if np.min(np.abs(eigs)) < 1e-9 * max(tol_scale, 1.0):
+    level = _top_mode(spec, lam)
+    eigs = _linearization_eigs(spec, lam, level)
+    lam_norm = float(np.max(np.abs(eigs[0])))
+    negative = []
+    for k, e in enumerate(eigs):
+        if np.min(np.abs(e)) < 1e-9 * max(k + lam_norm, 1.0):
             raise NearSingular("quadratic closed form: block eigenvalue near zero")
-        return int(np.sum(eigs < 0))
-
-    trivial_neg = neg_count(-lam * S0, lam * norm)
-    sign = -1 if trivial_neg % 2 else 1
-    coeffs = {FULL: sign}
-    value = RingElement.make(CIRCLE, coeffs)
+        negative.append(int(np.sum(e < 0)))
+    value = RingElement.make(CIRCLE, {FULL: -1 if negative[0] % 2 else 1})
     for k in range(1, level + 1):
-        mk = neg_count(_hessian_block(S0, lam, k), k + lam * norm) // 2
-        # one factor (1 - e_k)^{m_k} from the truncated field, one factor
-        # (1 + dof e_k) from the shell correction
+        # a factor (1 - e_k)^{m_k} from the truncated field, m_k being half the
+        # negative count of the real block, and (1 + dof e_k) from the shell correction
         ek = RingElement.make(CIRCLE, {SubgroupClass.finite(k): 1})
-        value = value * (unit(CIRCLE) - mk * ek) * (unit(CIRCLE) + spec.dof * ek)
+        value = value * (unit(CIRCLE) - (negative[k] // 2) * ek) * (unit(CIRCLE) + spec.dof * ek)
     return value
+
+
+def _top_mode(spec: HamiltonianSpec, lam: float) -> int:
+    """ceil(lam |S0|) + 1: no mode above it can cross zero at this lambda."""
+    return int(math.ceil(lam * np.max(np.abs(_linearization_eigs(spec, 1.0, 0)[0])))) + 1
 
 
 @dataclass(frozen=True)
@@ -454,23 +456,6 @@ class DegreeJumpTable:
     entries: tuple[tuple[float, RingElement], ...]
     segments: tuple[tuple[int, ...], ...]
     jumps: tuple[dict, ...]
-
-
-def _crossing_signature(spec: HamiltonianSpec, lam: float, top_mode: int) -> tuple[int, ...]:
-    S0 = spec.potential.hessian_at(np.zeros(2 * spec.dof))
-    counts = [int(np.sum(np.linalg.eigvalsh(-lam * S0) < 0))]
-    for k in range(1, top_mode + 1):
-        counts.append(int(np.sum(np.linalg.eigvalsh(_hessian_block(S0, lam, k)) < 0)))
-    return tuple(counts)
-
-
-def _check_away_from_crossing(spec: HamiltonianSpec, lam: float, top_mode: int):
-    S0 = spec.potential.hessian_at(np.zeros(2 * spec.dof))
-    worst = np.min(np.abs(np.linalg.eigvalsh(-lam * S0))) if S0.size else np.inf
-    for k in range(1, top_mode + 1):
-        worst = min(worst, np.min(np.abs(np.linalg.eigvalsh(_hessian_block(S0, lam, k)))))
-    if worst < 1e-8 * (1.0 + top_mode):
-        raise NearSingular(f"lambda={lam:g} sits at a spectral crossing of the linearization")
 
 
 def degree_jump(
@@ -485,11 +470,14 @@ def degree_jump(
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("empty lambda grid")
-    S0 = spec.potential.hessian_at(np.zeros(2 * spec.dof))
-    norm = float(np.linalg.norm(S0, 2)) if S0.size else 0.0
-    top_mode = int(math.ceil(max(lambdas) * norm)) + 1
+    top_mode = _top_mode(spec, max(lambdas))
+    # the negative counts of every block: a change marks a crossing in between
+    signatures = []
     for lam in lambdas:
-        _check_away_from_crossing(dataclasses.replace(spec, lam=lam), lam, top_mode)
+        eigs = _linearization_eigs(spec, lam, top_mode)
+        if min(np.min(np.abs(e)) for e in eigs) < 1e-8 * (1.0 + top_mode):
+            raise NearSingular(f"lambda={lam:g} sits at a spectral crossing of the linearization")
+        signatures.append(tuple(int(np.sum(e < 0)) for e in eigs))
 
     entries = []
     for lam in lambdas:
@@ -498,10 +486,8 @@ def degree_jump(
 
     segments: list[list[int]] = [[0]]
     jumps: list[dict] = []
-    sig_prev = _crossing_signature(spec, lambdas[0], top_mode)
     for i in range(1, len(lambdas)):
-        sig = _crossing_signature(spec, lambdas[i], top_mode)
-        if sig == sig_prev:
+        if signatures[i] == signatures[i - 1]:
             segments[-1].append(i)
             if entries[i][1] != entries[segments[-1][0]][1]:
                 raise DegreeError(
@@ -518,7 +504,6 @@ def degree_jump(
                 }
             )
             segments.append([i])
-        sig_prev = sig
     return DegreeJumpTable(
         tuple(entries), tuple(tuple(s) for s in segments), tuple(jumps)
     )

@@ -119,7 +119,6 @@ def random_fixed_space_field(
         rep=Rep(dim),
         value=value,
         domain=Ball(np.zeros(dim), radius),
-        vectorized=True,
         name=f"random field(d={dim})",
     )
 

@@ -199,3 +199,31 @@ def test_dof9_hamiltonian_is_a_certification_failure(tmp_path, capsys):
     assert code == EXIT_CERTIFICATION
     err = capsys.readouterr().err
     assert "certification failure (DimensionLimit)" in err
+
+
+def test_non_equivariant_potential_is_a_certification_failure(tmp_path, capsys):
+    # a cubic term in a mode-2 kernel coordinate breaks rotation equivariance
+    spectrum = [{"eigenvalue": 0.0, "rep": {"trivial": 1, "modes": [[2, 1]]}}]
+    for n in range(1, 7):
+        spectrum.append({"eigenvalue": -(n - 0.3), "rep": {"trivial": 0, "modes": [[1, 1]]}})
+        spectrum.append({"eigenvalue": float(n), "rep": {"trivial": 1, "modes": []}})
+    problem = {
+        "kind": "abstract",
+        "group": "S1",
+        "spectrum": spectrum,
+        "nonlinearity": {
+            "variables": 3,
+            "terms": [
+                {"exps": [2, 0, 0], "coeff": -0.4},
+                {"exps": [0, 3, 0], "coeff": 0.3},
+                {"exps": [0, 0, 2], "coeff": 0.3},
+            ],
+        },
+        "radius": 1.2,
+        "truncation": "auto",
+    }
+    code = main(["compute", write(tmp_path, "p.json", problem)])
+    assert code == EXIT_CERTIFICATION
+    err = capsys.readouterr().err
+    assert "certification failure (EquivarianceFailure)" in err
+    assert "equivariance spot-check failed" in err

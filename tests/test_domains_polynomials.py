@@ -54,6 +54,8 @@ def test_halton_is_deterministic_and_in_cube():
     b = _halton(64, 3)
     assert np.array_equal(a, b)
     assert np.all((a >= 0) & (a < 1))
+    # built once and shared, so no caller may write to it
+    assert a is b and not a.flags.writeable
 
 
 def halton_loop(count, dims, skip=20):
@@ -191,3 +193,60 @@ def test_polynomial_merges_and_drops_terms():
 def test_polynomial_json_round_trip():
     p = Polynomial.from_terms(2, [((2, 0), 1.0), ((0, 3), -0.25)])
     assert Polynomial.from_json(2, p.to_json()) == p
+
+
+def section_chain(domain, fixed):
+    """The isinstance chain that Domain.section replaced."""
+    if isinstance(domain, Ball):
+        return Ball(domain.center[fixed], domain.radius, domain.weights[fixed])
+    if isinstance(domain, UnionDomain):
+        return UnionDomain([section_chain(b, fixed) for b in domain.parts])
+    if isinstance(domain, IntersectionDomain):
+        return IntersectionDomain([section_chain(b, fixed) for b in domain.parts])
+    if isinstance(domain, ShellDomain):
+        inner = domain.inner
+        return ShellDomain(
+            inner.center[fixed], inner.radius, domain.outer.radius, inner.weights[fixed]
+        )
+    if isinstance(domain, ProductDomain):
+        pos_a = {int(g): j for j, g in enumerate(domain.ia)}
+        pos_b = {int(g): j for j, g in enumerate(domain.ib)}
+        sub_a = [pos_a[i] for i in fixed if i in pos_a]
+        sub_b = [pos_b[i] for i in fixed if i in pos_b]
+        da = section_chain(domain.da, sub_a)
+        db = section_chain(domain.db, sub_b)
+        ia = [j for j, i in enumerate(fixed) if i in pos_a]
+        ib = [j for j, i in enumerate(fixed) if i in pos_b]
+        return ProductDomain(ia, da, ib, db)
+    raise TypeError(f"unsupported domain type {type(domain).__name__}")
+
+
+def assert_same_domain(a, b):
+    assert type(a) is type(b)
+    assert a.__dict__.keys() == b.__dict__.keys()
+    for key, x in a.__dict__.items():
+        y = b.__dict__[key]
+        if isinstance(x, list):
+            assert len(x) == len(y)
+            for p, q in zip(x, y):
+                assert_same_domain(p, q)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y)
+        elif hasattr(x, "__dict__"):
+            assert_same_domain(x, y)
+        else:
+            assert x == y
+
+
+def test_section_matches_the_isinstance_chain():
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    ball = Ball([0.5, 0.0, -0.25, 0.0], 2.0, w)
+    shell = ShellDomain(np.zeros(4), 0.5, 1.5, w)
+    union = UnionDomain([Ball([-3.0, 0, 0, 0], 1.0, w), Ball([3.0, 0, 0, 0], 1.0, w)])
+    inter = IntersectionDomain([Ball([0.2, 0, 0, 0], 1.0), Ball([-0.2, 0, 0, 0], 1.0, w)])
+    product = ProductDomain([0, 3, 5], Ball([0.1, 0.0, 0.2], 1.0), [1, 2, 4, 6], shell)
+    nested = ProductDomain([1, 2, 4, 6], union, [0, 3, 5], product.da)
+    for domain in (ball, shell, union, inter, product, nested):
+        # every section keeps coordinate 0 of the union, which separates its balls
+        for fixed in ([0, 1], [1, 2, 0], list(range(domain.dim)), [3, 1, 0]):
+            assert_same_domain(domain.section(fixed), section_chain(domain, fixed))

@@ -36,7 +36,7 @@ def double_well_field(radius=2.0, dim=1):
         X = np.atleast_2d(X)
         return X**3 - X if dim == 1 else (np.sum(X**2, axis=1) - 1.0)[:, None] * X
 
-    return GradientField(Rep(dim), value, Ball(np.zeros(dim), radius), vectorized=True,
+    return GradientField(Rep(dim), value, Ball(np.zeros(dim), radius),
                          name="double well")
 
 
@@ -152,8 +152,8 @@ def test_grad_degree_disjoint_union_additive():
     # two disjoint balls around the zeros at +-1: contributions add
     left = Ball(np.array([-1.0]), 0.4)
     right = Ball(np.array([1.0]), 0.4)
-    both = GradientField(Rep(1), value, UnionDomain([left, right]), vectorized=True)
-    single = GradientField(Rep(1), value, right, vectorized=True)
+    both = GradientField(Rep(1), value, UnionDomain([left, right]))
+    single = GradientField(Rep(1), value, right)
     assert grad_degree(both) == 2 * grad_degree(single)
 
 
@@ -161,7 +161,7 @@ def test_grad_degree_empty_zero_set_is_zero():
     def value(X):
         return np.atleast_2d(X) - 3.0
 
-    fld = GradientField(Rep(1), value, Ball(np.zeros(1), 1.0), vectorized=True)
+    fld = GradientField(Rep(1), value, Ball(np.zeros(1), 1.0))
     assert grad_degree(fld).is_zero
 
 
@@ -176,7 +176,7 @@ def test_grad_degree_degenerate_zero():
         X = np.atleast_2d(X)
         return X**3
 
-    fld = GradientField(Rep(1), value, Ball(np.zeros(1), 1.0), vectorized=True)
+    fld = GradientField(Rep(1), value, Ball(np.zeros(1), 1.0))
     with pytest.raises(DegenerateZero):
         grad_degree(fld)
 
@@ -187,7 +187,7 @@ def test_grad_degree_rejects_orbit_zeros():
         X = np.atleast_2d(X)
         return (np.sum(X**2, axis=1) - 1.0)[:, None] * X
 
-    fld = GradientField(Rep(0, ((1, 1),)), value, Ball(np.zeros(2), 1.6), vectorized=True)
+    fld = GradientField(Rep(0, ((1, 1),)), value, Ball(np.zeros(2), 1.6))
     with pytest.raises(ZeroOutsideFixedSpace):
         grad_degree(fld)
 
@@ -199,7 +199,7 @@ def test_grad_degree_equivariance_check_fires():
         out[:, 0] = X[:, 0] + 0.5 * X[:, 1] ** 2  # breaks rotation equivariance
         return out
 
-    fld = GradientField(Rep(0, ((1, 1),)), value, Ball(np.zeros(2), 1.0), vectorized=True)
+    fld = GradientField(Rep(0, ((1, 1),)), value, Ball(np.zeros(2), 1.0))
     with pytest.raises(ValueError):
         grad_degree(fld)
 

@@ -3,6 +3,7 @@ against the term-by-term power loops, the synthesis-matrix value path of the
 Hamiltonian local map, and its affine/grid split against the whole-grid
 formula."""
 
+import inspect
 import math
 
 import numpy as np
@@ -11,7 +12,15 @@ import pytest
 import eqdeg.finite_degree as finite_degree
 from eqdeg.errors import ZeroOutsideFixedSpace
 from eqdeg.euler_ring import FULL
-from eqdeg.finite_degree import _fd_jacobian, brouwer_oracle, grad_degree
+from eqdeg.finite_degree import (
+    OrbitNormalForm,
+    _fd_jacobian,
+    brouwer_oracle,
+    field_from_operator,
+    grad_degree,
+    orbit_normal_form_field,
+    product_field,
+)
 from eqdeg.galerkin import (
     LocalMapSpec,
     ShellBasis,
@@ -30,11 +39,13 @@ from eqdeg.hamiltonian import (
     loop_operator,
 )
 from eqdeg.polynomials import Polynomial
+from eqdeg.reps import Rep
 from eqdeg.selftest import (
     corpus_local_maps,
     quadratic_hamiltonian,
     quartic_hamiltonian,
     random_fixed_space_field,
+    random_sym_op,
     synthetic_operator_a,
 )
 
@@ -43,6 +54,7 @@ HESS_RTOL = 1e-12  # Polynomial.hessian against the loop at single points, relat
 SYNTH_RTOL = 1e-12  # synthesis-matrix values against the cos/sin + rfft reference
 POWER_RTOL = 1e-13  # multiplied powers against the ** loops, relative to the largest entry
 SPLIT_RTOL = 1e-12  # affine matrix plus active grid against the whole-grid formula
+FD_BATCH_RTOL = 1e-12  # batched central differences against the per-column loop
 
 CORPUS = {inst.name: inst for inst in corpus_local_maps()}
 COUPLED_QUARTIC = HamiltonianSpec.from_terms(  # the Hamiltonian of loop2-coupled-quartic
@@ -98,6 +110,69 @@ def test_exact_jacobian_matches_central_differences(name, level):
     assert fld.jacobian is not None
     rng = np.random.default_rng(level)
     X = np.vstack([fld.domain.interior_samples(6, rng), fld.domain.boundary_samples(2, rng)])
+    for idx in (list(fld.layout.trivial), list(range(fld.layout.size))):
+        exact = fld.jacobian(X, idx)
+        assert exact.shape == (len(X), len(idx), len(idx))
+        assert relative_gap(exact, _fd_jacobian(fld, X, idx)) <= JAC_RTOL
+
+
+def fd_jacobian_loop(fld, X, idx, step=1e-6):
+    """_fd_jacobian as it was: two evaluations per column of idx."""
+    h = step * (1.0 + np.max(np.abs(X), axis=1))
+    J = np.empty((len(X), len(idx), len(idx)))
+    for jc, c in enumerate(idx):
+        Xp = X.copy()
+        Xp[:, c] += h
+        Xm = X.copy()
+        Xm[:, c] -= h
+        J[:, :, jc] = (fld.evaluate(Xp)[:, idx] - fld.evaluate(Xm)[:, idx]) / (2 * h)[:, None]
+    return J
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_batched_central_differences_match_the_column_loop(dim):
+    rng = np.random.default_rng(dim)
+    fld = random_fixed_space_field(rng, dim)
+    X = fld.domain.interior_samples(7, rng)
+    for idx in (list(range(dim)), list(range(dim))[::-2]):
+        for step in (1e-6, 1e-5):
+            got = _fd_jacobian(fld, X, idx, step=step)
+            assert relative_gap(got, fd_jacobian_loop(fld, X, idx, step)) <= FD_BATCH_RTOL
+
+
+def test_central_differences_evaluate_the_field_twice():
+    fld = random_fixed_space_field(np.random.default_rng(0), 5)
+    calls = []
+
+    def value(X, inner=fld.value):
+        calls.append(len(X))
+        return inner(X)
+
+    fld.value = value
+    _fd_jacobian(fld, fld.domain.interior_samples(3, np.random.default_rng(1)), [0, 2, 3, 4])
+    assert calls == [12, 12]  # all shifted-up points, then all shifted-down ones
+
+
+def exact_jacobian_fields():
+    rng = np.random.default_rng(9)
+    ops = [op for op in (random_sym_op(rng) for _ in range(12)) if op.rep.dim][:2]
+    linear_a, linear_b = (field_from_operator(op) for op in ops)
+    quartic = shell_field(local_map(quartic_hamiltonian(1, 0.4), radius=0.8), 1)
+    normal = orbit_normal_form_field(OrbitNormalForm(FULL, Rep(2, ((1, 1),))))
+    return {
+        "linear": linear_a,
+        "normal form (fixed orbit)": normal,
+        "linear x linear": product_field(linear_a, linear_b),
+        "quartic loops x linear": product_field(quartic, linear_b),
+        "linear x normal form": product_field(linear_a, normal),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(exact_jacobian_fields()))
+def test_finite_degree_jacobians_match_central_differences(name):
+    fld = exact_jacobian_fields()[name]
+    assert fld.jacobian is not None
+    X = fld.domain.interior_samples(6, np.random.default_rng(2))
     for idx in (list(fld.layout.trivial), list(range(fld.layout.size))):
         exact = fld.jacobian(X, idx)
         assert exact.shape == (len(X), len(idx), len(idx))
@@ -265,36 +340,37 @@ def test_synthesis_matrix_matches_fft_reference(spec):
         assert relative_gap(lm.nonlinearity(X, basis), ref) <= SYNTH_RTOL
 
 
-def counting(monkeypatch, name):
-    """Replace a finite-difference helper of finite_degree by a counting wrapper."""
-    calls = []
-    original = getattr(finite_degree, name)
+def fd_steps(monkeypatch):
+    """Replace finite_degree._fd_jacobian by a wrapper that records the step of each call."""
+    steps = []
+    original = finite_degree._fd_jacobian
+    signature = inspect.signature(original)
 
     def wrapper(*args, **kwargs):
-        calls.append(1)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        steps.append(bound.arguments["step"])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(finite_degree, name, wrapper)
-    return calls
+    monkeypatch.setattr(finite_degree, "_fd_jacobian", wrapper)
+    return steps
 
 
 def test_field_without_jacobian_falls_back_to_central_differences(monkeypatch):
     fld = random_fixed_space_field(np.random.default_rng(4), 2)
     assert fld.jacobian is None
-    newton = counting(monkeypatch, "_fd_jacobian")
-    hessian = counting(monkeypatch, "_fd_hessian_full")
+    steps = fd_steps(monkeypatch)
     value = grad_degree(fld)
-    assert newton and hessian
+    assert set(steps) == {1e-6, 1e-5}  # Newton steps, then the Hessians at zeros
     assert value.coeff(FULL) == brouwer_oracle(fld)
 
 
 def test_maps_with_jacobians_use_no_finite_differences(monkeypatch):
-    newton = counting(monkeypatch, "_fd_jacobian")
-    hessian = counting(monkeypatch, "_fd_hessian_full")
+    steps = fd_steps(monkeypatch)
     for name in ("loop1-quartic", "abstract-a"):
         inst = CORPUS[name]
         assert deg_infinite(inst.build()).value == inst.expected
-    assert not newton and not hessian
+    assert not steps
 
 
 def test_local_map_spec_without_jacobian_gives_the_same_degree():
