@@ -20,6 +20,7 @@ from .errors import (
     MultiplierMismatch,
     NearSingular,
     NoncompactZeroSet,
+    NonFiniteField,
     SliceMarginFailure,
     StabilizationFailure,
     UnresolvedZeroCluster,
@@ -47,6 +48,7 @@ from .reps import (
     EquivariantSymOp,
     Layout,
     Rep,
+    ShellBasis,
     SpectralOperator,
     canonical_layout,
     dim,
@@ -76,7 +78,6 @@ from .galerkin import (
     LocalMapSpec,
     OtopyPath,
     RegionSpec,
-    ShellBasis,
     certify_margin,
     correction_factor,
     deg_along_otopy,
@@ -84,7 +85,6 @@ from .galerkin import (
     direct_sum_local_maps,
     normalization_map,
     potential_nonlinearity,
-    restriction_consistency,
     scalar_nonlinearity,
     shell_degrees,
     shell_field,

@@ -38,6 +38,7 @@ from .errors import (
     MarginFailure,
     NearSingular,
     NoncompactZeroSet,
+    NonFiniteField,
     StabilizationFailure,
     ZeroOutsideFixedSpace,
 )
@@ -69,6 +70,7 @@ _CERTIFICATION_ERRORS = (
     ZeroOutsideFixedSpace,
     DimensionLimit,
     EquivarianceFailure,
+    NonFiniteField,
 )
 
 
@@ -114,6 +116,13 @@ def _parse_truncation(data: dict, override: Optional[str]):
     if level < 1:
         raise InputError("truncation level must be >= 1")
     return level
+
+
+def _parse_budget(data: dict) -> Optional[int]:
+    budget = data.get("sampling_budget")
+    if budget is not None and (type(budget) is not int or budget < 1):
+        raise InputError(f"sampling_budget must be an integer >= 1, got {budget!r}")
+    return budget
 
 
 def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tuple[LocalMapSpec, dict]:
@@ -163,17 +172,15 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
             poly = Polynomial.from_json(int(nl["variables"]), nl["terms"])
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad nonlinearity description: {exc}") from exc
-        dim0 = op.space_rep(op.max_level or 0).dim
+        dim0 = op.basis(op.max_level or 0).dim
         if poly.nvars > dim0:
             raise InputError(
                 f"nonlinearity uses {poly.nvars} coordinates but the declared spectrum "
                 f"spans only {dim0}"
             )
         min_level = 1
-        basis_dim = op.space_rep(0).dim
-        while basis_dim < poly.nvars:
+        while op.basis(min_level - 1).dim < poly.nvars:
             min_level += 1
-            basis_dim = op.space_rep(min_level - 1).dim
         meta.update({"variables": poly.nvars})
         return (
             LocalMapSpec(
@@ -229,12 +236,11 @@ def cmd_compute(args) -> int:
         data = _load_problem(args.problem)
         lm, meta = build_problem(data, radius_override=args.radius)
         truncation = _parse_truncation(data, args.truncation)
+        budget = _parse_budget(data)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    budget = data.get("sampling_budget")
-    budget = int(budget) if budget is not None else None
     seed = args.seed
     started = time.perf_counter()
     try:

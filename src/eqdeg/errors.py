@@ -72,5 +72,10 @@ class EquivarianceFailure(DegreeError, ValueError):
     space to itself."""
 
 
+class NonFiniteField(DegreeError, ValueError):
+    """A field or nonlinearity returned a value that is not finite at a
+    boundary sample, so no margin can be certified there."""
+
+
 class InputError(DegreeError):
     """Malformed problem description."""

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateZero,
     EquivarianceFailure,
     NearSingular,
+    NonFiniteField,
     UnresolvedZeroCluster,
     ZeroOutsideFixedSpace,
 )
@@ -348,7 +349,8 @@ def grad_degree(
     All zeros must be nondegenerate and lie in the fixed-point space; the
     result is the sum of linear degrees of the Hessians there.  Raises
     EquivarianceFailure when the field breaks the circle action's
-    contract, BoundaryZero when the sampled boundary margin collapses,
+    contract, NonFiniteField when it is not finite at a boundary sample,
+    BoundaryZero when the sampled boundary margin collapses,
     DegenerateZero for near-singular Hessians, and ZeroOutsideFixedSpace
     when a probe finds a zero orbit off the fixed space.
     """
@@ -363,7 +365,7 @@ def grad_degree(
     if len(bsamples):
         bvals = np.linalg.norm(fld.evaluate(bsamples), axis=1)
         if not np.all(np.isfinite(bvals)):
-            raise ValueError(f"{fld.name}: field not finite on the boundary")
+            raise NonFiniteField(f"{fld.name}: field not finite on the boundary")
         if bvals.min() <= BOUNDARY_MARGIN:
             raise BoundaryZero(
                 f"{fld.name}: sampled |f| = {bvals.min():.3e} <= {BOUNDARY_MARGIN:g} on the boundary"
@@ -575,9 +577,10 @@ class OrbitNormalForm:
 def orbit_normal_form_degree(o: OrbitNormalForm) -> RingElement:
     """Degree contributed by the normal-form orbit: the class [G/G_x0].
 
-    This is the general normalization rule; results that rely on it are
-    flagged in pipeline diagnostics because it is adopted as stated rather
-    than re-derived here.
+    This is the general normalization rule, adopted as stated rather than
+    re-derived here.  The degree pipeline never calls it (grad_degree
+    rejects zeros off the fixed space instead), so no computed degree
+    depends on it.
     """
     return basis_element(CIRCLE, o.isotropy)
 

@@ -29,6 +29,7 @@ from .errors import (
     BoundaryZero,
     DegreeError,
     MarginFailure,
+    NonFiniteField,
     SliceMarginFailure,
     StabilizationFailure,
 )
@@ -43,55 +44,11 @@ from .euler_ring import (
 )
 from .finite_degree import BOUNDARY_PER_DIM, GradientField, block_diagonal_jacobian, grad_degree, linear_degree
 from .polynomials import Polynomial
-from .reps import Rep, SpectralOperator, canonical_layout, concat_layouts, shell_operator
+from .reps import Rep, ShellBasis, SpectralOperator, shell_operator
 
 REFERENCE_OFFSET = 4  # margins at level n are certified against level n + REFERENCE_OFFSET
+MAX_LEVEL = 10  # the automatic level search stops here
 BOUNDARY_ZERO_TOL = 1e-10
-
-
-class ShellBasis:
-    """Eigencoordinates of the cumulative space V_level, shell by shell.
-
-    Coordinates are ordered by shell, then by eigenvalue within the shell,
-    then by the canonical layout of each eigenspace, so the coordinates of
-    V_n are a prefix of those of V_m for n <= m and orthogonal projection
-    onto V_n is coordinate truncation.
-    """
-
-    def __init__(self, operator: SpectralOperator, level: int):
-        self.operator = operator
-        self.level = int(level)
-        entries = []
-        layouts = []
-        eigs: list[float] = []
-        prefix = []
-        offset = 0
-        rep = Rep()
-        for n in range(self.level + 1):
-            for lam, r in operator.shell(n):
-                entries.append((n, lam, r, offset))
-                layouts.append(canonical_layout(r))
-                eigs.extend([lam] * r.dim)
-                offset += r.dim
-                rep = rep + r
-            prefix.append(offset)
-        self.entries = tuple(entries)
-        self.layout = concat_layouts(layouts)
-        self.dim = offset
-        self.rep = rep
-        self.eigenvalues = np.asarray(eigs)
-        self.graph_weights = 1.0 + self.eigenvalues**2
-        self._prefix = prefix
-
-    def prefix_dim(self, lower_level: int) -> int:
-        """Dimension of V_lower inside this basis."""
-        return self._prefix[lower_level]
-
-    def pad(self, X: np.ndarray, target: "ShellBasis") -> np.ndarray:
-        X = np.atleast_2d(X)
-        out = np.zeros((len(X), target.dim))
-        out[:, : self.dim] = X
-        return out
 
 
 @dataclass(frozen=True)
@@ -176,7 +133,7 @@ class LocalMapSpec:
 
 def shell_field(f: LocalMapSpec, n: int) -> GradientField:
     """The truncated field f_n = Ax - P_n F(x) on V_n as a gradient field."""
-    basis = ShellBasis(f.operator, n)
+    basis = f.operator.basis(n)
     eigs = basis.eigenvalues
 
     def value(X):
@@ -206,8 +163,12 @@ def shell_degrees(op: SpectralOperator, n: int) -> tuple[RingElement, ...]:
 
 def correction_factor(op: SpectralOperator, n: int) -> RingElement:
     """m_n: the product of the inverses of the shell degrees a_1 .. a_n."""
+    return _inverse_product(shell_degrees(op, n))
+
+
+def _inverse_product(degrees: Sequence[RingElement]) -> RingElement:
     out = unit(CIRCLE)
-    for a in shell_degrees(op, n):
+    for a in degrees:
         inv = a.invert()
         assert inv is not None  # unit coefficient of a linear degree is +-1
         out = out * inv
@@ -227,11 +188,12 @@ def certify_margin(
     at a finer reference level m = n + REFERENCE_OFFSET (capped by the
     operator's declared maximum level), and certifies when
     the sampled tail sup |(P_m - P_n) F| stays below epsilon = half the
-    sampled min |f|.  Raises MarginFailure when it does not (raise n), and
-    BoundaryZero when a sample sits numerically on the zero set.
+    sampled min |f|.  Raises MarginFailure when it does not (raise n),
+    BoundaryZero when a sample sits numerically on the zero set, and
+    NonFiniteField when the nonlinearity is not finite at a sample.
     """
     op = f.operator
-    basis_n = ShellBasis(op, n)
+    basis_n = op.basis(n)
     if basis_n.dim == 0:
         raise MarginFailure(f"{f.name}: V_{n} is zero-dimensional; raise the level")
     m = n + REFERENCE_OFFSET
@@ -239,15 +201,16 @@ def certify_margin(
         m = min(m, op.max_level)
     if m <= n:
         raise MarginFailure(f"{f.name}: no reference shells available above level {n}")
-    basis_m = ShellBasis(op, m)
+    basis_m = op.basis(m)
     rng = np.random.default_rng(seed)
     count = budget if budget is not None else BOUNDARY_PER_DIM * max(basis_n.dim, 1)
     domain_n = realize_region(f.region, basis_n)
     boundary = domain_n.boundary_samples(count, rng)
-    Xm = basis_n.pad(boundary, basis_m)
+    Xm = np.zeros((len(boundary), basis_m.dim))
+    Xm[:, : basis_n.dim] = boundary
     F = np.asarray(f.nonlinearity(Xm, basis_m), dtype=float)
     if not np.all(np.isfinite(F)):
-        raise ValueError(f"{f.name}: nonlinearity not finite on boundary samples")
+        raise NonFiniteField(f"{f.name}: nonlinearity not finite on boundary samples")
     residual = Xm * basis_m.eigenvalues - F
     norms = np.linalg.norm(residual, axis=1)
     smallest = float(norms.min())
@@ -321,28 +284,31 @@ def degree_result_from_json(data: Mapping, group=CIRCLE) -> dict:
     }
 
 
+def _level_cap(op: SpectralOperator, depth: int) -> int:
+    """The highest level N whose levels N .. N + depth keep reference
+    shells above them for certification."""
+    return MAX_LEVEL if op.max_level is None else min(MAX_LEVEL, op.max_level - depth)
+
+
 def deg_infinite(
     f: LocalMapSpec,
     *,
     level="auto",
     stabilization_depth: int = 1,
     seed: int = 0,
-    max_level: int = 10,
     budget: Optional[int] = None,
 ) -> DegreeResult:
     """The stabilized degree m_N * deg(f_N) of a local map.
 
-    With ``level="auto"`` the truncation level N is the first one whose
-    margin certifies.  The value is recomputed at N+1 .. N+depth and exact
-    agreement is required (StabilizationFailure otherwise).
+    With ``level="auto"`` the truncation level N is the first one up to
+    MAX_LEVEL whose margin certifies.  The value is recomputed at
+    N+1 .. N+depth and exact agreement is required (StabilizationFailure
+    otherwise).
     """
     if stabilization_depth < 1:
         raise ValueError("stabilization_depth must be >= 1")
     op = f.operator
-    cap = max_level
-    if op.max_level is not None:
-        # certification at N + depth still needs reference shells above it
-        cap = min(cap, op.max_level - stabilization_depth)
+    cap = _level_cap(op, stabilization_depth)
 
     if level == "auto":
         start = max(f.min_level, 1)
@@ -369,7 +335,6 @@ def deg_infinite(
         N = int(level)
         epsilon, tail = certify_margin(f, N, seed=seed, budget=budget)
 
-    values: list[RingElement] = []
     degrees: list[RingElement] = []
     zero_counts: list[int] = []
     for j in range(stabilization_depth + 1):
@@ -377,18 +342,18 @@ def deg_infinite(
         if j:
             certify_margin(f, n, seed=seed, budget=budget)
         d, zeros = grad_degree(shell_field(f, n), seed=seed, return_zeros=True)
-        values.append(correction_factor(op, n) * d)
         degrees.append(d)
         zero_counts.append(len(zeros))
+    shells = shell_degrees(op, N + stabilization_depth)
+    values = [_inverse_product(shells[: N + j]) * d for j, d in enumerate(degrees)]
     if any(v != values[0] for v in values[1:]):
         raise StabilizationFailure(
             f"{f.name}: corrected degree changed between levels {N} and {N + stabilization_depth}: "
             + " vs ".join(str(v) for v in values)
         )
 
-    multipliers = shell_degrees(op, N)
-    limit_class = DirectLimitClass(N, degrees[0], multipliers)
-    sample_budget = budget if budget is not None else BOUNDARY_PER_DIM * ShellBasis(op, N).dim
+    limit_class = DirectLimitClass(N, degrees[0], shells[:N])
+    sample_budget = budget if budget is not None else BOUNDARY_PER_DIM * op.basis(N).dim
     diagnostics = {
         "levels_checked": [N + j for j in range(stabilization_depth + 1)],
         "zero_counts": zero_counts,
@@ -419,21 +384,13 @@ class OtopyPath:
         return OtopyPath(family, tuple(np.linspace(0.0, 1.0, steps + 1)))
 
 
-def deg_along_otopy(
-    path: OtopyPath,
-    *,
-    seed: int = 0,
-    max_level: int = 10,
-    budget: Optional[int] = None,
-    stabilization_depth: int = 1,
-) -> list[DegreeResult]:
+def deg_along_otopy(path: OtopyPath, *, seed: int = 0) -> list[DegreeResult]:
     """Degrees along an otopy: all slices certified at one common level,
     all values asserted equal; SliceMarginFailure names the offending t."""
     slices = [(t, path.family(t)) for t in path.grid]
     if not slices:
         raise ValueError("empty otopy grid")
-    op = slices[0][1].operator
-    cap = max_level if op.max_level is None else min(max_level, op.max_level - stabilization_depth)
+    cap = _level_cap(slices[0][1].operator, 1)
     start = max(max(s.min_level for _, s in slices), 1)
 
     common = None
@@ -442,7 +399,7 @@ def deg_along_otopy(
         ok = True
         for t, s in slices:
             try:
-                certify_margin(s, n, seed=seed, budget=budget)
+                certify_margin(s, n, seed=seed)
             except BoundaryZero as exc:
                 raise SliceMarginFailure(t, str(exc)) from exc
             except MarginFailure as exc:
@@ -459,28 +416,13 @@ def deg_along_otopy(
     results = []
     for t, s in slices:
         try:
-            results.append(
-                deg_infinite(
-                    s,
-                    level=common,
-                    seed=seed,
-                    budget=budget,
-                    stabilization_depth=stabilization_depth,
-                )
-            )
+            results.append(deg_infinite(s, level=common, seed=seed))
         except DegreeError as exc:
             raise SliceMarginFailure(t, str(exc)) from exc
     for (t, _), r in zip(slices, results):
         if r.value != results[0].value:
             raise SliceMarginFailure(t, "degree deviates along the path")
     return results
-
-
-def restriction_consistency(f: LocalMapSpec, region1, region2, **kwargs) -> bool:
-    """Whether the degree agrees on two admissible domains (it must)."""
-    r1 = deg_infinite(f.with_region(region1), **kwargs)
-    r2 = deg_infinite(f.with_region(region2), **kwargs)
-    return r1.value == r2.value
 
 
 # ---------------------------------------------------------------------------
@@ -598,17 +540,14 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
     Its Jacobian, present when both summands have one, is block diagonal.
     """
     op = f.operator.direct_sum(g.operator)
-    levels: dict[int, tuple] = {}  # level -> (ia, basisA, ib, basisB), built on first use
+    levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # level -> (ia, ib), built on first use
 
     def split(basis):
         """The (ascending) indices of each summand's coordinates and the summand bases."""
-        parts = levels.get(basis.level)
-        if parts is None:
-            ia, ib = _embedding_indices(f.operator, g.operator, basis)
-            parts = levels[basis.level] = (
-                ia, ShellBasis(f.operator, basis.level), ib, ShellBasis(g.operator, basis.level)
-            )
-        return parts
+        if basis.level not in levels:
+            levels[basis.level] = _embedding_indices(f.operator, g.operator, basis)
+        ia, ib = levels[basis.level]
+        return ia, f.operator.basis(basis.level), ib, g.operator.basis(basis.level)
 
     def nonlinearity(X, basis):
         X = np.atleast_2d(X)

@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import AliasingRisk, BoundaryZero, DegreeError, NearSingular, NoncompactZeroSet
 from .euler_ring import CIRCLE, FULL, RingElement, SubgroupClass, unit
-from .galerkin import DegreeResult, LocalMapSpec, RegionSpec, ShellBasis, deg_infinite
+from .galerkin import DegreeResult, LocalMapSpec, RegionSpec, deg_infinite
 from .polynomials import Polynomial
-from .reps import Rep, SpectralOperator
+from .reps import Rep, ShellBasis, SpectralOperator
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ acts as rotation by k*theta).  Equivariant self-adjoint operators are
 supplied blockwise per isotypic component, which makes equivariance
 structural rather than a runtime check.  A spectral operator is an indexed
 family of (eigenvalue, eigenspace) pairs binned into unit-width shells
-n-1 < |lambda| <= n.
+n-1 < |lambda| <= n; it owns one eigencoordinate basis of each cumulative
+space V_n (shells 0 .. n), which every truncation at level n shares.
 """
 
 from __future__ import annotations
@@ -274,6 +275,7 @@ class SpectralOperator:
         self.max_level = max_level
         self.label = label
         self._cache: dict[int, tuple[tuple[float, Rep], ...]] = {}
+        self._bases: dict[int, ShellBasis] = {}
 
     def shell(self, n: int) -> tuple[tuple[float, Rep], ...]:
         if n < 0:
@@ -329,24 +331,11 @@ class SpectralOperator:
                 return rep
         return ZERO_REP
 
-    def kernel_rep(self) -> Rep:
-        rep = ZERO_REP
-        for _, r in self.shell(0):
-            rep = rep + r
-        return rep
-
-    def shell_rep(self, n: int) -> Rep:
-        rep = ZERO_REP
-        for _, r in self.shell(n):
-            rep = rep + r
-        return rep
-
-    def space_rep(self, n: int) -> Rep:
-        """Representation of the cumulative space V_n (all |lambda| <= n)."""
-        rep = ZERO_REP
-        for i in range(n + 1):
-            rep = rep + self.shell_rep(i)
-        return rep
+    def basis(self, n: int) -> "ShellBasis":
+        """The eigencoordinate basis of V_n, built on first use and kept."""
+        if n not in self._bases:
+            self._bases[n] = ShellBasis(self, n)
+        return self._bases[n]
 
     def direct_sum(self, other: "SpectralOperator") -> "SpectralOperator":
         if self.max_level is None and other.max_level is None:
@@ -367,6 +356,47 @@ class SpectralOperator:
         return SpectralOperator(
             shells, max_level=max_level, label=f"{self.label}+{other.label}"
         )
+
+
+class ShellBasis:
+    """Eigencoordinates of the cumulative space V_level, shell by shell.
+
+    Coordinates are ordered by shell, then by eigenvalue within the shell,
+    then by the canonical layout of each eigenspace, so the coordinates of
+    V_n are a prefix of those of V_m for n <= m and orthogonal projection
+    onto V_n is coordinate truncation.  ``SpectralOperator.basis`` builds
+    one per level and shares it, so its arrays are read-only.
+    """
+
+    def __init__(self, operator: SpectralOperator, level: int):
+        self.level = int(level)
+        entries = []
+        layouts = []
+        eigs: list[float] = []
+        prefix = []
+        offset = 0
+        rep = ZERO_REP
+        for n in range(self.level + 1):
+            for lam, r in operator.shell(n):
+                entries.append((n, lam, r, offset))
+                layouts.append(canonical_layout(r))
+                eigs.extend([lam] * r.dim)
+                offset += r.dim
+                rep = rep + r
+            prefix.append(offset)
+        self.entries = tuple(entries)
+        self.layout = concat_layouts(layouts)
+        self.dim = offset
+        self.rep = rep
+        self.eigenvalues = np.asarray(eigs, dtype=float)
+        self.graph_weights = 1.0 + self.eigenvalues**2
+        self.eigenvalues.setflags(write=False)
+        self.graph_weights.setflags(write=False)
+        self._prefix = prefix
+
+    def prefix_dim(self, lower_level: int) -> int:
+        """Dimension of V_lower inside this basis."""
+        return self._prefix[lower_level]
 
 
 def shell_operator(op: SpectralOperator, n: int) -> EquivariantSymOp:

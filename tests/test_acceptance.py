@@ -174,7 +174,7 @@ def test_criterion_07_domain_independence():
         for inst in corpus_local_maps():
             f = inst.build()
             base = f.region.balls[0].radius
-            kernel_dim = f.operator.space_rep(0).dim
+            kernel_dim = f.operator.basis(0).dim
             reference = deg_infinite(f).value
             shrunk = deg_infinite(f.with_region(RegionSpec.ball(0.75 * base))).value
             assert shrunk == reference, inst.name

@@ -1,8 +1,14 @@
 import json
+from pathlib import Path
+
+import pytest
 
 import eqdeg.cli
 import eqdeg.galerkin
 from eqdeg.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, EXIT_ZERO_DEGREE, main
+from eqdeg.reps import ShellBasis
+
+DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def write(tmp_path, name, payload):
@@ -85,6 +91,22 @@ def test_compute_reuses_the_main_result_for_the_restriction_check(tmp_path, monk
     assert len(calls) == 3  # the result, the normalization self-test, the shrunk ball
 
 
+def test_compute_builds_each_shell_basis_once(monkeypatch):
+    # the main run, the normalization self-test and the restriction check
+    # share one operator, so they share its bases
+    built = []
+    original = ShellBasis.__init__
+
+    def counting(self, operator, level):
+        built.append((operator, level))
+        original(self, operator, level)
+
+    monkeypatch.setattr(ShellBasis, "__init__", counting)
+    assert main(["compute", str(DEMO_PROBLEMS / "normalization.json")]) == EXIT_OK
+    keys = [(id(op), level) for op, level in built]
+    assert built and len(set(keys)) == len(keys)
+
+
 def test_restriction_check_fails_with_zeros_outside_the_shrunk_ball(tmp_path):
     # double well -x^3 + a^2 x on the first kernel coordinate: the zeros +-a
     # lie between 0.9 R and R, so the shrunk ball holds only the zero at 0
@@ -128,6 +150,13 @@ def test_malformed_spectrum_is_input_error(tmp_path):
     problem = normalization_problem()
     problem["spectrum"][1]["shell"] = 3  # eigenvalue -1.0 belongs to shell 1
     assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("budget", ["many", 0, True])
+def test_bad_sampling_budget_is_input_error(tmp_path, capsys, budget):
+    problem = dict(quadratic_problem(), sampling_budget=budget)
+    assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_INPUT
+    assert "input error: sampling_budget must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_invalid_json_is_input_error(tmp_path):
@@ -227,3 +256,15 @@ def test_non_equivariant_potential_is_a_certification_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "certification failure (EquivarianceFailure)" in err
     assert "equivariance spot-check failed" in err
+
+
+def test_field_not_finite_is_a_certification_failure(tmp_path, capsys):
+    # 1e300 z1^4 overflows on the boundary of a ball of radius 1e5
+    terms = quadratic_problem()["terms"] + [{"exps": [4, 0], "coeff": 1e300}]
+    problem = dict(quadratic_problem(radius=1e5), terms=terms)
+    with pytest.warns(RuntimeWarning):
+        code = main(["compute", write(tmp_path, "p.json", problem)])
+    assert code == EXIT_CERTIFICATION
+    err = capsys.readouterr().err
+    assert "certification failure (NonFiniteField)" in err
+    assert "not finite on boundary samples" in err

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from eqdeg.domains import Ball, UnionDomain
-from eqdeg.errors import BoundaryZero, DegenerateZero, DimensionLimit, ZeroOutsideFixedSpace
+from eqdeg.errors import (
+    BoundaryZero,
+    DegenerateZero,
+    DimensionLimit,
+    NonFiniteField,
+    ZeroOutsideFixedSpace,
+)
 from eqdeg.euler_ring import CIRCLE, FULL, SubgroupClass, basis_element, unit, unit_class
 from eqdeg.finite_degree import (
     MERGE_TOL,
@@ -155,6 +161,17 @@ def test_grad_degree_disjoint_union_additive():
     both = GradientField(Rep(1), value, UnionDomain([left, right]))
     single = GradientField(Rep(1), value, right)
     assert grad_degree(both) == 2 * grad_degree(single)
+
+
+def test_grad_degree_rejects_a_field_not_finite_on_the_boundary():
+    def value(X):
+        X = np.atleast_2d(X)
+        return np.where(np.abs(X) > 0.5, np.inf, X)
+
+    fld = GradientField(Rep(1), value, Ball(np.zeros(1), 1.0), name="blows up")
+    with pytest.raises(NonFiniteField, match="not finite on the boundary"):
+        grad_degree(fld)
+    assert issubclass(NonFiniteField, ValueError)
 
 
 def test_grad_degree_empty_zero_set_is_zero():

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from eqdeg.errors import MarginFailure, SliceMarginFailure, StabilizationFailure
+import eqdeg.galerkin
+from eqdeg.errors import MarginFailure, NonFiniteField, SliceMarginFailure, StabilizationFailure
 from eqdeg.euler_ring import (
     CIRCLE,
     DirectLimitClass,
@@ -10,6 +14,7 @@ from eqdeg.euler_ring import (
     limit_class_equal,
     unit,
 )
+from eqdeg.finite_degree import grad_degree
 from eqdeg.galerkin import (
     BallSpec,
     LocalMapSpec,
@@ -24,9 +29,9 @@ from eqdeg.galerkin import (
     direct_sum_local_maps,
     normalization_map,
     potential_nonlinearity,
-    restriction_consistency,
     scalar_nonlinearity,
     shell_degrees,
+    shell_field,
     zero_nonlinearity,
 )
 from eqdeg.hamiltonian import loop_operator
@@ -132,6 +137,15 @@ def test_certify_margin_failure_when_tail_dominates():
         certify_margin(f, 1)
 
 
+def test_certify_margin_rejects_a_nonlinearity_not_finite_on_samples():
+    def overflowing(X, basis):
+        return np.full_like(np.atleast_2d(X), np.nan)
+
+    f = LocalMapSpec(loop_operator(1), overflowing, RegionSpec.ball(1.0), name="nan")
+    with pytest.raises(NonFiniteField, match="not finite on boundary samples"):
+        certify_margin(f, 1)
+
+
 # ---------------------------------------------------------------------------
 # The stabilized degree
 
@@ -218,7 +232,7 @@ def test_auto_level_exhaustion_reports_margin_failure():
 
     f = LocalMapSpec(op, heavy_tail, RegionSpec.ball(1.0), name="tail heavy")
     with pytest.raises(MarginFailure):
-        deg_infinite(f, max_level=4)
+        deg_infinite(f)
 
 
 def test_stabilization_failure_is_detected():
@@ -244,12 +258,14 @@ def test_stabilization_failure_is_detected():
 
 def test_restriction_same_region():
     f = half_shift_map()
-    assert restriction_consistency(f, f.region, f.region)
+    assert deg_infinite(f.with_region(f.region)).value == deg_infinite(f.with_region(f.region)).value
 
 
 def test_restriction_nested_radii():
     f = half_shift_map()
-    assert restriction_consistency(f, RegionSpec.ball(1.0), RegionSpec.ball(2.0))
+    inner = deg_infinite(f.with_region(RegionSpec.ball(1.0)))
+    outer = deg_infinite(f.with_region(RegionSpec.ball(2.0)))
+    assert inner.value == outer.value
 
 
 def test_restriction_overlapping_corollary():
@@ -370,3 +386,42 @@ def test_potential_nonlinearity_requires_enough_coordinates():
     f = LocalMapSpec(op, potential_nonlinearity(poly), RegionSpec.ball(1.0), name="wide")
     with pytest.raises(ValueError):
         deg_infinite(f, level=1)
+
+
+# ---------------------------------------------------------------------------
+# The level ladder: bases and shell degrees shared across levels
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_deg_infinite_computes_each_shell_degree_once(monkeypatch, depth):
+    calls = []
+    original = eqdeg.galerkin.shell_operator
+
+    def counting(op, n):
+        calls.append(n)
+        return original(op, n)
+
+    monkeypatch.setattr(eqdeg.galerkin, "shell_operator", counting)
+    res = deg_infinite(half_shift_map(), stabilization_depth=depth)
+    assert sorted(calls) == list(range(1, res.level + depth + 1))
+
+
+def test_stabilization_values_are_the_per_level_corrected_degrees():
+    for inst in corpus_local_maps():
+        f = inst.build()
+        res = deg_infinite(f, stabilization_depth=2)
+        for n, value in zip(res.diagnostics["levels_checked"], res.stabilization):
+            d = grad_degree(shell_field(f, n), seed=0)
+            assert value == correction_factor(f.operator, n) * d, (inst.name, n)
+        assert res.limit_class.multipliers == shell_degrees(f.operator, res.level)
+
+
+def test_operator_and_its_bases_are_collected_after_deg_infinite():
+    f = hamiltonian_local_map(quartic_hamiltonian(1, 0.4), radius=0.8)
+    op = weakref.ref(f.operator)
+    res = deg_infinite(f)
+    assert op().basis(res.level) is op().basis(res.level)
+    del f
+    gc.collect()
+    assert op() is None
+    assert res.value == ONE

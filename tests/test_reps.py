@@ -193,9 +193,20 @@ def test_eigenspace_lookup():
 
 def test_space_rep_cumulative():
     op = _toy_operator()
-    assert op.space_rep(0) == Rep(2)
-    assert op.space_rep(1) == Rep(2, ((1, 2),))
-    assert op.space_rep(2) == Rep(3, ((1, 2), (2, 1)))
+    assert op.basis(0).rep == Rep(2)
+    assert op.basis(1).rep == Rep(2, ((1, 2),))
+    assert op.basis(2).rep == Rep(3, ((1, 2), (2, 1)))
+
+
+def test_basis_is_built_once_per_level_and_read_only():
+    op = _toy_operator()
+    basis = op.basis(2)
+    assert op.basis(2) is basis
+    assert op.basis(1) is not basis
+    assert basis.dim == 9 and basis.prefix_dim(1) == 6
+    for arr in (basis.eigenvalues, basis.graph_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
 
 
 def test_direct_sum_of_operators_merges_shells():
