@@ -8,7 +8,6 @@ Hamiltonian systems.
 """
 
 from .errors import (
-    AliasingRisk,
     BoundaryZero,
     DegenerateZero,
     DegreeError,
@@ -33,11 +32,8 @@ from .euler_ring import (
     GroupDescriptor,
     RingElement,
     SubgroupClass,
-    add,
     basis_element,
-    invert,
     limit_class_equal,
-    mul,
     ring_element_from_json,
     ring_element_to_json,
     unit,
@@ -51,11 +47,9 @@ from .reps import (
     ShellBasis,
     SpectralOperator,
     canonical_layout,
-    dim,
-    direct_sum,
-    negative_part,
     rep_from_json,
     rep_to_json,
+    shell_index,
     shell_operator,
 )
 from .domains import Ball, IntersectionDomain, ProductDomain, ShellDomain, UnionDomain

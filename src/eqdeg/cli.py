@@ -15,7 +15,7 @@ the leading eigencoordinates:
      "radius": 1.0, "truncation": "auto", "sampling_budget": 2000}
 
 Exit codes: 0 degree computed (nonzero), 2 degree zero (no certificate),
-3 margin/certification failure, 4 input error.
+3 certification failure (any DegreeError from the computation), 4 input error.
 """
 
 from __future__ import annotations
@@ -26,22 +26,7 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
-from .errors import (
-    BoundaryZero,
-    DegenerateZero,
-    DegreeError,
-    DimensionLimit,
-    EquivarianceFailure,
-    InputError,
-    MarginFailure,
-    NearSingular,
-    NoncompactZeroSet,
-    NonFiniteField,
-    StabilizationFailure,
-    ZeroOutsideFixedSpace,
-)
+from .errors import DegreeError, InputError
 from .euler_ring import CIRCLE, unit
 from .galerkin import (
     LocalMapSpec,
@@ -52,26 +37,13 @@ from .galerkin import (
 )
 from .hamiltonian import HamiltonianSpec, local_map
 from .polynomials import Polynomial
-from .reps import SpectralOperator, rep_from_json
+from .reps import SpectralOperator, rep_from_json, shell_index
 from .selftest import run_suites
 
 EXIT_OK = 0
 EXIT_ZERO_DEGREE = 2
 EXIT_CERTIFICATION = 3
 EXIT_INPUT = 4
-
-_CERTIFICATION_ERRORS = (
-    MarginFailure,
-    BoundaryZero,
-    NoncompactZeroSet,
-    StabilizationFailure,
-    DegenerateZero,
-    NearSingular,
-    ZeroOutsideFixedSpace,
-    DimensionLimit,
-    EquivarianceFailure,
-    NonFiniteField,
-)
 
 
 def _load_problem(path: str) -> dict:
@@ -156,7 +128,7 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
                 lam = float(rec["eigenvalue"])
                 if "shell" in rec:
                     n = int(rec["shell"])
-                    expected = 0 if lam == 0 else int(np.ceil(abs(lam) - 1e-12))
+                    expected = shell_index(lam)
                     if n != expected:
                         raise InputError(
                             f"eigenvalue {lam} declared in shell {n} but belongs to shell {expected}"
@@ -172,15 +144,17 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
             poly = Polynomial.from_json(int(nl["variables"]), nl["terms"])
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad nonlinearity description: {exc}") from exc
-        dim0 = op.basis(op.max_level or 0).dim
+        dim0 = op.basis(op.max_level).dim
         if poly.nvars > dim0:
             raise InputError(
                 f"nonlinearity uses {poly.nvars} coordinates but the declared spectrum "
                 f"spans only {dim0}"
             )
-        min_level = 1
-        while op.basis(min_level - 1).dim < poly.nvars:
-            min_level += 1
+        # the first level whose V_n holds the potential's variables; a kernel-only
+        # spectrum keeps level 1, which deg_infinite rejects as too short
+        min_level = next(
+            (n for n in range(1, op.max_level + 1) if op.basis(n).dim >= poly.nvars), 1
+        )
         meta.update({"variables": poly.nvars})
         return (
             LocalMapSpec(
@@ -250,11 +224,8 @@ def cmd_compute(args) -> int:
             seed=seed,
             budget=budget,
         )
-    except _CERTIFICATION_ERRORS as exc:
-        print(f"certification failure ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
     except DegreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"certification failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -47,11 +47,6 @@ class SliceMarginFailure(DegreeError):
         super().__init__(f"slice t={t:g}: {message}")
 
 
-class AliasingRisk(DegreeError):
-    """Quadrature size too small for the polynomial degree; Fourier
-    projection would alias."""
-
-
 class NoncompactZeroSet(DegreeError):
     """Boundary sampling found near-zeros, so the zero set cannot be
     assumed compact and the degree is not defined."""

@@ -313,18 +313,6 @@ def basis_element(group: GroupDescriptor, cls: SubgroupClass) -> RingElement:
     return RingElement.make(group, {cls: 1})
 
 
-def add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def invert(a: RingElement) -> Optional[RingElement]:
-    return a.invert()
-
-
 @dataclass(frozen=True)
 class DirectLimitClass:
     """A level-n representative of the direct limit of copies of U(G).

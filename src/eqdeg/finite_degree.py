@@ -133,6 +133,17 @@ def _full_matrix(op: EquivariantSymOp, lay: Layout) -> np.ndarray:
     return mat
 
 
+def finite_values(evaluate: Callable, X: np.ndarray, message: str) -> np.ndarray:
+    """evaluate(X), which must be finite everywhere: NonFiniteField(message)
+    otherwise.  Overflow on the way is not warned about, since a value it
+    spoils fails this check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(evaluate(X), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteField(message)
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Newton machinery
 
@@ -180,16 +191,20 @@ def _newton_batch(
     max_iter: int = NEWTON_MAX_ITER,
     scale: float = 1.0,
 ) -> np.ndarray:
-    """Damped Newton on the coordinates in idx; returns converged points."""
+    """Damped Newton on the coordinates in idx; returns converged points.
+    Raises NonFiniteField when the field is not finite at a seed."""
     X = np.array(np.atleast_2d(seeds), dtype=float)
     status = np.zeros(len(X), dtype=np.int8)  # 0 running, 1 converged, 2 dead
     cutoff = 50.0 * (scale + 1.0)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         run = np.where(status == 0)[0]
         if not len(run):
             break
         Xa = X[run]
-        F = fld.evaluate(Xa)[:, idx]
+        if it:
+            F = fld.evaluate(Xa)[:, idx]
+        else:
+            F = finite_values(fld.evaluate, Xa, f"{fld.name}: field not finite at a Newton seed")[:, idx]
         fn = np.linalg.norm(F, axis=1)
         done = fn <= NEWTON_TOL
         status[run[done]] = 1
@@ -247,11 +262,12 @@ def _spot_check_equivariance(fld: GradientField, rng: np.random.Generator):
     samples = fld.domain.interior_samples(8, rng)
     if not len(samples):
         return
-    vals = fld.evaluate(samples)
+    message = f"{fld.name}: field not finite at an equivariance sample"
+    vals = finite_values(fld.evaluate, samples, message)
     for theta in rng.uniform(0.0, 2.0 * np.pi, size=4):
         rotated_in = fld.layout.rotate(theta, samples)
         lhs = fld.layout.rotate(theta, vals)
-        rhs = fld.evaluate(rotated_in)
+        rhs = finite_values(fld.evaluate, rotated_in, message)
         err = np.max(np.linalg.norm(lhs - rhs, axis=1))
         if err > EQUIV_TOL:
             raise EquivarianceFailure(
@@ -350,6 +366,7 @@ def grad_degree(
     result is the sum of linear degrees of the Hessians there.  Raises
     EquivarianceFailure when the field breaks the circle action's
     contract, NonFiniteField when it is not finite at a boundary sample,
+    an equivariance sample or a Newton seed,
     BoundaryZero when the sampled boundary margin collapses,
     DegenerateZero for near-singular Hessians, and ZeroOutsideFixedSpace
     when a probe finds a zero orbit off the fixed space.
@@ -363,9 +380,8 @@ def grad_degree(
     bsamples = fld.domain.boundary_samples(count, rng)
     derivative_scale = 0.0
     if len(bsamples):
-        bvals = np.linalg.norm(fld.evaluate(bsamples), axis=1)
-        if not np.all(np.isfinite(bvals)):
-            raise NonFiniteField(f"{fld.name}: field not finite on the boundary")
+        message = f"{fld.name}: field not finite on the boundary"
+        bvals = finite_values(lambda X: np.linalg.norm(fld.evaluate(X), axis=1), bsamples, message)
         if bvals.min() <= BOUNDARY_MARGIN:
             raise BoundaryZero(
                 f"{fld.name}: sampled |f| = {bvals.min():.3e} <= {BOUNDARY_MARGIN:g} on the boundary"

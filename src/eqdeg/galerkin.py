@@ -29,7 +29,6 @@ from .errors import (
     BoundaryZero,
     DegreeError,
     MarginFailure,
-    NonFiniteField,
     SliceMarginFailure,
     StabilizationFailure,
 )
@@ -42,7 +41,14 @@ from .euler_ring import (
     ring_element_to_json,
     unit,
 )
-from .finite_degree import BOUNDARY_PER_DIM, GradientField, block_diagonal_jacobian, grad_degree, linear_degree
+from .finite_degree import (
+    BOUNDARY_PER_DIM,
+    GradientField,
+    block_diagonal_jacobian,
+    finite_values,
+    grad_degree,
+    linear_degree,
+)
 from .polynomials import Polynomial
 from .reps import Rep, ShellBasis, SpectralOperator, shell_operator
 
@@ -208,9 +214,8 @@ def certify_margin(
     boundary = domain_n.boundary_samples(count, rng)
     Xm = np.zeros((len(boundary), basis_m.dim))
     Xm[:, : basis_n.dim] = boundary
-    F = np.asarray(f.nonlinearity(Xm, basis_m), dtype=float)
-    if not np.all(np.isfinite(F)):
-        raise NonFiniteField(f"{f.name}: nonlinearity not finite on boundary samples")
+    message = f"{f.name}: nonlinearity not finite on boundary samples"
+    F = finite_values(lambda X: f.nonlinearity(X, basis_m), Xm, message)
     residual = Xm * basis_m.eigenvalues - F
     norms = np.linalg.norm(residual, axis=1)
     smallest = float(norms.min())
@@ -500,13 +505,13 @@ def potential_nonlinearity(poly: Polynomial):
     return F
 
 
-def normalization_map(op: SpectralOperator, radius: float = 1.0, name=None) -> LocalMapSpec:
-    """The map Ax + P_0 x whose degree is the ring unit."""
+def normalization_map(op: SpectralOperator) -> LocalMapSpec:
+    """The map Ax + P_0 x on the unit ball, whose degree is the ring unit."""
     return LocalMapSpec(
         operator=op,
         nonlinearity=kernel_projection_nonlinearity(),
-        region=RegionSpec.ball(radius),
-        name=name or f"normalization({op.label})",
+        region=RegionSpec.ball(1.0),
+        name=f"normalization({op.label})",
     )
 
 

@@ -17,8 +17,8 @@ both through the active rows of one synthesis matrix per level.  This is
 exact (no aliasing) once the grid has at least deg(H)*N + 1 points for N
 retained modes.  The exact Jacobian of the local map, the affine matrix
 plus the Galerkin matrix of lambda * Hessian along the loop, is alias-free
-on the same grid.  ``hamiltonian_gradient`` projects a single loop through
-the whole grid.
+on the same grid.  ``hamiltonian_gradient`` is the local map's
+nonlinearity at lambda = 1, read on a single loop.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AliasingRisk, BoundaryZero, DegreeError, NearSingular, NoncompactZeroSet
+from .errors import BoundaryZero, DegreeError, NearSingular, NoncompactZeroSet
 from .euler_ring import CIRCLE, FULL, RingElement, SubgroupClass, unit
 from .galerkin import DegreeResult, LocalMapSpec, RegionSpec, deg_infinite
 from .polynomials import Polynomial
@@ -142,11 +142,6 @@ class LoopState:
         self.sin = np.asarray(self.sin, dtype=float).reshape(-1, n2)
         if self.cos.shape != self.sin.shape:
             raise ValueError("cosine and sine coefficient arrays must match")
-
-    @classmethod
-    def zeros(cls, dof: int, modes: int) -> "LoopState":
-        n2 = 2 * dof
-        return cls(dof, np.zeros(n2), np.zeros((modes, n2)), np.zeros((modes, n2)))
 
     @classmethod
     def constant_loop(cls, dof: int, value) -> "LoopState":
@@ -272,29 +267,17 @@ def _synthesis_matrix(dof: int, level: int, size: int) -> np.ndarray:
     return B
 
 
-def hamiltonian_gradient(
-    spec: HamiltonianSpec, state: LoopState, quadrature_size: Optional[int] = None
-) -> LoopState:
+def hamiltonian_gradient(spec: HamiltonianSpec, state: LoopState) -> LoopState:
     """Gradient of the action integrand: grad H applied along the loop,
     projected back onto the retained modes.
 
-    Exact (up to rounding) for polynomial H once quadrature_size reaches
-    deg(H) * modes + 1; smaller grids raise AliasingRisk.
+    This is the nonlinearity of ``local_map`` at lambda = 1 on the level of
+    the loop's modes, so it is exact (up to rounding) for polynomial H.
     """
-    N = state.modes
-    need = spec.potential.degree * N + 1
-    if quadrature_size is None:
-        quadrature_size = default_quadrature_size(spec.potential.degree, N)
-    if quadrature_size < need:
-        raise AliasingRisk(
-            f"quadrature size {quadrature_size} < {need} required for degree "
-            f"{spec.potential.degree} and {N} modes"
-        )
-    M = int(quadrature_size)
-    B = _synthesis_matrix(state.dof, N, M)
-    w = spec.potential.gradient(state.values_on_grid(M))
-    c0, C, S = _fourier_batches((2.0 * math.pi / M) * w.reshape(1, -1) @ B, state.dof, N)
-    return LoopState(state.dof, c0[0], C[0], S[0])
+    lm = local_map(dataclasses.replace(spec, lam=1.0), radius=1.0)  # the radius only sets the region
+    basis = lm.operator.basis(state.modes)
+    grad = lm.nonlinearity(state_to_coords(state, basis), basis)[0]
+    return coords_to_state(grad, basis, spec.dof)
 
 
 def local_map(spec: HamiltonianSpec, radius: float, *, name: Optional[str] = None) -> LocalMapSpec:
@@ -409,7 +392,7 @@ def _linearization_eigs(spec: HamiltonianSpec, lam: float, top_mode: int) -> lis
     S0 = hess H(0): entry 0 holds those of -lam S0 on the constant loops,
     entry k those of the block on the mode-k Fourier pair (cos, sin), for
     k = 1 .. top_mode.  The largest |eigenvalue| of entry 0 is lam |S0|."""
-    S0 = spec.potential.hessian_at(np.zeros(2 * spec.dof))
+    S0 = spec.potential.hessian(np.zeros(2 * spec.dof))
     J = symplectic_matrix(spec.dof)
     return [np.linalg.eigvalsh(-lam * S0)] + [
         np.linalg.eigvalsh(np.block([[-lam * S0, -k * J], [k * J, -lam * S0]]))

@@ -104,10 +104,6 @@ class Polynomial:
                         out[..., j, i] += term
         return out
 
-    def hessian_at(self, x: np.ndarray) -> np.ndarray:
-        """Exact Hessian matrix at a single point."""
-        return self.hessian(x)
-
     def to_json(self) -> list:
         return [{"exps": list(e), "coeff": c} for e, c in self.terms]
 

@@ -7,7 +7,7 @@ acts as rotation by k*theta).  Equivariant self-adjoint operators are
 supplied blockwise per isotypic component, which makes equivariance
 structural rather than a runtime check.  A spectral operator is an indexed
 family of (eigenvalue, eigenspace) pairs binned into unit-width shells
-n-1 < |lambda| <= n; it owns one eigencoordinate basis of each cumulative
+by ``shell_index``; it owns one eigencoordinate basis of each cumulative
 space V_n (shells 0 .. n), which every truncation at level n shares.
 """
 
@@ -23,6 +23,14 @@ from .errors import NearSingular
 
 SYMMETRY_RTOL = 1e-12
 SINGULAR_RTOL = 1e-9
+SHELL_TOL = 1e-12  # |lambda| within this above an integer n still falls in shell n
+
+
+def shell_index(lam: float) -> int:
+    """The spectral shell of an eigenvalue: 0 for lambda = 0, else the n with
+    n - 1 < |lambda| <= n, where |lambda| up to SHELL_TOL above n counts as n."""
+    lam = float(lam)
+    return 0 if lam == 0.0 else int(math.ceil(abs(lam) - SHELL_TOL))
 
 
 @dataclass(frozen=True)
@@ -70,14 +78,6 @@ class Rep:
 ZERO_REP = Rep()
 
 
-def dim(rep: Rep) -> int:
-    return rep.dim
-
-
-def direct_sum(r1: Rep, r2: Rep) -> Rep:
-    return r1 + r2
-
-
 def rep_to_json(rep: Rep) -> dict:
     return {"trivial": rep.trivial, "modes": [[k, n] for k, n in rep.modes]}
 
@@ -121,16 +121,15 @@ class Layout:
         return tuple(i for i in range(self.size) if i not in fixed)
 
 
-def canonical_layout(rep: Rep, offset: int = 0) -> Layout:
+def canonical_layout(rep: Rep) -> Layout:
     """Trivial coordinates first, then mode planes in ascending mode order."""
-    trivial = tuple(range(offset, offset + rep.trivial))
     pairs = []
-    pos = offset + rep.trivial
+    pos = rep.trivial
     for k, n in rep.modes:
         for _ in range(n):
             pairs.append((k, pos))
             pos += 2
-    return Layout(pos - offset, trivial, tuple(pairs))
+    return Layout(pos, tuple(range(rep.trivial)), tuple(pairs))
 
 
 def concat_layouts(layouts: Sequence[Layout]) -> Layout:
@@ -250,16 +249,12 @@ def _count_negative(block: np.ndarray, name: str, floor: float = 0.0) -> int:
     return int(np.sum(eigs < 0))
 
 
-def negative_part(op: EquivariantSymOp) -> Rep:
-    return op.negative_part()
-
-
 class SpectralOperator:
     """A self-adjoint operator with purely discrete spectrum, given shellwise.
 
     ``shells`` is either a mapping {level -> [(eigenvalue, Rep), ...]} or a
     callable producing the list for any requested level.  Shell 0 holds the
-    kernel; shell n >= 1 holds the eigenvalues with n-1 < |lambda| <= n.
+    kernel; shell n >= 1 holds the eigenvalues whose ``shell_index`` is n.
     An explicit table has a finite ``max_level``; requesting shells beyond
     it is an error, which bounds how far a truncation can be pushed.
     """
@@ -292,15 +287,14 @@ class SpectralOperator:
                 if lam in seen:
                     raise ValueError(f"{self.label}: eigenvalue {lam} listed twice in shell {n}")
                 seen.add(lam)
-                if n == 0:
-                    if lam != 0.0:
-                        raise ValueError(
-                            f"{self.label}: shell 0 may only contain eigenvalue 0, got {lam}"
-                        )
-                elif not (n - 1 < abs(lam) <= n):
+                if n == 0 and lam != 0.0:
                     raise ValueError(
-                        f"{self.label}: eigenvalue {lam} does not satisfy "
-                        f"{n - 1} < |lambda| <= {n}"
+                        f"{self.label}: shell 0 may only contain eigenvalue 0, got {lam}"
+                    )
+                if shell_index(lam) != n:
+                    raise ValueError(
+                        f"{self.label}: eigenvalue {lam} belongs to shell "
+                        f"{shell_index(lam)}, not {n}"
                     )
             entries.sort(key=lambda t: t[0])
             self._cache[n] = tuple(entries)
@@ -315,7 +309,7 @@ class SpectralOperator:
         top = 0
         for lam, rep in pairs:
             lam = float(lam)
-            n = 0 if lam == 0.0 else int(math.ceil(abs(lam) - 1e-12))
+            n = shell_index(lam)
             top = max(top, n)
             slot = table.setdefault(n, {})
             slot[lam] = slot[lam] + rep if lam in slot else rep
@@ -325,8 +319,7 @@ class SpectralOperator:
     def eigenspace(self, lam: float) -> Rep:
         """The eigenspace V(lambda); the zero representation if absent."""
         lam = float(lam)
-        n = 0 if lam == 0.0 else int(math.ceil(abs(lam) - 1e-12))
-        for ev, rep in self.shell(n):
+        for ev, rep in self.shell(shell_index(lam)):
             if ev == lam:
                 return rep
         return ZERO_REP

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,9 +9,11 @@ import pytest
 import eqdeg.cli
 import eqdeg.galerkin
 from eqdeg.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, EXIT_ZERO_DEGREE, main
+from eqdeg.errors import DegreeError
 from eqdeg.reps import ShellBasis
 
-DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_PROBLEMS = ROOT / "demos" / "problems"
 
 
 def write(tmp_path, name, payload):
@@ -258,13 +263,79 @@ def test_non_equivariant_potential_is_a_certification_failure(tmp_path, capsys):
     assert "equivariance spot-check failed" in err
 
 
-def test_field_not_finite_is_a_certification_failure(tmp_path, capsys):
-    # 1e300 z1^4 overflows on the boundary of a ball of radius 1e5
+def test_field_not_finite_is_a_certification_failure(tmp_path):
+    # 1e300 z1^4 overflows on the boundary of a ball of radius 1e5; the
+    # overflow becomes the one-line failure, with no numpy warnings before it
     terms = quadratic_problem()["terms"] + [{"exps": [4, 0], "coeff": 1e300}]
     problem = dict(quadratic_problem(radius=1e5), terms=terms)
-    with pytest.warns(RuntimeWarning):
-        code = main(["compute", write(tmp_path, "p.json", problem)])
-    assert code == EXIT_CERTIFICATION
-    err = capsys.readouterr().err
-    assert "certification failure (NonFiniteField)" in err
-    assert "not finite on boundary samples" in err
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqdeg", "compute", write(tmp_path, "p.json", problem)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_CERTIFICATION
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("certification failure (NonFiniteField)")
+    assert "not finite on boundary samples" in lines[0]
+
+
+def test_every_degree_error_is_a_certification_failure(tmp_path, capsys, monkeypatch):
+    class NewFailure(DegreeError):
+        pass
+
+    def failing(*args, **kwargs):
+        raise NewFailure("no certificate")
+
+    monkeypatch.setattr(eqdeg.cli, "deg_infinite", failing)
+    assert main(["compute", write(tmp_path, "p.json", quadratic_problem())]) == EXIT_CERTIFICATION
+    assert capsys.readouterr().err == "certification failure (NewFailure): no certificate\n"
+
+
+def abstract_problem(spectrum, terms, variables):
+    return {
+        "kind": "abstract",
+        "group": "S1",
+        "spectrum": [
+            {"eigenvalue": lam, "rep": {"trivial": trivial, "modes": modes}}
+            for lam, trivial, modes in spectrum
+        ],
+        "nonlinearity": {"variables": variables, "terms": terms},
+        "radius": 1.0,
+        "truncation": "auto",
+    }
+
+
+def test_eigenvalue_just_above_an_integer_computes_like_the_integer(tmp_path, capsys):
+    # 2 + 5e-13 falls in shell 2 under the shell rule's 1e-12 tolerance
+    terms = [{"exps": [2], "coeff": -0.5}]
+    outputs = []
+    for second in (2.0000000000005, 2.0):
+        spectrum = [(0.0, 1, []), (1.0, 0, [[1, 1]])]
+        spectrum += [(lam, 1, []) for lam in (second, 3.0, 4.0, 5.0, 6.0)]
+        problem = abstract_problem(spectrum, terms, 1)
+        assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_auto_level_starts_at_the_first_level_holding_the_potential(tmp_path, capsys):
+    # the potential's second variable lives in shell 1, so level 1 certifies
+    spectrum = [(0.0, 1, []), (-0.5, 1, []), (1.0, 0, [[1, 1]])]
+    spectrum += [(float(n), 1, []) for n in range(2, 7)]
+    terms = [{"exps": [2, 0], "coeff": -0.5}, {"exps": [0, 2], "coeff": 0.1}]
+    src = write(tmp_path, "p.json", abstract_problem(spectrum, terms, 2))
+    reports = []
+    for extra in ([], ["--truncation", "1"]):
+        out = tmp_path / "report.json"
+        assert main(["compute", src, "--json", str(out)] + extra) == EXIT_OK
+        reports.append(json.loads(out.read_text())["degree"])
+    assert reports[0]["level"] == reports[1]["level"] == 1
+    assert reports[0]["value"] == reports[1]["value"]
+
+
+def test_kernel_only_spectrum_is_a_margin_failure(tmp_path, capsys):
+    problem = abstract_problem([(0.0, 1, [])], [{"exps": [2], "coeff": -0.5}], 1)
+    assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_CERTIFICATION
+    assert capsys.readouterr().err.startswith("certification failure (MarginFailure)")

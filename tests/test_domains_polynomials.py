@@ -174,7 +174,7 @@ def test_polynomial_hessian_matches_gradient_differences():
         3, [((2, 1, 0), 1.5), ((0, 0, 4), -0.5), ((1, 1, 1), 2.0), ((3, 0, 0), 0.25)]
     )
     x = rng.uniform(-1, 1, size=3)
-    H = p.hessian_at(x)
+    H = p.hessian(x)
     assert np.allclose(H, H.T)
     h = 1e-6
     for i in range(3):

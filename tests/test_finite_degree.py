@@ -174,6 +174,33 @@ def test_grad_degree_rejects_a_field_not_finite_on_the_boundary():
     assert issubclass(NonFiniteField, ValueError)
 
 
+def nan_inside(radius):
+    """The identity field, with NaN wherever |x| < radius."""
+
+    def value(X):
+        X = np.array(np.atleast_2d(X), dtype=float)
+        X[np.linalg.norm(X, axis=1) < radius] = np.nan
+        return X
+
+    return value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grad_degree_rejects_a_field_not_finite_at_a_newton_seed(seed):
+    # the seed grid holds the origin; Newton would take the pseudo-inverse
+    # of a NaN Jacobian there
+    fld = GradientField(Rep(1, ((1, 1),)), nan_inside(0.3), Ball(np.zeros(3), 1.0))
+    with pytest.raises(NonFiniteField, match="not finite at a Newton seed"):
+        grad_degree(fld, seed=seed)
+
+
+def test_grad_degree_rejects_a_field_not_finite_at_an_equivariance_sample():
+    # a NaN difference would compare below the tolerance and pass the check
+    fld = GradientField(Rep(0, ((1, 1),)), nan_inside(0.9), Ball(np.zeros(2), 1.0))
+    with pytest.raises(NonFiniteField, match="not finite at an equivariance sample"):
+        grad_degree(fld)
+
+
 def test_grad_degree_empty_zero_set_is_zero():
     def value(X):
         return np.atleast_2d(X) - 3.0

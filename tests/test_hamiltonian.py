@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eqdeg.errors import (
-    AliasingRisk,
     DegenerateZero,
     MarginFailure,
     NearSingular,
@@ -145,14 +144,6 @@ def test_gradient_constant_loop():
     out = hamiltonian_gradient(spec, st)
     assert np.allclose(out.constant, spec.potential.gradient(c), atol=1e-13)
     assert out.modes == 0
-
-
-def test_gradient_aliasing_guard():
-    spec = quartic_hamiltonian(1, 1.0)  # degree 4
-    st = LoopState.zeros(1, 4)
-    with pytest.raises(AliasingRisk):
-        hamiltonian_gradient(spec, st, quadrature_size=8)  # needs 4*4+1 = 17
-    hamiltonian_gradient(spec, st, quadrature_size=default_quadrature_size(4, 4))
 
 
 def test_gradient_is_a_gradient_of_the_quadrature_action():

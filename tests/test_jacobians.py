@@ -1,7 +1,8 @@
 """Exact Jacobians against central differences, polynomial evaluation
 against the term-by-term power loops, the synthesis-matrix value path of the
-Hamiltonian local map, and its affine/grid split against the whole-grid
-formula."""
+Hamiltonian local map, its affine/grid split against the whole-grid
+formula, and the action gradient against the whole-grid projection it
+replaced."""
 
 import inspect
 import math
@@ -31,10 +32,12 @@ from eqdeg.galerkin import (
 )
 from eqdeg.hamiltonian import (
     HamiltonianSpec,
+    LoopState,
     _coords_batches,
     _fourier_batches,
     _synthesis_matrix,
     default_quadrature_size,
+    hamiltonian_gradient,
     local_map,
     loop_operator,
 )
@@ -54,6 +57,7 @@ HESS_RTOL = 1e-12  # Polynomial.hessian against the loop at single points, relat
 SYNTH_RTOL = 1e-12  # synthesis-matrix values against the cos/sin + rfft reference
 POWER_RTOL = 1e-13  # multiplied powers against the ** loops, relative to the largest entry
 SPLIT_RTOL = 1e-12  # affine matrix plus active grid against the whole-grid formula
+GRADIENT_RTOL = 1e-12  # hamiltonian_gradient against its former whole-grid projection
 FD_BATCH_RTOL = 1e-12  # batched central differences against the per-column loop
 
 CORPUS = {inst.name: inst for inst in corpus_local_maps()}
@@ -245,7 +249,7 @@ def test_polynomial_hessian_matches_the_single_point_loop_row_by_row():
     for i in range(5):
         for j in range(7):
             ref = hessian_loop(p, X[i, j])
-            assert np.array_equal(p.hessian_at(X[i, j]), H[i, j])
+            assert np.array_equal(p.hessian(X[i, j]), H[i, j])
             assert np.max(np.abs(H[i, j] - ref)) <= HESS_RTOL * np.max(np.abs(ref))
 
 
@@ -273,8 +277,7 @@ def test_polynomial_powers_by_multiplication_match_the_power_loops(name, shape):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref), initial=0.0) <= POWER_RTOL * np.max(np.abs(ref), initial=0.0)
     if not shape:
-        assert np.array_equal(p.hessian_at(x), p.hessian(x))
-        assert np.array_equal(p.hessian_at(x), p.hessian_at(x).T)
+        assert np.array_equal(p.hessian(x), p.hessian(x).T)
 
 
 def whole_grid_reference(spec, X, level, idx):
@@ -338,6 +341,40 @@ def test_synthesis_matrix_matches_fft_reference(spec):
         X = rng.uniform(-0.5, 0.5, size=(9, basis.dim))
         ref = reference_nonlinearity(spec, X, level)
         assert relative_gap(lm.nonlinearity(X, basis), ref) <= SYNTH_RTOL
+
+
+def former_hamiltonian_gradient(spec, state):
+    """The projection hamiltonian_gradient ran before it became the local
+    map's nonlinearity at lambda = 1: grad H on the whole grid, projected
+    back through the whole synthesis matrix."""
+    N = state.modes
+    M = default_quadrature_size(spec.potential.degree, N)
+    B = _synthesis_matrix(state.dof, N, M)
+    w = spec.potential.gradient(state.values_on_grid(M))
+    c0, C, S = _fourier_batches((2.0 * math.pi / M) * w.reshape(1, -1) @ B, state.dof, N)
+    return LoopState(state.dof, c0[0], C[0], S[0])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [quartic_hamiltonian(1, 0.4), COUPLED_QUARTIC, CUBIC, quartic_hamiltonian(2, 2.5, 0.7)],
+    ids=["quartic", "coupled-quartic", "cubic", "quartic-lambda-2.5"],
+)
+@pytest.mark.parametrize("modes", range(5))
+def test_hamiltonian_gradient_matches_the_former_whole_grid_projection(spec, modes):
+    rng = np.random.default_rng(23 + modes)
+    n2 = 2 * spec.dof
+    for _ in range(3):
+        state = LoopState(
+            spec.dof,
+            rng.uniform(-0.8, 0.8, n2),
+            rng.uniform(-0.5, 0.5, (modes, n2)),
+            rng.uniform(-0.5, 0.5, (modes, n2)),
+        )
+        got, ref = hamiltonian_gradient(spec, state), former_hamiltonian_gradient(spec, state)
+        assert got.modes == ref.modes == modes
+        flat = lambda s: np.concatenate([s.constant, s.cos.ravel(), s.sin.ravel()])
+        assert relative_gap(flat(got), flat(ref)) <= GRADIENT_RTOL
 
 
 def fd_steps(monkeypatch):

@@ -7,26 +7,24 @@ from eqdeg.reps import (
     Rep,
     SpectralOperator,
     canonical_layout,
-    dim,
-    direct_sum,
-    negative_part,
     rep_from_json,
     rep_to_json,
+    shell_index,
     shell_operator,
 )
 from eqdeg.selftest import random_sym_op
 
 
 def test_dim_examples():
-    assert dim(Rep(0)) == 0
-    assert dim(Rep(2, ((1, 1),))) == 4
-    assert dim(Rep(1, ((2, 3), (5, 1)))) == 9
+    assert Rep(0).dim == 0
+    assert Rep(2, ((1, 1),)).dim == 4
+    assert Rep(1, ((2, 3), (5, 1))).dim == 9
 
 
 def test_direct_sum_examples():
     r = Rep(1, ((1, 1),))
-    assert direct_sum(r, Rep()) == r
-    assert direct_sum(Rep(1, ((1, 1),)), Rep(0, ((1, 2),))) == Rep(1, ((1, 3),))
+    assert r + Rep() == r
+    assert Rep(1, ((1, 1),)) + Rep(0, ((1, 2),)) == Rep(1, ((1, 3),))
 
 
 def test_direct_sum_dim_additive_random():
@@ -34,7 +32,7 @@ def test_direct_sum_dim_additive_random():
     for _ in range(100):
         r1 = Rep(int(rng.integers(0, 4)), ((int(rng.integers(1, 5)), int(rng.integers(0, 3))),))
         r2 = Rep(int(rng.integers(0, 4)), ((int(rng.integers(1, 5)), int(rng.integers(0, 3))),))
-        assert dim(direct_sum(r1, r2)) == dim(r1) + dim(r2)
+        assert (r1 + r2).dim == r1.dim + r2.dim
 
 
 def test_rep_drops_zero_multiplicities():
@@ -85,8 +83,8 @@ def test_negative_parts_complement():
     for _ in range(50):
         op = random_sym_op(rng)
         flipped = op.scale_blocks(-1.0)
-        total = negative_part(op) + negative_part(flipped)
-        assert dim(total) == dim(op.rep)
+        total = op.negative_part() + flipped.negative_part()
+        assert total.dim == op.rep.dim
 
 
 def test_symmetry_validation():
@@ -139,6 +137,33 @@ def test_from_eigenvalues_bins_correctly():
     assert set(lam for lam, _ in op.shell(1)) == {0.5, -1.0}
     assert set(lam for lam, _ in op.shell(2)) == {2.0}
     assert set(lam for lam, _ in op.shell(3)) == {2.2}
+
+
+def test_shell_index_rounds_just_above_an_integer_down():
+    assert shell_index(0.0) == 0
+    assert [shell_index(lam) for lam in (0.5, -1.0, 1.0 + 1e-9, 2.0, -2.5)] == [1, 1, 2, 2, 3]
+    assert shell_index(3 + 4e-16) == shell_index(-(3 + 4e-16)) == 3
+    assert shell_index(2.0000000000005) == 2
+
+
+def test_eigenvalue_just_above_an_integer_stays_in_its_shell():
+    lam = 3 + 4e-16
+    assert lam > 3.0
+    op = SpectralOperator.from_eigenvalues([(0.0, Rep(1)), (lam, Rep(1))])
+    assert op.shell(3) == ((lam, Rep(1)),)
+    assert op.eigenspace(lam) == Rep(1)
+    assert op.basis(3).dim == 2
+
+
+def test_table_with_an_eigenvalue_in_the_wrong_shell_raises():
+    for table in (
+        {4: [(3 + 4e-16, Rep(1))]},  # shell 3 under the 1e-12 tolerance
+        {3: [(3.5, Rep(1))]},
+        {2: [(0.0, Rep(1))]},
+    ):
+        n = max(table)
+        with pytest.raises(ValueError, match="belongs to shell"):
+            SpectralOperator(table).shell(n)
 
 
 def test_from_eigenvalues_merges_duplicates():
