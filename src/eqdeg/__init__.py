@@ -8,6 +8,7 @@ Hamiltonian systems.
 """
 
 from .errors import (
+    AffinityFailure,
     BoundaryZero,
     DegenerateZero,
     DegreeError,

@@ -144,17 +144,20 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
             poly = Polynomial.from_json(int(nl["variables"]), nl["terms"])
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad nonlinearity description: {exc}") from exc
-        dim0 = op.basis(op.max_level).dim
+        try:
+            dim0 = op.basis(op.max_level).dim
+            # the first level whose V_n holds the potential's variables; a kernel-only
+            # spectrum keeps level 1, which deg_infinite rejects as too short
+            min_level = next(
+                (n for n in range(1, op.max_level + 1) if op.basis(n).dim >= poly.nvars), 1
+            )
+        except ValueError as exc:
+            raise InputError(f"bad spectrum description: {exc}") from exc
         if poly.nvars > dim0:
             raise InputError(
                 f"nonlinearity uses {poly.nvars} coordinates but the declared spectrum "
                 f"spans only {dim0}"
             )
-        # the first level whose V_n holds the potential's variables; a kernel-only
-        # spectrum keeps level 1, which deg_infinite rejects as too short
-        min_level = next(
-            (n for n in range(1, op.max_level + 1) if op.basis(n).dim >= poly.nvars), 1
-        )
         meta.update({"variables": poly.nvars})
         return (
             LocalMapSpec(

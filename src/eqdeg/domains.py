@@ -117,7 +117,7 @@ class Ball:
                 self.center[i] + h * np.linspace(-1.0, 1.0, per_axis)
                 for i, h in zip(indices, half)
             ]
-            mesh = np.array(list(itertools.product(*axes)))
+            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
         else:
             u = _halton(_HALTON_COUNT, len(indices))
             mesh = self.center[indices] + (2.0 * u - 1.0) * half

@@ -67,6 +67,11 @@ class EquivarianceFailure(DegreeError, ValueError):
     space to itself."""
 
 
+class AffinityFailure(DegreeError, ValueError):
+    """A field declared affine differs from f(0) + Jx by more than
+    rounding at a boundary sample."""
+
+
 class NonFiniteField(DegreeError, ValueError):
     """A field or nonlinearity returned a value that is not finite at a
     boundary sample, so no margin can be certified there."""

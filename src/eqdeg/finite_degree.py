@@ -5,11 +5,14 @@ the fixed-point space is the sum over those zeros of the closed-form
 degree of the Hessian: a sign from the Morse index on the fixed space and
 one first-order coefficient per rotation mode (higher products vanish by
 nilpotency of the mode classes).  Zeros are located by batched multi-start
-damped Newton from a deterministic seed grid.  A field's one derivative
-source, for Newton steps and Hessians at zeros alike, is its exact
-Jacobian or else central differences.  Equivariance is spot-checked, and
-zeros off the fixed-point space are found by randomized full-space probes
-and rejected, since slice linearization around free orbits is out of scope.
+damped Newton from a deterministic seed grid, which evaluates each point
+once.  A field's one derivative source, for Newton steps and Hessians at
+zeros alike, is its exact Jacobian or else central differences.
+Equivariance is spot-checked, and zeros off the fixed-point space are found
+by randomized full-space probes and rejected, since slice linearization
+around free orbits is out of scope.  A field declared affine with a
+nonsingular Jacobian has one zero, in the fixed space, which Newton finds
+from the origin with no seed grid or probe (AffinityFailure if it is not).
 
 An independent Brouwer-degree oracle (zero enumeration plus the sign of
 the finite-difference Jacobian determinant) provides the verification
@@ -25,6 +28,7 @@ import numpy as np
 
 from .domains import Ball, ProductDomain, ShellDomain
 from .errors import (
+    AffinityFailure,
     BoundaryZero,
     DegenerateZero,
     EquivarianceFailure,
@@ -44,6 +48,7 @@ SINGULAR_LOG_RATIO = np.log(1e-12)  # Newton solves below this |det J| / Hadamar
 BOUNDARY_PER_DIM = 64
 EQUIV_TOL = 1e-8
 BOUNDARY_MARGIN = 1e-8         # sampled boundary |f| at or below this is a boundary zero
+SINGULAR_RATIO = 1e-9  # share of the field's scale: singular floor, affinity bound
 
 
 @dataclass
@@ -57,7 +62,8 @@ class GradientField:
     ``value`` at an (m, dim) batch X, restricted to the rows and columns
     idx, as an (m, |idx|, |idx|) array; Newton steps and the Hessians at
     zeros then use it.  A field without one falls back to central
-    differences.
+    differences.  ``affine`` declares that ``value`` is x -> f(0) + Jx, which
+    grad_degree checks (AffinityFailure) and uses to solve from one start.
     """
 
     rep: Rep
@@ -66,6 +72,7 @@ class GradientField:
     layout: Optional[Layout] = None
     name: str = "field"
     jacobian: Optional[Callable] = None
+    affine: bool = False
 
     def __post_init__(self):
         if self.layout is None:
@@ -109,6 +116,7 @@ def field_from_operator(op: EquivariantSymOp, radius: float = 1.0) -> GradientFi
         jacobian=lambda X, idx: np.broadcast_to(
             mat[np.ix_(idx, idx)], (len(X), len(idx), len(idx))
         ),
+        affine=True,
     )
 
 
@@ -192,19 +200,17 @@ def _newton_batch(
     scale: float = 1.0,
 ) -> np.ndarray:
     """Damped Newton on the coordinates in idx; returns converged points.
-    Raises NonFiniteField when the field is not finite at a seed."""
+    Each point is evaluated once: the seeds up front (NonFiniteField if one
+    is not finite), every later point in the line search that accepts it."""
     X = np.array(np.atleast_2d(seeds), dtype=float)
+    values = finite_values(fld.evaluate, X, f"{fld.name}: field not finite at a Newton seed")[:, idx]
     status = np.zeros(len(X), dtype=np.int8)  # 0 running, 1 converged, 2 dead
     cutoff = 50.0 * (scale + 1.0)
-    for it in range(max_iter):
+    for _it in range(max_iter):
         run = np.where(status == 0)[0]
         if not len(run):
             break
-        Xa = X[run]
-        if it:
-            F = fld.evaluate(Xa)[:, idx]
-        else:
-            F = finite_values(fld.evaluate, Xa, f"{fld.name}: field not finite at a Newton seed")[:, idx]
+        Xa, F = X[run], values[run]
         fn = np.linalg.norm(F, axis=1)
         done = fn <= NEWTON_TOL
         status[run[done]] = 1
@@ -220,16 +226,18 @@ def _newton_batch(
             continue
         alpha = np.ones(len(run))
         pending = np.ones(len(run), dtype=bool)
-        Xn = Xa.copy()
+        Xn, Fn = Xa.copy(), F.copy()
         for _bt in range(12):
             act = np.where(pending)[0]
             if not len(act):
                 break
             Xtry = Xa[act].copy()
             Xtry[:, idx] -= alpha[act][:, None] * steps[act]
-            ft = np.linalg.norm(fld.evaluate(Xtry)[:, idx], axis=1)
+            Ftry = fld.evaluate(Xtry)[:, idx]
+            ft = np.linalg.norm(Ftry, axis=1)
             ok = ft <= fn[act] * (1.0 - 1e-4 * alpha[act]) + 1e-300
             Xn[act[ok]] = Xtry[ok]
+            Fn[act[ok]] = Ftry[ok]
             pending[act[ok]] = False
             alpha[act[~ok]] *= 0.5
         status[run[pending]] = 2  # no descent direction found
@@ -238,6 +246,7 @@ def _newton_batch(
         status[run[moved & far]] = 2
         good = moved & ~far
         X[run[good]] = Xn[good]
+        values[run[good]] = Fn[good]
     return X[status == 1]
 
 
@@ -275,7 +284,7 @@ def _spot_check_equivariance(fld: GradientField, rng: np.random.Generator):
             )
 
 
-def _located_fixed_zeros(fld: GradientField, *, probe_scale: float) -> np.ndarray:
+def _located_fixed_zeros(fld: GradientField, *, probe_scale: float, unique: bool) -> np.ndarray:
     fixed = list(fld.layout.trivial)
     if not fixed:
         candidate = np.zeros((1, fld.layout.size))
@@ -287,7 +296,7 @@ def _located_fixed_zeros(fld: GradientField, *, probe_scale: float) -> np.ndarra
                 f"{fld.name}: origin is forced to be a zero by equivariance but |f(0)|={resid:.2e}"
             )
         return candidate
-    seeds = fld.domain.seed_points(fixed, SEED_FRACTION)
+    seeds = np.zeros((1, fld.layout.size)) if unique else fld.domain.seed_points(fixed, SEED_FRACTION)
     pts = _newton_batch(fld, seeds, fixed, scale=probe_scale)
     pts = pts[np.atleast_1d(fld.domain.contains(pts))]
     pts = _dedupe(pts)
@@ -343,11 +352,35 @@ def blocks_from_matrix(S: np.ndarray, layout: Layout) -> EquivariantSymOp:
     return EquivariantSymOp(layout.rep(), trivial, blocks)
 
 
-def _hessian_op_at(fld: GradientField, x: np.ndarray) -> EquivariantSymOp:
-    X = np.asarray(x, dtype=float)[None, :]
+def _full_jacobians(fld: GradientField, X: np.ndarray) -> np.ndarray:
+    """The (m, dim, dim) Jacobians at an (m, dim) batch, from one call."""
     idx = list(range(X.shape[1]))
-    J = fld.jacobian(X, idx) if fld.jacobian is not None else _fd_jacobian(fld, X, idx, step=1e-5)
-    return blocks_from_matrix(0.5 * (J[0] + J[0].T), fld.layout)
+    return fld.jacobian(X, idx) if fld.jacobian is not None else _fd_jacobian(fld, X, idx, step=1e-5)
+
+
+def _hessian_op(J: np.ndarray, layout: Layout) -> EquivariantSymOp:
+    return blocks_from_matrix(0.5 * (J + J.T), layout)
+
+
+def _unique_zero(fld: GradientField, bsamples: np.ndarray, bvalues: np.ndarray, floor: float) -> bool:
+    """Whether a field declared affine has a nonsingular Jacobian J, hence one
+    zero x*, fixed since every g x* is a zero too.  The declaration is checked
+    on the boundary samples: f(x) - f(0) - Jx must stay at rounding level."""
+    origin = np.zeros((1, fld.layout.size))
+    J = _full_jacobians(fld, origin)[0]
+    try:
+        linear_degree(_hessian_op(J, fld.layout), singular_floor=floor)
+    except NearSingular:
+        return False
+    if len(bsamples):
+        defect = np.linalg.norm(bvalues - fld.evaluate(origin) - bsamples @ J.T, axis=1).max()
+        size = np.linalg.norm(bvalues, axis=1).max()
+        if not defect <= SINGULAR_RATIO * size:
+            raise AffinityFailure(
+                f"{fld.name}: declared affine, but |f(x) - f(0) - J x| = {defect:.2e} "
+                f"on the boundary where |f| reaches {size:.2e}"
+            )
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +396,12 @@ def grad_degree(
     """Equivariant gradient degree over the field's domain.
 
     All zeros must be nondegenerate and lie in the fixed-point space; the
-    result is the sum of linear degrees of the Hessians there.  Raises
-    EquivarianceFailure when the field breaks the circle action's
-    contract, NonFiniteField when it is not finite at a boundary sample,
-    an equivariance sample or a Newton seed,
+    result is the sum of linear degrees of the Hessians there.  An affine
+    field with nonsingular Jacobian is solved from the origin alone, with no
+    probe and no dimension limit.  Raises EquivarianceFailure when the field
+    breaks the circle action's contract, AffinityFailure when a field
+    declared affine is not, NonFiniteField when it is not finite at a
+    boundary sample, an equivariance sample or a Newton seed,
     BoundaryZero when the sampled boundary margin collapses,
     DegenerateZero for near-singular Hessians, and ZeroOutsideFixedSpace
     when a probe finds a zero orbit off the fixed space.
@@ -378,29 +413,32 @@ def grad_degree(
 
     count = BOUNDARY_PER_DIM * max(fld.domain.dim, 1)
     bsamples = fld.domain.boundary_samples(count, rng)
+    bvalues = np.zeros_like(bsamples)
     derivative_scale = 0.0
     if len(bsamples):
         message = f"{fld.name}: field not finite on the boundary"
-        bvals = finite_values(lambda X: np.linalg.norm(fld.evaluate(X), axis=1), bsamples, message)
+        bvalues = finite_values(fld.evaluate, bsamples, message)
+        # finite values can still overflow their norms
+        bvals = finite_values(lambda V: np.linalg.norm(V, axis=1), bvalues, message)
         if bvals.min() <= BOUNDARY_MARGIN:
             raise BoundaryZero(
                 f"{fld.name}: sampled |f| = {bvals.min():.3e} <= {BOUNDARY_MARGIN:g} on the boundary"
             )
         derivative_scale = float(bvals.max()) / max(scale, 1e-300)
 
-    zeros = _located_fixed_zeros(fld, probe_scale=scale)
-    if fld.layout.pairs:
-        _scan_off_space_zeros(fld, rng, probe_scale=scale)
-
     # a Hessian eigenvalue far below the field's own derivative scale marks
     # a degenerate zero whose sign rounding (or, without an exact Jacobian,
     # finite-difference error) could flip
-    floor = 1e-9 * derivative_scale
+    floor = SINGULAR_RATIO * derivative_scale
+    unique = fld.affine and _unique_zero(fld, bsamples, bvalues, floor)
+    zeros = _located_fixed_zeros(fld, probe_scale=scale, unique=unique)
+    if fld.layout.pairs and not unique:
+        _scan_off_space_zeros(fld, rng, probe_scale=scale)
+
     total = ring_zero(CIRCLE)
-    for z in zeros:
-        op = _hessian_op_at(fld, z)
+    for z, J in zip(zeros, _full_jacobians(fld, zeros) if len(zeros) else ()):
         try:
-            total = total + linear_degree(op, singular_floor=floor)
+            total = total + linear_degree(_hessian_op(J, fld.layout), singular_floor=floor)
         except NearSingular as exc:
             raise DegenerateZero(f"{fld.name}: zero at {np.round(z, 8)}: {exc}") from exc
     if return_zeros:
@@ -539,7 +577,8 @@ def block_diagonal_jacobian(X: np.ndarray, idx, blocks) -> np.ndarray:
 
 def product_field(f: GradientField, g: GradientField) -> GradientField:
     """The product field (x, y) -> (f(x), g(y)) on the concatenated layout,
-    with a block-diagonal Jacobian when both factors have one."""
+    with a block-diagonal Jacobian when both factors have one; it is affine
+    when both factors are."""
     da, db = f.rep.dim, g.rep.dim
 
     def value(X):
@@ -557,6 +596,7 @@ def product_field(f: GradientField, g: GradientField) -> GradientField:
         layout=concat_layouts([f.layout, g.layout]),
         name=f"{f.name} x {g.name}",
         jacobian=jacobian,
+        affine=f.affine and g.affine,
     )
 
 
@@ -623,6 +663,7 @@ def orbit_normal_form_field(o: OrbitNormalForm) -> GradientField:
         return GradientField(
             rep, value, domain, layout=lay, name="normal form (fixed orbit)",
             jacobian=lambda X, idx: np.broadcast_to(np.eye(len(idx)), (len(X), len(idx), len(idx))),
+            affine=True,
         )
 
     k = o.isotropy.index

@@ -116,7 +116,9 @@ class LocalMapSpec:
     and columns idx, as an (m, |idx|, |idx|) array; it defaults to the
     nonlinearity's own ``jacobian`` attribute, which the nonlinearities of
     this module and the Hamiltonian local map carry.  Without one, Newton
-    and the Hessians at zeros use central differences.  ``region`` bounds
+    and the Hessians at zeros use central differences.  ``affine``, the
+    declaration that F is affine, likewise defaults to the nonlinearity's
+    ``affine`` attribute; grad_degree checks it.  ``region`` bounds
     the invariant domain in the graph norm.  ``min_level`` is the first
     truncation level at which the nonlinearity is meaningful.  The
     truncated fields are always spot-checked for equivariance.
@@ -128,10 +130,13 @@ class LocalMapSpec:
     min_level: int = 1
     name: str = "local map"
     jacobian: Optional[Callable] = None
+    affine: bool = False
 
     def __post_init__(self):
         if self.jacobian is None:
             self.jacobian = getattr(self.nonlinearity, "jacobian", None)
+        if not self.affine:
+            self.affine = getattr(self.nonlinearity, "affine", False)
 
     def with_region(self, region) -> "LocalMapSpec":
         return dataclasses.replace(self, region=region)
@@ -159,6 +164,7 @@ def shell_field(f: LocalMapSpec, n: int) -> GradientField:
         layout=basis.layout,
         name=f"{f.name} | V_{n}",
         jacobian=jacobian,
+        affine=f.affine,
     )
 
 
@@ -444,6 +450,7 @@ def zero_nonlinearity(X, basis):
 
 
 zero_nonlinearity.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.zeros(len(idx)))
+zero_nonlinearity.affine = True
 
 
 def scalar_nonlinearity(c: float):
@@ -453,6 +460,7 @@ def scalar_nonlinearity(c: float):
         return c * np.atleast_2d(X)
 
     F.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.full(len(idx), float(c)))
+    F.affine = True
     return F
 
 
@@ -470,11 +478,13 @@ def kernel_projection_nonlinearity():
         return _diagonal_jacobian(X, -(np.asarray(idx) < basis.prefix_dim(0)).astype(float))
 
     F.jacobian = jacobian
+    F.affine = True
     return F
 
 
 def potential_nonlinearity(poly: Polynomial):
-    """F = grad of a polynomial potential in the leading eigencoordinates."""
+    """F = grad of a polynomial potential in the leading eigencoordinates
+    (affine for degree <= 2)."""
 
     def check(basis):
         if basis.dim < poly.nvars:
@@ -502,6 +512,7 @@ def potential_nonlinearity(poly: Polynomial):
         return J
 
     F.jacobian = jacobian
+    F.affine = poly.degree <= 2
     return F
 
 
@@ -542,7 +553,8 @@ def _embedding_indices(
 def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
     """The product map f x g on the direct sum of the operators.
 
-    Its Jacobian, present when both summands have one, is block diagonal.
+    Its Jacobian, present when both summands have one, is block diagonal;
+    it is affine when both summands are.
     """
     op = f.operator.direct_sum(g.operator)
     levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # level -> (ia, ib), built on first use
@@ -586,4 +598,5 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
         min_level=max(f.min_level, g.min_level),
         name=f"{f.name} x {g.name}",
         jacobian=jacobian,
+        affine=f.affine and g.affine,
     )

@@ -295,7 +295,8 @@ def local_map(spec: HamiltonianSpec, radius: float, *, name: Optional[str] = Non
 
     and the idx-block of the Jacobian is
     L[idx, idx] + w B_a[:, idx]^T hess R B_a[:, idx].  Only R is evaluated
-    on the grid, whose size M stays the alias-free size for deg H.
+    on the grid, whose size M stays the alias-free size for deg H.  With no
+    terms of degree >= 3 the map is affine.
     """
     op = loop_operator(spec.dof)
     poly = spec.potential
@@ -346,6 +347,7 @@ def local_map(spec: HamiltonianSpec, radius: float, *, name: Optional[str] = Non
         region=RegionSpec.ball(radius),
         name=name or f"hamiltonian(dof={spec.dof}, lambda={spec.lam:g})",
         jacobian=jacobian,
+        affine=not higher,
     )
 
 

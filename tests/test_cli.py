@@ -10,6 +10,8 @@ import eqdeg.cli
 import eqdeg.galerkin
 from eqdeg.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, EXIT_ZERO_DEGREE, main
 from eqdeg.errors import DegreeError
+from eqdeg.hamiltonian import HamiltonianSpec, quadratic_spectral_degree
+from eqdeg.polynomials import Polynomial
 from eqdeg.reps import ShellBasis
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -225,14 +227,39 @@ def test_selftest_deterministic_output(capsys):
     assert first == second
 
 
+def dof9_terms():
+    return [{"exps": [2 if j == i else 0 for j in range(18)], "coeff": 0.5} for i in range(18)]
+
+
 def test_dof9_hamiltonian_is_a_certification_failure(tmp_path, capsys):
-    # 18 constant-loop coordinates exceed the seed sampler's 16 dimensions
-    terms = [{"exps": [2 if j == i else 0 for j in range(18)], "coeff": 0.5} for i in range(18)]
+    # with a quartic term the field is not affine, and its 18 constant-loop
+    # coordinates exceed the seed sampler's 16 dimensions
+    terms = dof9_terms() + [{"exps": [4] + [0] * 17, "coeff": 0.05}]
     problem = dict(quadratic_problem(), dof=9, terms=terms)
     code = main(["compute", write(tmp_path, "p.json", problem)])
     assert code == EXIT_CERTIFICATION
     err = capsys.readouterr().err
     assert "certification failure (DimensionLimit)" in err
+
+
+def test_dof9_quadratic_hamiltonian_computes_the_closed_form(tmp_path, capsys):
+    # a quadratic Hamiltonian gives an affine field: one Newton start, no seed grid
+    problem = dict(quadratic_problem(), dof=9, terms=dof9_terms())
+    code = main(["compute", write(tmp_path, "p.json", problem)])
+    assert code == EXIT_OK
+    spec = HamiltonianSpec(9, Polynomial.from_json(18, problem["terms"]), problem["lambda"])
+    assert f"degree     : {quadratic_spectral_degree(spec)}\n" in capsys.readouterr().out
+
+
+def test_shell0_eigenvalue_is_an_input_error(tmp_path, capsys):
+    # 1e-13 is binned into shell 0, which the operator then rejects
+    spectrum = [(lam, 1, []) for lam in (0.0, 1e-13, 1.0, 2.0)]
+    problem = abstract_problem(spectrum, [{"exps": [2], "coeff": -0.5}], 1)
+    code = main(["compute", write(tmp_path, "p.json", problem)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "shell 0 may only contain eigenvalue 0, got 1e-13" in err
 
 
 def test_non_equivariant_potential_is_a_certification_failure(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ def test_ball_seed_grid_respects_spacing_and_membership():
     assert len(vals) == 18  # 17 grid points plus the center
     assert np.isclose(vals[0], -2.0) and np.isclose(vals[-1], 2.0)
     assert np.all(ball.metric_norm(seeds) <= 2.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_ball_seed_grid_rows_follow_the_product_order(dim):
+    ball = Ball(np.linspace(-0.2, 0.3, dim), 1.5, weights=np.linspace(1.0, 2.0, dim))
+    indices = list(range(dim))[::-1] if dim > 2 else list(range(dim))
+    per_axis = 2 * int(round(1.0 / 0.25)) + 1
+    axes = [
+        ball.center[i] + ball.radius / np.sqrt(ball.weights[i]) * np.linspace(-1.0, 1.0, per_axis)
+        for i in indices
+    ]
+    mesh = np.array(list(itertools.product(*axes)))
+    pts = np.tile(ball.center, (len(mesh), 1))
+    pts[:, indices] = mesh
+    expected = np.vstack([ball.center[None, :], pts[ball.metric_norm(pts) <= ball.radius]])
+    assert np.array_equal(ball.seed_points(indices, fraction=0.25), expected)
 
 
 def test_ball_seed_grid_falls_back_to_halton_in_high_dim():

@@ -392,6 +392,12 @@ def test_dedupe_pairs_at_the_tolerance():
 
 def test_seed_dimension_cliff_raises_a_typed_error():
     # 17 fixed coordinates need more Halton dimensions than the sampler has
-    fld = field_from_operator(EquivariantSymOp.scalar(Rep(17), 1.0))
+    fld = random_fixed_space_field(np.random.default_rng(0), 17)
     with pytest.raises(DimensionLimit):
         grad_degree(fld)
+
+
+def test_affine_field_has_no_seed_dimension_cliff():
+    # a linear field needs no seed grid, so 17 fixed coordinates are fine
+    op = EquivariantSymOp(Rep(17), np.diag([-1.0] * 9 + [2.0] * 8))
+    assert grad_degree(field_from_operator(op)) == -ONE == linear_degree(op)

@@ -427,3 +427,48 @@ def test_newton_on_an_everywhere_singular_exact_jacobian_finds_off_space_zeros()
     assert fld.jacobian is not None
     with pytest.raises(ZeroOutsideFixedSpace):
         grad_degree(fld)
+
+
+def test_batched_hessians_match_the_per_zero_ones():
+    # one Jacobian call over all zeros: exact Jacobians give the same blocks,
+    # central differences the same to 1e-9
+    for fld, exact in (
+        (shell_field(CORPUS["abstract-a"].build(), 1), True),
+        (random_fixed_space_field(np.random.default_rng(4), 3), False),
+    ):
+        _, zeros = grad_degree(fld, return_zeros=True)
+        assert len(zeros) > 1
+        batched = finite_degree._full_jacobians(fld, zeros)
+        for z, J in zip(zeros, batched):
+            one = finite_degree._hessian_op(finite_degree._full_jacobians(fld, z[None])[0], fld.layout)
+            many = finite_degree._hessian_op(J, fld.layout)
+            gap = np.max(np.abs(one.trivial_block - many.trivial_block), initial=0.0)
+            for k, blk in one.mode_blocks.items():
+                gap = max(gap, float(np.max(np.abs(blk - many.mode_blocks[k]))))
+            assert gap == 0.0 if exact else gap <= 1e-9
+
+
+def test_hessians_at_27_zeros_take_two_evaluations(monkeypatch):
+    fld = random_fixed_space_field(np.random.default_rng(4), 3)  # three double wells
+    assert fld.jacobian is None
+    hessian_calls = []
+    inside = []
+    original = finite_degree._fd_jacobian
+
+    def fd(fld, X, idx, step=1e-6):
+        inside.append(step == 1e-5)
+        try:
+            return original(fld, X, idx, step=step)
+        finally:
+            inside.pop()
+
+    def value(X, inner=fld.value):
+        if inside and inside[-1]:
+            hessian_calls.append(len(X))
+        return inner(X)
+
+    fld.value = value
+    monkeypatch.setattr(finite_degree, "_fd_jacobian", fd)
+    _, zeros = grad_degree(fld, return_zeros=True)
+    assert len(zeros) == 27
+    assert hessian_calls == [3 * 27, 3 * 27]
