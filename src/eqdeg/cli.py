@@ -77,39 +77,42 @@ def _parse_group(data: dict):
     raise InputError(f"unrecognized group {group!r}")
 
 
+def _number(raw, name: str, *, integer: bool = False):
+    """A numeric field: an integer >= 1 when ``integer``, else a finite
+    number > 0; anything else, JSON true and false included, is an InputError."""
+    if type(raw) is int or (type(raw) is float and not integer):
+        if (raw >= 1) if integer else (0 < raw <= sys.float_info.max):
+            return raw
+    kind = "an integer >= 1" if integer else "a finite number > 0"
+    raise InputError(f"{name} must be {kind}, got {raw!r}")
+
+
 def _parse_truncation(data: dict, override: Optional[str]):
     raw = override if override is not None else data.get("truncation", "auto")
     if raw == "auto":
         return "auto"
-    try:
-        level = int(raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"truncation must be 'auto' or an integer, got {raw!r}") from exc
-    if level < 1:
-        raise InputError("truncation level must be >= 1")
-    return level
+    if override is not None and override.isdecimal():
+        raw = int(override)
+    return _number(raw, "truncation", integer=True)
 
 
 def _parse_budget(data: dict) -> Optional[int]:
     budget = data.get("sampling_budget")
-    if budget is not None and (type(budget) is not int or budget < 1):
-        raise InputError(f"sampling_budget must be an integer >= 1, got {budget!r}")
-    return budget
+    return None if budget is None else _number(budget, "sampling_budget", integer=True)
 
 
 def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tuple[LocalMapSpec, dict]:
     """Construct the local map described by a problem dictionary."""
     kind = _require(data, "kind")
     _parse_group(data)
-    radius = float(radius_override if radius_override is not None else data.get("radius", 1.0))
-    if radius <= 0:
-        raise InputError("radius must be positive")
+    raw_radius = radius_override if radius_override is not None else data.get("radius", 1.0)
+    radius = float(_number(raw_radius, "radius"))
     meta = {"kind": kind, "group": "S1", "radius": radius}
 
     if kind == "hamiltonian":
-        dof = int(_require(data, "dof"))
+        dof = _number(_require(data, "dof"), "dof", integer=True)
         terms = _require(data, "terms")
-        lam = float(_require(data, "lambda"))
+        lam = float(_number(_require(data, "lambda"), "lambda"))
         try:
             spec = HamiltonianSpec(
                 dof, Polynomial.from_json(2 * dof, terms), lam
@@ -184,14 +187,9 @@ def _run_checks(lm: LocalMapSpec, result, seed: int, budget: Optional[int]) -> d
         "pass" if all(v == result.value for v in result.stabilization) else "fail"
     )
     try:
-        shrunk = RegionSpec.ball(0.9 * lm.region.balls[0].radius) if isinstance(
-            lm.region, RegionSpec
-        ) else None
-        if shrunk is None:
-            checks["restriction_consistency"] = "skipped (composite region)"
-        else:
-            inner = deg_infinite(lm.with_region(shrunk), seed=seed, budget=budget)
-            checks["restriction_consistency"] = "pass" if inner.value == result.value else "fail"
+        shrunk = RegionSpec.ball(0.9 * lm.region.balls[0].radius)
+        inner = deg_infinite(lm.with_region(shrunk), seed=seed, budget=budget)
+        checks["restriction_consistency"] = "pass" if inner.value == result.value else "fail"
     except DegreeError as exc:
         checks["restriction_consistency"] = f"skipped ({type(exc).__name__})"
     return checks

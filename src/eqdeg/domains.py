@@ -20,11 +20,12 @@ from .errors import DimensionLimit
 
 _SEED_CAP = 20000
 _HALTON_COUNT = 4096
+_HALTON_SKIP = 20  # leading indices left out of every Halton set
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 @functools.lru_cache(maxsize=None)
-def _halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
+def _halton(count: int, dims: int) -> np.ndarray:
     """Deterministic low-discrepancy points in the unit cube, as a read-only
     array built once per argument set.
 
@@ -38,7 +39,7 @@ def _halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
     out = np.empty((count, dims))
     for j in range(dims):
         base = _PRIMES[j]
-        n = np.arange(skip + 1, skip + 1 + count)
+        n = np.arange(_HALTON_SKIP + 1, _HALTON_SKIP + 1 + count)
         f, x = 1.0, np.zeros(count)
         while n.any():
             f /= base
@@ -47,6 +48,26 @@ def _halton(count: int, dims: int, skip: int = 20) -> np.ndarray:
         out[:, j] = x
     out.setflags(write=False)
     return out
+
+
+def _rejection_sample(draw, accept, count: int, tries: int) -> list[np.ndarray]:
+    """Up to ``count`` accepted candidates, as the chunks kept from each draw.
+
+    Each try draws max(4 * need, 16) candidates, need being the number still
+    missing, and keeps the first ``need`` that ``accept`` marks; after
+    ``tries`` draws the chunks kept so far are returned, maybe none.
+    """
+    got: list[np.ndarray] = []
+    need = count
+    for _ in range(tries):
+        cand = draw(max(need * 4, 16))
+        sel = cand[accept(cand)]
+        if len(sel):
+            got.append(sel[:need])
+            need -= len(sel[:need])
+        if need <= 0:
+            break
+    return got
 
 
 class Ball:
@@ -100,7 +121,7 @@ class Ball:
         idx = np.asarray(indices, dtype=int)
         return Ball(self.center[idx], self.radius, self.weights[idx])
 
-    def seed_points(self, indices: Sequence[int], fraction: float = 0.125) -> np.ndarray:
+    def seed_points(self, indices: Sequence[int], fraction: float) -> np.ndarray:
         """Deterministic grid of Newton seeds on the given coordinate axes.
 
         Spacing is ``fraction * radius`` in the ball metric.  When the full
@@ -157,23 +178,15 @@ class ShellDomain:
         )
 
     def interior_samples(self, count: int, rng) -> np.ndarray:
-        got: list[np.ndarray] = []
-        need = count
-        for _ in range(200):
-            cand = self.outer.interior_samples(max(need * 4, 16), rng)
-            sel = cand[self.contains(cand)]
-            if len(sel):
-                got.append(sel[:need])
-                need -= len(sel[:need])
-            if need <= 0:
-                break
+        draw = lambda m: self.outer.interior_samples(m, rng)
+        got = _rejection_sample(draw, self.contains, count, 200)
         return np.vstack(got) if got else np.zeros((0, self.dim))
 
     def section(self, indices) -> "ShellDomain":
         inner = self.inner.section(indices)
         return ShellDomain(inner.center, inner.radius, self.outer.radius, inner.weights)
 
-    def seed_points(self, indices, fraction: float = 0.125) -> np.ndarray:
+    def seed_points(self, indices, fraction: float) -> np.ndarray:
         pts = self.outer.seed_points(indices, fraction)
         keep = np.atleast_1d(self.contains(pts))
         kept = pts[keep]
@@ -229,7 +242,7 @@ class UnionDomain:
     def section(self, indices) -> "UnionDomain":
         return UnionDomain([b.section(indices) for b in self.parts])
 
-    def seed_points(self, indices, fraction: float = 0.125) -> np.ndarray:
+    def seed_points(self, indices, fraction: float) -> np.ndarray:
         return np.vstack([b.seed_points(indices, fraction) for b in self.parts])
 
 
@@ -258,41 +271,25 @@ class IntersectionDomain:
     def boundary_samples(self, count: int, rng) -> np.ndarray:
         # The boundary lies on the union of the spheres; keep sphere points
         # that the other balls accept.
-        out = []
+        out: list[np.ndarray] = []
         share = max(1, count // len(self.parts))
         for i, b in enumerate(self.parts):
-            got: list[np.ndarray] = []
-            need = share
-            for _ in range(60):
-                cand = b.boundary_samples(max(need * 4, 16), rng)
+            others = self.parts[:i] + self.parts[i + 1:]
+
+            def accept(cand):
                 mask = np.ones(len(cand), dtype=bool)
-                for j, other in enumerate(self.parts):
-                    if j != i:
-                        mask &= other.metric_norm(cand) <= other.radius
-                sel = cand[mask]
-                if len(sel):
-                    got.append(sel[:need])
-                    need -= len(sel[:need])
-                if need <= 0:
-                    break
-            if got:
-                out.append(np.vstack(got))
+                for other in others:
+                    mask &= other.metric_norm(cand) <= other.radius
+                return mask
+
+            out += _rejection_sample(lambda m: b.boundary_samples(m, rng), accept, share, 60)
         if not out:
             raise ValueError("could not sample the boundary of the intersection")
         return np.vstack(out)
 
     def interior_samples(self, count: int, rng) -> np.ndarray:
-        got: list[np.ndarray] = []
-        need = count
-        for _ in range(200):
-            cand = self.parts[0].interior_samples(max(need * 4, 16), rng)
-            mask = self.contains(cand)
-            sel = cand[mask]
-            if len(sel):
-                got.append(sel[:need])
-                need -= len(sel[:need])
-            if need <= 0:
-                break
+        draw = lambda m: self.parts[0].interior_samples(m, rng)
+        got = _rejection_sample(draw, self.contains, count, 200)
         if not got:
             raise ValueError("intersection appears to have empty interior")
         return np.vstack(got)
@@ -300,7 +297,7 @@ class IntersectionDomain:
     def section(self, indices) -> "IntersectionDomain":
         return IntersectionDomain([b.section(indices) for b in self.parts])
 
-    def seed_points(self, indices, fraction: float = 0.125) -> np.ndarray:
+    def seed_points(self, indices, fraction: float) -> np.ndarray:
         pts = self.parts[0].seed_points(indices, fraction)
         keep = np.ones(len(pts), dtype=bool)
         for b in self.parts[1:]:
@@ -377,7 +374,7 @@ class ProductDomain:
         at_a, sub_a, at_b, sub_b = self._split_indices(indices)
         return ProductDomain(at_a, self.da.section(sub_a), at_b, self.db.section(sub_b))
 
-    def seed_points(self, indices, fraction: float = 0.125) -> np.ndarray:
+    def seed_points(self, indices, fraction: float) -> np.ndarray:
         _, sub_a, _, sub_b = self._split_indices(indices)
         seeds_a = self.da.seed_points(sub_a, fraction)
         seeds_b = self.db.seed_points(sub_b, fraction)

@@ -121,23 +121,17 @@ def field_from_operator(op: EquivariantSymOp, radius: float = 1.0) -> GradientFi
 
 
 def _full_matrix(op: EquivariantSymOp, lay: Layout) -> np.ndarray:
-    d = lay.size
-    mat = np.zeros((d, d))
-    t = list(lay.trivial)
-    if t:
-        mat[np.ix_(t, t)] = op.trivial_block
-    by_mode: dict[int, list[int]] = {}
-    for k, i in lay.pairs:
-        by_mode.setdefault(k, []).append(i)
-    for k, bases in by_mode.items():
+    """The matrix of a blockwise operator: mode-k entry a + ib becomes [[a, -b], [b, a]]."""
+    mat = np.zeros((lay.size, lay.size))
+    t = np.asarray(lay.trivial, dtype=int)
+    mat[np.ix_(t, t)] = op.trivial_block
+    for k, b in lay.planes.items():
         blk = op.mode_blocks[k]
-        for a, ia in enumerate(bases):
-            for b, ib in enumerate(bases):
-                al, be = blk[a, b].real, blk[a, b].imag
-                mat[ia, ib] += al
-                mat[ia + 1, ib + 1] += al
-                mat[ia, ib + 1] += -be
-                mat[ia + 1, ib] += be
+        r = b[:, None]
+        mat[r, b] += blk.real
+        mat[r + 1, b + 1] += blk.real
+        mat[r, b + 1] += -blk.imag
+        mat[r + 1, b] += blk.imag
     return mat
 
 
@@ -328,26 +322,19 @@ def _scan_off_space_zeros(fld: GradientField, rng: np.random.Generator, *, probe
 def blocks_from_matrix(S: np.ndarray, layout: Layout) -> EquivariantSymOp:
     """Extract the isotypic blocks of a symmetric equivariant matrix.
 
-    The complex-linear part of each rotation-plane sub-block is taken, so
-    finite-difference noise in the anti-equivariant directions is averaged
-    away.
+    Mode-k entry (a, b) is the complex-linear part of the 2x2 sub-block of
+    planes a and b of ``layout.planes[k]``, so finite-difference noise in
+    the anti-equivariant directions is averaged away.
     """
-    tidx = list(layout.trivial)
-    trivial = S[np.ix_(tidx, tidx)] if tidx else np.zeros((0, 0))
+    t = np.asarray(layout.trivial, dtype=int)
+    trivial = S[np.ix_(t, t)]
     trivial = 0.5 * (trivial + trivial.T)
-    by_mode: dict[int, list[int]] = {}
-    for k, i in layout.pairs:
-        by_mode.setdefault(k, []).append(i)
     blocks = {}
-    for k, bases in by_mode.items():
-        n = len(bases)
-        blk = np.empty((n, n), dtype=complex)
-        for a, ia in enumerate(bases):
-            for b, ib in enumerate(bases):
-                sub = S[np.ix_([ia, ia + 1], [ib, ib + 1])]
-                blk[a, b] = complex(
-                    0.5 * (sub[0, 0] + sub[1, 1]), 0.5 * (sub[1, 0] - sub[0, 1])
-                )
+    for k, b in layout.planes.items():
+        r = b[:, None]
+        blk = np.empty((len(b), len(b)), dtype=complex)
+        blk.real = 0.5 * (S[r, b] + S[r + 1, b + 1])
+        blk.imag = 0.5 * (S[r + 1, b] - S[r, b + 1])
         blocks[k] = 0.5 * (blk + blk.conj().T)
     return EquivariantSymOp(layout.rep(), trivial, blocks)
 
@@ -667,7 +654,7 @@ def orbit_normal_form_field(o: OrbitNormalForm) -> GradientField:
         )
 
     k = o.isotropy.index
-    base = next(i for kk, i in lay.pairs if kk == k)
+    base = int(lay.planes[k][0])
     plane = [base, base + 1]
 
     def value(X):

@@ -27,7 +27,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -280,7 +280,7 @@ def hamiltonian_gradient(spec: HamiltonianSpec, state: LoopState) -> LoopState:
     return coords_to_state(grad, basis, spec.dof)
 
 
-def local_map(spec: HamiltonianSpec, radius: float, *, name: Optional[str] = None) -> LocalMapSpec:
+def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
     """The local map f(z) = Az - lambda grad H(z) on a graph-norm ball,
     with the exact Jacobian of its nonlinearity.
 
@@ -345,7 +345,7 @@ def local_map(spec: HamiltonianSpec, radius: float, *, name: Optional[str] = Non
         operator=op,
         nonlinearity=nonlinearity,
         region=RegionSpec.ball(radius),
-        name=name or f"hamiltonian(dof={spec.dof}, lambda={spec.lam:g})",
+        name=f"hamiltonian(dof={spec.dof}, lambda={spec.lam:g})",
         jacobian=jacobian,
         affine=not higher,
     )

@@ -13,8 +13,10 @@ space V_n (shells 0 .. n), which every truncation at level n shares.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -92,26 +94,37 @@ class Layout:
 
     ``trivial`` lists the fixed (trivial-action) coordinate indices, and
     ``pairs`` lists (mode k, base index) for each rotation plane occupying
-    coordinates (base, base+1).
+    coordinates (base, base+1).  ``planes`` groups the pairs by mode; every
+    reader of the plane structure gathers or scatters through it.
     """
 
     size: int
     trivial: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
 
+    @functools.cached_property
+    def planes(self) -> Mapping[int, np.ndarray]:
+        """Mode k -> read-only int array of the base indices of its planes,
+        modes ascending and each mode's planes in their order in ``pairs``."""
+        pairs = np.array(self.pairs, dtype=int).reshape(-1, 2)
+        out = {}
+        for k in sorted({k for k, _ in self.pairs}):
+            bases = pairs[pairs[:, 0] == k, 1]
+            bases.setflags(write=False)
+            out[k] = bases
+        return MappingProxyType(out)
+
     def rep(self) -> Rep:
-        counts: dict[int, int] = {}
-        for k, _ in self.pairs:
-            counts[k] = counts.get(k, 0) + 1
-        return Rep(len(self.trivial), tuple(counts.items()))
+        return Rep(len(self.trivial), tuple((k, len(b)) for k, b in self.planes.items()))
 
     def rotate(self, theta: float, x: np.ndarray) -> np.ndarray:
         """Apply the group element theta; acts on single vectors or batches."""
         out = np.array(x, dtype=float, copy=True)
-        for k, i in self.pairs:
-            c, s = math.cos(k * theta), math.sin(k * theta)
-            u = out[..., i].copy()
-            v = out[..., i + 1].copy()
+        if self.pairs:
+            i = np.concatenate(list(self.planes.values()))
+            angle = theta * np.concatenate([np.full(len(b), k) for k, b in self.planes.items()])
+            c, s = np.cos(angle), np.sin(angle)
+            u, v = out[..., i], out[..., i + 1]
             out[..., i] = c * u - s * v
             out[..., i + 1] = s * u + c * v
         return out

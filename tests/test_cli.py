@@ -166,6 +166,57 @@ def test_bad_sampling_budget_is_input_error(tmp_path, capsys, budget):
     assert "input error: sampling_budget must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dof", "x", "dof must be an integer >= 1, got 'x'"),
+        ("dof", 1.7, "dof must be an integer >= 1, got 1.7"),
+        ("dof", 0, "dof must be an integer >= 1, got 0"),
+        ("lambda", "abc", "lambda must be a finite number > 0, got 'abc'"),
+        ("lambda", True, "lambda must be a finite number > 0, got True"),
+        ("radius", "big", "radius must be a finite number > 0, got 'big'"),
+        ("radius", float("nan"), "radius must be a finite number > 0, got nan"),
+        ("radius", float("inf"), "radius must be a finite number > 0, got inf"),
+        ("radius", True, "radius must be a finite number > 0, got True"),
+        ("radius", 10**400, "radius must be a finite number > 0, got 1000"),
+        ("radius", -1.0, "radius must be a finite number > 0, got -1.0"),
+        ("truncation", 2.9, "truncation must be an integer >= 1, got 2.9"),
+        ("truncation", True, "truncation must be an integer >= 1, got True"),
+        ("truncation", "3", "truncation must be an integer >= 1, got '3'"),
+    ],
+)
+def test_bad_scalar_field_is_input_error(tmp_path, capsys, field, value, message):
+    # json writes nan and inf as the NaN and Infinity that json.load reads back
+    problem = dict(quadratic_problem(), **{field: value})
+    assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--radius", "nan", "radius must be a finite number > 0, got nan"),
+        ("--radius", "inf", "radius must be a finite number > 0, got inf"),
+        ("--radius", "0", "radius must be a finite number > 0, got 0.0"),
+        ("--truncation", "0", "truncation must be an integer >= 1, got 0"),
+        ("--truncation", "2.5", "truncation must be an integer >= 1, got '2.5'"),
+    ],
+)
+def test_bad_scalar_option_is_input_error(tmp_path, capsys, option, value, message):
+    src = write(tmp_path, "p.json", quadratic_problem())
+    assert main(["compute", src, option, value]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_integer_radius_and_lambda_are_reported_as_floats(tmp_path):
+    out = tmp_path / "report.json"
+    problem = dict(quadratic_problem(), radius=1, **{"lambda": 0.5})
+    assert main(["compute", write(tmp_path, "p.json", problem), "--json", str(out)]) == EXIT_OK
+    meta = json.loads(out.read_text())["problem"]
+    assert meta == {"kind": "hamiltonian", "group": "S1", "radius": 1.0, "dof": 1, "lambda": 0.5}
+    assert isinstance(meta["radius"], float)
+
+
 def test_invalid_json_is_input_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

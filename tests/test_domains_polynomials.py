@@ -134,6 +134,120 @@ def test_shell_domain_excludes_core():
     assert np.all((r > 0.5) & (r < 1.5))
 
 
+# The draw-and-keep loops that the shared rejection sampler replaced.
+
+
+def shell_interior_loop(dom, count, rng):
+    got = []
+    need = count
+    for _ in range(200):
+        cand = dom.outer.interior_samples(max(need * 4, 16), rng)
+        sel = cand[dom.contains(cand)]
+        if len(sel):
+            got.append(sel[:need])
+            need -= len(sel[:need])
+        if need <= 0:
+            break
+    return np.vstack(got) if got else np.zeros((0, dom.dim))
+
+
+def intersection_interior_loop(dom, count, rng):
+    got = []
+    need = count
+    for _ in range(200):
+        cand = dom.parts[0].interior_samples(max(need * 4, 16), rng)
+        sel = cand[dom.contains(cand)]
+        if len(sel):
+            got.append(sel[:need])
+            need -= len(sel[:need])
+        if need <= 0:
+            break
+    if not got:
+        raise ValueError("intersection appears to have empty interior")
+    return np.vstack(got)
+
+
+def intersection_boundary_loop(dom, count, rng):
+    out = []
+    share = max(1, count // len(dom.parts))
+    for i, b in enumerate(dom.parts):
+        got = []
+        need = share
+        for _ in range(60):
+            cand = b.boundary_samples(max(need * 4, 16), rng)
+            mask = np.ones(len(cand), dtype=bool)
+            for j, other in enumerate(dom.parts):
+                if j != i:
+                    mask &= other.metric_norm(cand) <= other.radius
+            sel = cand[mask]
+            if len(sel):
+                got.append(sel[:need])
+                need -= len(sel[:need])
+            if need <= 0:
+                break
+        if got:
+            out.append(np.vstack(got))
+    if not out:
+        raise ValueError("could not sample the boundary of the intersection")
+    return np.vstack(out)
+
+
+def lens(dim, gap):
+    """Two unit balls whose centers are ``gap`` apart along the first axis."""
+    shift = np.zeros(dim)
+    shift[0] = gap / 2
+    return IntersectionDomain([Ball(-shift, 1.0), Ball(shift, 1.0, np.linspace(1.0, 2.0, dim))])
+
+
+SAMPLER_CASES = [
+    ("shell interior", ShellDomain(np.zeros(3), 0.5, 1.5), ShellDomain.interior_samples, shell_interior_loop),
+    ("thin shell interior", ShellDomain(np.zeros(6), 0.99, 1.0), ShellDomain.interior_samples, shell_interior_loop),
+    ("empty shell interior", ShellDomain(np.zeros(8), 1.0, 1.0 + 1e-9), ShellDomain.interior_samples, shell_interior_loop),
+    ("lens interior", lens(3, 1.0), IntersectionDomain.interior_samples, intersection_interior_loop),
+    ("thin lens interior", lens(4, 1.9), IntersectionDomain.interior_samples, intersection_interior_loop),
+    ("lens boundary", lens(3, 1.0), IntersectionDomain.boundary_samples, intersection_boundary_loop),
+    ("thin lens boundary", lens(5, 1.6), IntersectionDomain.boundary_samples, intersection_boundary_loop),
+    ("one-ball boundary", IntersectionDomain([Ball([0.3, 0.0], 0.7)]), IntersectionDomain.boundary_samples, intersection_boundary_loop),
+    ("disjoint lens boundary", lens(2, 2.5), IntersectionDomain.boundary_samples, intersection_boundary_loop),
+    ("three-ball interior", IntersectionDomain([Ball([0.0, 0.0], 1.0), Ball([0.8, 0.0], 1.0), Ball([0.4, 0.6], 1.0)]), IntersectionDomain.interior_samples, intersection_interior_loop),
+]
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES, ids=[c[0] for c in SAMPLER_CASES])
+@pytest.mark.parametrize("seed", [0, 7, 301])
+def test_rejection_samples_are_bit_identical_to_the_former_loops(case, seed):
+    _, dom, method, loop = case
+
+    def outcome(sample, rng, count):
+        try:
+            out = sample(dom, count, rng)
+            return out.shape, out.tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    for count in (1, 5, 64, 500):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert outcome(method, rng_a, count) == outcome(loop, rng_b, count)
+        assert rng_a.random() == rng_b.random()  # the same number of draws
+
+
+def test_rejection_sampler_keeps_each_empty_result():
+    rng = np.random.default_rng(0)
+    empty = ShellDomain(np.zeros(8), 1.0, 1.0 + 1e-9).interior_samples(10, rng)
+    assert empty.shape == (0, 8)
+    apart = IntersectionDomain([Ball([-2.0, 0.0], 1.0), Ball([2.0, 0.0], 1.0)])
+    with pytest.raises(ValueError, match="empty interior"):
+        apart.interior_samples(10, rng)
+    with pytest.raises(ValueError, match="could not sample the boundary"):
+        apart.boundary_samples(10, rng)
+
+
+def test_one_ball_intersection_keeps_every_candidate():
+    ball = Ball([0.3, -0.2, 0.1], 0.7, [1.0, 2.0, 3.0])
+    got = IntersectionDomain([ball]).boundary_samples(40, np.random.default_rng(5))
+    assert np.array_equal(got, ball.boundary_samples(160, np.random.default_rng(5))[:40])
+
+
 def test_product_domain_split_and_samples():
     dom = ProductDomain([0, 2], Ball(np.zeros(2), 1.0), [1], Ball([0.0], 0.5))
     assert dom.contains(np.array([0.5, 0.2, 0.5]))
