@@ -281,8 +281,16 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not failed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, an input error: argparse's own 2 means zero degree here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eqdeg",
         description="Equivariant gradient degree computations with stabilization diagnostics",
     )

@@ -4,8 +4,10 @@ A ball may carry per-coordinate weights so that ellipsoids (for instance
 graph-norm balls over an eigencoordinate basis) are expressed in plain
 coordinates.  Degree computations only need membership tests, boundary
 samples and interior seed points, so unions, intersections and products
-are supported through that interface.  ``section(indices)`` restricts a
-domain to the coordinate subspace on the given axes, through the center.
+are supported through that interface.  ``section(indices)``, the one way
+to restrict a domain, cuts it to the coordinate subspace on the given axes
+through the center; ``seed_points(fraction)`` seeds every axis of its own
+domain, and ``contains`` maps an (m, d) batch to (m,) booleans.
 """
 
 from __future__ import annotations
@@ -99,8 +101,7 @@ class Ball:
         return np.sqrt(np.sum(self.weights * d * d, axis=-1))
 
     def contains(self, x: np.ndarray) -> np.ndarray:
-        r = self.metric_norm(x) < self.radius
-        return r if np.asarray(x).ndim > 1 else bool(r[0])
+        return self.metric_norm(x) < self.radius
 
     def boundary_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
         if self.dim == 0:
@@ -121,31 +122,23 @@ class Ball:
         idx = np.asarray(indices, dtype=int)
         return Ball(self.center[idx], self.radius, self.weights[idx])
 
-    def seed_points(self, indices: Sequence[int], fraction: float) -> np.ndarray:
-        """Deterministic grid of Newton seeds on the given coordinate axes.
+    def seed_points(self, fraction: float) -> np.ndarray:
+        """Deterministic grid of Newton seeds, the center first.
 
         Spacing is ``fraction * radius`` in the ball metric.  When the full
         grid would be unreasonably large the grid is replaced by a Halton
         set of the same coverage, capped in size.
         """
-        indices = list(indices)
-        if not indices:
+        if not self.dim:
             return self.center[None, :].copy()
         per_axis = 2 * int(round(1.0 / fraction)) + 1
-        half = self.radius / np.sqrt(self.weights[indices])
-        if per_axis ** len(indices) <= _SEED_CAP:
-            axes = [
-                self.center[i] + h * np.linspace(-1.0, 1.0, per_axis)
-                for i, h in zip(indices, half)
-            ]
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        half = self.radius / np.sqrt(self.weights)
+        if per_axis**self.dim <= _SEED_CAP:
+            axes = [c + h * np.linspace(-1.0, 1.0, per_axis) for c, h in zip(self.center, half)]
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         else:
-            u = _halton(_HALTON_COUNT, len(indices))
-            mesh = self.center[indices] + (2.0 * u - 1.0) * half
-        pts = np.tile(self.center, (len(mesh), 1))
-        pts[:, indices] = mesh
-        keep = self.metric_norm(pts) <= self.radius
-        pts = pts[keep]
+            pts = self.center + (2.0 * _halton(_HALTON_COUNT, self.dim) - 1.0) * half
+        pts = pts[self.metric_norm(pts) <= self.radius]
         return np.vstack([self.center[None, :], pts])
 
 
@@ -168,8 +161,7 @@ class ShellDomain:
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         r = self.outer.metric_norm(x)
-        res = (self.inner.radius < r) & (r < self.outer.radius)
-        return res if np.asarray(x).ndim > 1 else bool(res[0])
+        return (self.inner.radius < r) & (r < self.outer.radius)
 
     def boundary_samples(self, count: int, rng) -> np.ndarray:
         half = max(1, count // 2)
@@ -186,17 +178,12 @@ class ShellDomain:
         inner = self.inner.section(indices)
         return ShellDomain(inner.center, inner.radius, self.outer.radius, inner.weights)
 
-    def seed_points(self, indices, fraction: float) -> np.ndarray:
-        pts = self.outer.seed_points(indices, fraction)
-        keep = np.atleast_1d(self.contains(pts))
-        kept = pts[keep]
-        if not len(kept):
+    def seed_points(self, fraction: float) -> np.ndarray:
+        pts = self.outer.seed_points(fraction)
+        kept = pts[self.contains(pts)]
+        if not len(kept):  # a point midway across the shell on the first axis, if any
             mid = self.outer.center.copy()
-            if len(list(indices)):
-                i = list(indices)[0]
-                mid[i] += 0.5 * (self.inner.radius + self.outer.radius) / np.sqrt(
-                    self.outer.weights[i]
-                )
+            mid[:1] += 0.5 * (self.inner.radius + self.outer.radius) / np.sqrt(self.outer.weights[:1])
             kept = mid[None, :]
         return kept
 
@@ -242,8 +229,8 @@ class UnionDomain:
     def section(self, indices) -> "UnionDomain":
         return UnionDomain([b.section(indices) for b in self.parts])
 
-    def seed_points(self, indices, fraction: float) -> np.ndarray:
-        return np.vstack([b.seed_points(indices, fraction) for b in self.parts])
+    def seed_points(self, fraction: float) -> np.ndarray:
+        return np.vstack([b.seed_points(fraction) for b in self.parts])
 
 
 class IntersectionDomain:
@@ -297,8 +284,8 @@ class IntersectionDomain:
     def section(self, indices) -> "IntersectionDomain":
         return IntersectionDomain([b.section(indices) for b in self.parts])
 
-    def seed_points(self, indices, fraction: float) -> np.ndarray:
-        pts = self.parts[0].seed_points(indices, fraction)
+    def seed_points(self, fraction: float) -> np.ndarray:
+        pts = self.parts[0].seed_points(fraction)
         keep = np.ones(len(pts), dtype=bool)
         for b in self.parts[1:]:
             keep &= b.metric_norm(pts) <= b.radius
@@ -339,8 +326,7 @@ class ProductDomain:
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         xa, xb = self._split(x)
-        r = np.atleast_1d(self.da.contains(xa)) & np.atleast_1d(self.db.contains(xb))
-        return r if np.asarray(x).ndim > 1 else bool(r[0])
+        return self.da.contains(xa) & self.db.contains(xb)
 
     def boundary_samples(self, count: int, rng) -> np.ndarray:
         half = max(1, count // 2)
@@ -374,15 +360,15 @@ class ProductDomain:
         at_a, sub_a, at_b, sub_b = self._split_indices(indices)
         return ProductDomain(at_a, self.da.section(sub_a), at_b, self.db.section(sub_b))
 
-    def seed_points(self, indices, fraction: float) -> np.ndarray:
-        _, sub_a, _, sub_b = self._split_indices(indices)
-        seeds_a = self.da.seed_points(sub_a, fraction)
-        seeds_b = self.db.seed_points(sub_b, fraction)
-        if len(seeds_a) * len(seeds_b) > _SEED_CAP:
-            na = max(1, int(np.sqrt(_SEED_CAP * len(seeds_a) / max(len(seeds_b), 1))))
-            nb = max(1, _SEED_CAP // max(na, 1))
-            seeds_a = seeds_a[:na]
-            seeds_b = seeds_b[:nb]
-        xa = np.repeat(seeds_a, len(seeds_b), axis=0)
-        xb = np.tile(seeds_b, (len(seeds_a), 1))
-        return self._join(xa, xb)
+    def seed_points(self, fraction: float) -> np.ndarray:
+        """Every pair of the factors' seeds while there are at most _SEED_CAP
+        pairs; beyond that, the _HALTON_COUNT pairs that the 2-D Halton set
+        picks, which spread over both factors' seeds."""
+        seeds_a = self.da.seed_points(fraction)
+        seeds_b = self.db.seed_points(fraction)
+        counts = (len(seeds_a), len(seeds_b))
+        if counts[0] * counts[1] <= _SEED_CAP:
+            pick = np.indices(counts).reshape(2, -1)
+        else:
+            pick = (_halton(_HALTON_COUNT, 2) * counts).astype(int).T
+        return self._join(seeds_a[pick[0]], seeds_b[pick[1]])

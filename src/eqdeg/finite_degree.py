@@ -5,9 +5,11 @@ the fixed-point space is the sum over those zeros of the closed-form
 degree of the Hessian: a sign from the Morse index on the fixed space and
 one first-order coefficient per rotation mode (higher products vanish by
 nilpotency of the mode classes).  Zeros are located by batched multi-start
-damped Newton from a deterministic seed grid, which evaluates each point
-once.  A field's one derivative source, for Newton steps and Hessians at
-zeros alike, is its exact Jacobian or else central differences.
+damped Newton, which evaluates each point once, on ``fixed_space_field``:
+the field restricted to its trivial coordinates and to its domain's
+section there, seeded by that section's deterministic grid.  A field's
+one derivative source, for Newton steps and Hessians at zeros alike, is
+its exact Jacobian or else central differences.
 Equivariance is spot-checked, and zeros off the fixed-point space are found
 by randomized full-space probes and rejected, since slice linearization
 around free orbits is out of scope.  A field declared affine with a
@@ -15,8 +17,8 @@ nonsingular Jacobian has one zero, in the fixed space, which Newton finds
 from the origin with no seed grid or probe (AffinityFailure if it is not).
 
 An independent Brouwer-degree oracle (zero enumeration plus the sign of
-the finite-difference Jacobian determinant) provides the verification
-channel for the fixed-space coefficient.
+the finite-difference Jacobian determinant) on the same fixed_space_field
+provides the verification channel for the fixed-space coefficient.
 """
 
 from __future__ import annotations
@@ -166,6 +168,12 @@ def _fd_jacobian(fld: GradientField, X: np.ndarray, idx, step: float = 1e-6) -> 
     return ((Fp - Fm) / (2 * h)[:, None]).transpose(1, 2, 0)
 
 
+def _full_jacobians(fld: GradientField, X: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """The (m, dim, dim) Jacobians at an (m, dim) batch, from one call."""
+    idx = list(range(X.shape[1]))
+    return fld.jacobian(X, idx) if fld.jacobian is not None else _fd_jacobian(fld, X, idx, step)
+
+
 def _solve_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     steps = np.empty_like(F)
     # |det J| against Hadamard's bound, the product of the row norms: a
@@ -188,16 +196,16 @@ def _solve_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _newton_batch(
     fld: GradientField,
     seeds: np.ndarray,
-    idx: list[int],
     *,
     max_iter: int = NEWTON_MAX_ITER,
     scale: float = 1.0,
 ) -> np.ndarray:
-    """Damped Newton on the coordinates in idx; returns converged points.
+    """Damped Newton on all coordinates of fld; returns converged points.
     Each point is evaluated once: the seeds up front (NonFiniteField if one
     is not finite), every later point in the line search that accepts it."""
     X = np.array(np.atleast_2d(seeds), dtype=float)
-    values = finite_values(fld.evaluate, X, f"{fld.name}: field not finite at a Newton seed")[:, idx]
+    # a copy, since it is updated in place and a field's value may return its input
+    values = np.array(finite_values(fld.evaluate, X, f"{fld.name}: field not finite at a Newton seed"))
     status = np.zeros(len(X), dtype=np.int8)  # 0 running, 1 converged, 2 dead
     cutoff = 50.0 * (scale + 1.0)
     for _it in range(max_iter):
@@ -211,7 +219,7 @@ def _newton_batch(
         run, Xa, F, fn = run[~done], Xa[~done], F[~done], fn[~done]
         if not len(run):
             break
-        J = fld.jacobian(Xa, idx) if fld.jacobian is not None else _fd_jacobian(fld, Xa, idx)
+        J = _full_jacobians(fld, Xa, step=1e-6)
         steps = _solve_steps(J, F)
         finite = np.isfinite(steps).all(axis=1)
         status[run[~finite]] = 2
@@ -225,9 +233,8 @@ def _newton_batch(
             act = np.where(pending)[0]
             if not len(act):
                 break
-            Xtry = Xa[act].copy()
-            Xtry[:, idx] -= alpha[act][:, None] * steps[act]
-            Ftry = fld.evaluate(Xtry)[:, idx]
+            Xtry = Xa[act] - alpha[act][:, None] * steps[act]
+            Ftry = fld.evaluate(Xtry)
             ft = np.linalg.norm(Ftry, axis=1)
             ok = ft <= fn[act] * (1.0 - 1e-4 * alpha[act]) + 1e-300
             Xn[act[ok]] = Xtry[ok]
@@ -278,28 +285,47 @@ def _spot_check_equivariance(fld: GradientField, rng: np.random.Generator):
             )
 
 
+def _embed_fixed(layout: Layout, Y: np.ndarray) -> np.ndarray:
+    """The points with trivial coordinates Y and zeros on the rotation planes."""
+    X = np.zeros((len(Y), layout.size))
+    X[:, list(layout.trivial)] = Y
+    return X
+
+
+def fixed_space_field(fld: GradientField) -> GradientField:
+    """fld restricted to its fixed-point space: a field on its trivial
+    coordinates and on ``fld.domain.section`` of them, affine when fld is.
+    Its value calls fld's ``value`` once at the embedded points, and its
+    Jacobian, when fld has one, is fld's restricted to those coordinates."""
+    fixed = np.asarray(fld.layout.trivial, dtype=int)
+
+    def jacobian(Y, idx):
+        return fld.jacobian(_embed_fixed(fld.layout, Y), fixed[idx])
+
+    return GradientField(
+        rep=Rep(len(fixed)),
+        value=lambda Y: np.asarray(fld.value(_embed_fixed(fld.layout, Y)), dtype=float)[:, fixed],
+        domain=fld.domain.section(fixed),
+        name=fld.name,
+        jacobian=jacobian if fld.jacobian is not None else None,
+        affine=fld.affine,
+    )
+
+
 def _located_fixed_zeros(fld: GradientField, *, probe_scale: float, unique: bool) -> np.ndarray:
-    fixed = list(fld.layout.trivial)
-    if not fixed:
-        candidate = np.zeros((1, fld.layout.size))
-        if not np.atleast_1d(fld.domain.contains(candidate))[0]:
-            return np.zeros((0, fld.layout.size))
-        resid = np.linalg.norm(fld.evaluate(candidate)[0])
-        if resid > 1e-8 * (1.0 + probe_scale):
-            raise EquivarianceFailure(
-                f"{fld.name}: origin is forced to be a zero by equivariance but |f(0)|={resid:.2e}"
-            )
-        return candidate
-    seeds = np.zeros((1, fld.layout.size)) if unique else fld.domain.seed_points(fixed, SEED_FRACTION)
-    pts = _newton_batch(fld, seeds, fixed, scale=probe_scale)
-    pts = pts[np.atleast_1d(fld.domain.contains(pts))]
-    pts = _dedupe(pts)
+    """Newton on fixed_space_field(fld) from its domain's seeds (the origin
+    alone when ``unique``); fld's normal part must vanish at each zero."""
+    sub = fixed_space_field(fld)
+    seeds = np.zeros((1, sub.domain.dim)) if unique else sub.domain.seed_points(SEED_FRACTION)
+    pts = _embed_fixed(fld.layout, _newton_batch(sub, seeds, scale=probe_scale))
+    pts = _dedupe(pts[fld.domain.contains(pts)])
     if len(pts):
         normals = fld.evaluate(pts)[:, fld.layout.normal_indices()]
-        if normals.size and np.max(np.abs(normals)) > 1e-7 * (1.0 + probe_scale):
+        resid = np.max(np.linalg.norm(normals, axis=1))
+        if resid > 1e-8 * (1.0 + probe_scale):
             raise EquivarianceFailure(
                 f"{fld.name}: field does not map the fixed space to itself "
-                f"(normal residual {np.max(np.abs(normals)):.2e})"
+                f"(normal residual {resid:.2e})"
             )
     return pts
 
@@ -307,8 +333,8 @@ def _located_fixed_zeros(fld: GradientField, *, probe_scale: float, unique: bool
 def _scan_off_space_zeros(fld: GradientField, rng: np.random.Generator, *, probe_scale: float):
     count = 16 + 8 * min(fld.layout.size, 16)
     probes = fld.domain.interior_samples(count, rng)
-    pts = _newton_batch(fld, probes, list(range(fld.layout.size)), scale=probe_scale, max_iter=30)
-    pts = pts[np.atleast_1d(fld.domain.contains(pts))]
+    pts = _newton_batch(fld, probes, scale=probe_scale, max_iter=30)
+    pts = pts[fld.domain.contains(pts)]
     normal_idx = fld.layout.normal_indices()
     norms = np.linalg.norm(pts[:, normal_idx], axis=1)
     off = norms > 1e-6 * (1.0 + np.max(np.abs(pts), axis=1))
@@ -337,12 +363,6 @@ def blocks_from_matrix(S: np.ndarray, layout: Layout) -> EquivariantSymOp:
         blk.imag = 0.5 * (S[r + 1, b] - S[r, b + 1])
         blocks[k] = 0.5 * (blk + blk.conj().T)
     return EquivariantSymOp(layout.rep(), trivial, blocks)
-
-
-def _full_jacobians(fld: GradientField, X: np.ndarray) -> np.ndarray:
-    """The (m, dim, dim) Jacobians at an (m, dim) batch, from one call."""
-    idx = list(range(X.shape[1]))
-    return fld.jacobian(X, idx) if fld.jacobian is not None else _fd_jacobian(fld, X, idx, step=1e-5)
 
 
 def _hessian_op(J: np.ndarray, layout: Layout) -> EquivariantSymOp:
@@ -480,35 +500,21 @@ def _oracle_jacobian(func, X: np.ndarray) -> np.ndarray:
     return J
 
 
-def fixed_restriction(fld: GradientField):
-    """The field restricted to its fixed-point space, as (func, domain)."""
-    fixed = list(fld.layout.trivial)
-    domain = fld.domain.section(fixed)
-
-    def func(Y):
-        Y = np.atleast_2d(Y)
-        X = np.zeros((len(Y), fld.layout.size))
-        X[:, fixed] = Y
-        return fld.evaluate(X)[:, fixed]
-
-    return func, domain
-
-
-def brouwer_oracle(target, domain=None, *, vectorized: bool = True, seed: int = 0) -> int:
+def brouwer_oracle(target, domain=None, *, seed: int = 0) -> int:
     """Brouwer degree by exhaustive zero location and Jacobian signs.
 
-    ``target`` is either a GradientField (restricted automatically to its
-    fixed-point space) or a plain callable on (m, d) batches with ``domain``
-    supplied.  The fixed space must have dimension at most 4.  This routine
-    shares no degree logic with grad_degree: signs come from determinants
-    of finite-difference Jacobians at enumerated zeros.
+    ``target`` is either a GradientField, whose fixed_space_field supplies
+    the map and the domain, or a plain callable on (m, d) batches with
+    ``domain`` supplied.  The fixed space must have dimension at most 4.
+    This routine shares no degree logic with grad_degree: signs come from
+    determinants of finite-difference Jacobians at enumerated zeros.
     """
+    func = target
     if isinstance(target, GradientField):
-        func, domain = fixed_restriction(target)
-    else:
-        func = target if vectorized else (lambda X: np.stack([target(row) for row in np.atleast_2d(X)]))
-        if domain is None:
-            raise ValueError("domain required for a bare callable")
+        sub = fixed_space_field(target)
+        func, domain = sub.evaluate, sub.domain
+    elif domain is None:
+        raise ValueError("domain required for a bare callable")
     d = domain.dim
     if d > 4:
         raise ValueError(f"oracle supports fixed-space dimension <= 4, got {d}")
@@ -525,11 +531,9 @@ def brouwer_oracle(target, domain=None, *, vectorized: bool = True, seed: int = 
     det_scale = (float(bvals.max()) / max(scale, 1e-300)) ** d
     for attempt in range(3):
         fraction = 0.1 / (2**attempt)
-        seeds = domain.seed_points(range(d), fraction)
+        seeds = domain.seed_points(fraction)
         pts = _oracle_newton(func, seeds, scale=scale)
-        if len(pts):
-            pts = pts[np.atleast_1d(domain.contains(pts))]
-        pts = _dedupe(pts) if len(pts) else pts
+        pts = _dedupe(pts[domain.contains(pts)])
         if not len(pts):
             return 0
         J = _oracle_jacobian(func, pts)

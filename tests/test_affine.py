@@ -156,9 +156,9 @@ def search_calls(monkeypatch):
     calls = {"starts": [], "scans": 0}
     newton, scan = finite_degree._newton_batch, finite_degree._scan_off_space_zeros
 
-    def counted_newton(fld, seeds, idx, **kwargs):
+    def counted_newton(fld, seeds, **kwargs):
         calls["starts"].append(len(seeds))
-        return newton(fld, seeds, idx, **kwargs)
+        return newton(fld, seeds, **kwargs)
 
     def counted_scan(*args, **kwargs):
         calls["scans"] += 1
@@ -251,6 +251,6 @@ def test_newton_evaluates_each_point_once():
 
     fld.value = value
     seeds = np.random.default_rng(7).uniform(-0.5, 0.5, size=(6, 3))
-    zeros = _newton_batch(fld, seeds, [0, 1, 2])
+    zeros = _newton_batch(fld, seeds)
     assert len(zeros) == 6 and np.max(np.abs(zeros)) <= 1e-12
     assert sum(rows) == 2 * len(seeds)

@@ -208,6 +208,26 @@ def test_bad_scalar_option_is_input_error(tmp_path, capsys, option, value, messa
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["compute", "{src}", "--radius", "big"], "argument --radius: invalid float value: 'big'"),
+        (["compute", "{src}", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["compute"], "the following arguments are required: problem"),
+        (["compute", "{src}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["selftest", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_is_input_error(tmp_path, capsys, args, message):
+    src = write(tmp_path, "p.json", quadratic_problem())
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(src=src) for a in args])
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: eqdeg") and err.endswith(f"error: {message}\n")
+
+
 def test_integer_radius_and_lambda_are_reported_as_floats(tmp_path):
     out = tmp_path / "report.json"
     problem = dict(quadratic_problem(), radius=1, **{"lambda": 0.5})

@@ -37,7 +37,7 @@ def test_weighted_ball_is_an_ellipsoid():
 
 def test_ball_seed_grid_respects_spacing_and_membership():
     ball = Ball([0.0], 2.0)
-    seeds = ball.seed_points([0], fraction=0.125)
+    seeds = ball.seed_points(fraction=0.125)
     vals = np.sort(seeds[:, 0])
     assert len(vals) == 18  # 17 grid points plus the center
     assert np.isclose(vals[0], -2.0) and np.isclose(vals[-1], 2.0)
@@ -57,12 +57,15 @@ def test_ball_seed_grid_rows_follow_the_product_order(dim):
     pts = np.tile(ball.center, (len(mesh), 1))
     pts[:, indices] = mesh
     expected = np.vstack([ball.center[None, :], pts[ball.metric_norm(pts) <= ball.radius]])
-    assert np.array_equal(ball.seed_points(indices, fraction=0.25), expected)
+    seeds = ball.section(indices).seed_points(fraction=0.25)
+    got = np.tile(ball.center, (len(seeds), 1))
+    got[:, indices] = seeds
+    assert np.array_equal(got, expected)
 
 
 def test_ball_seed_grid_falls_back_to_halton_in_high_dim():
     ball = Ball(np.zeros(5), 1.0)
-    seeds = ball.seed_points(range(5), fraction=0.125)
+    seeds = ball.seed_points(fraction=0.125)
     assert len(seeds) <= 4097
     assert np.all(ball.metric_norm(seeds) <= 1.0)
 
@@ -382,3 +385,64 @@ def test_section_matches_the_isinstance_chain():
         # every section keeps coordinate 0 of the union, which separates its balls
         for fixed in ([0, 1], [1, 2, 0], list(range(domain.dim)), [3, 1, 0]):
             assert_same_domain(domain.section(fixed), section_chain(domain, fixed))
+
+
+def former_seed_points(domain, indices, fraction):
+    """The seeds on the given axes of the full space that seed_points(indices,
+    fraction) made before sections restricted domains."""
+    if isinstance(domain, Ball):
+        indices = list(indices)
+        per_axis = 2 * int(round(1.0 / fraction)) + 1
+        half = domain.radius / np.sqrt(domain.weights[indices])
+        if per_axis ** len(indices) <= 20000:
+            axes = [
+                domain.center[i] + h * np.linspace(-1.0, 1.0, per_axis)
+                for i, h in zip(indices, half)
+            ]
+            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        else:
+            u = _halton(4096, len(indices))
+            mesh = domain.center[indices] + (2.0 * u - 1.0) * half
+        pts = np.tile(domain.center, (len(mesh), 1))
+        pts[:, indices] = mesh
+        pts = pts[domain.metric_norm(pts) <= domain.radius]
+        return np.vstack([domain.center[None, :], pts])
+    if isinstance(domain, ShellDomain):
+        pts = former_seed_points(domain.outer, indices, fraction)
+        kept = pts[domain.contains(pts)]
+        if not len(kept):
+            mid = domain.outer.center.copy()
+            i = list(indices)[0]
+            mid[i] += 0.5 * (domain.inner.radius + domain.outer.radius) / np.sqrt(
+                domain.outer.weights[i]
+            )
+            kept = mid[None, :]
+        return kept
+    if isinstance(domain, UnionDomain):
+        return np.vstack([former_seed_points(b, indices, fraction) for b in domain.parts])
+    pts = former_seed_points(domain.parts[0], indices, fraction)
+    keep = np.ones(len(pts), dtype=bool)
+    for b in domain.parts[1:]:
+        keep &= b.metric_norm(pts) <= b.radius
+    kept = pts[keep]
+    return kept if len(kept) else pts[:1]
+
+
+def test_section_seeds_equal_the_former_seeds_on_the_axes():
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    domains = {
+        "ball": Ball([0.5, 0.0, 0.0, 0.0], 2.0, w),
+        "shell": ShellDomain(np.zeros(4), 0.5, 1.5, w),
+        "thin shell": ShellDomain(np.zeros(4), 0.9, 1.0),  # no seed in its 1-D section
+        "union": UnionDomain([Ball([-3.0, 0, 0, 0], 1.0, w), Ball([3.0, 0, 0, 0], 1.0, w)]),
+        "intersection": IntersectionDomain([Ball([0.2, 0, 0, 0], 1.0), Ball([-0.2, 0, 0, 0], 1.0, w)]),
+    }
+    for name, domain in domains.items():
+        # the centers vanish off every section, as on an invariant domain's normal space
+        for fixed in ([0, 2], [2, 0, 3], [0], list(range(4))):
+            for fraction in (0.125, 0.25):
+                seeds = domain.section(fixed).seed_points(fraction)
+                got = np.zeros((len(seeds), domain.dim))
+                got[:, fixed] = seeds
+                want = former_seed_points(domain, fixed, fraction)
+                assert got.tobytes() == want.tobytes(), (name, fixed, fraction)

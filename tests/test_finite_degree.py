@@ -6,6 +6,7 @@ from eqdeg.errors import (
     BoundaryZero,
     DegenerateZero,
     DimensionLimit,
+    EquivarianceFailure,
     NonFiniteField,
     ZeroOutsideFixedSpace,
 )
@@ -14,9 +15,12 @@ from eqdeg.finite_degree import (
     MERGE_TOL,
     GradientField,
     _dedupe,
+    _fd_jacobian,
+    _full_jacobians,
     OrbitNormalForm,
     brouwer_oracle,
     field_from_operator,
+    fixed_space_field,
     grad_degree,
     linear_degree,
     orbit_normal_form_degree,
@@ -24,8 +28,10 @@ from eqdeg.finite_degree import (
     product_degree,
     product_field,
 )
+from eqdeg.galerkin import shell_field
+from eqdeg.hamiltonian import local_map
 from eqdeg.reps import EquivariantSymOp, Rep
-from eqdeg.selftest import random_fixed_space_field, random_sym_op
+from eqdeg.selftest import quartic_hamiltonian, random_fixed_space_field, random_sym_op
 
 ONE = unit(CIRCLE)
 
@@ -274,6 +280,73 @@ def test_fixed_space_coefficient_matches_oracle_random():
 
 
 # ---------------------------------------------------------------------------
+# The fixed-space field
+
+
+def sliced_restriction(fld):
+    """The restriction that fixed_space_field replaced: the full field at
+    points embedded with zeros off the trivial coordinates, its values
+    sliced to them, and the Newton derivative that grad_degree took there."""
+    fixed = list(fld.layout.trivial)
+
+    def embed(Y):
+        X = np.zeros((len(Y), fld.layout.size))
+        X[:, fixed] = Y
+        return X
+
+    def value(Y):
+        return fld.evaluate(embed(Y))[:, fixed]
+
+    def jacobian(Y):
+        X = embed(Y)
+        return fld.jacobian(X, fixed) if fld.jacobian is not None else _fd_jacobian(fld, X, fixed)
+
+    return value, jacobian
+
+
+def loop_shell_field():
+    return shell_field(local_map(quartic_hamiltonian(1, 0.4), radius=0.8), 2)
+
+
+def restriction_cases():
+    plane = field_from_operator(EquivariantSymOp.scalar(Rep(0, ((1, 1),)), -1.0))
+    return {
+        "loop shell field": loop_shell_field(),
+        "random fixed-space field": random_fixed_space_field(np.random.default_rng(3), 3),
+        "product": product_field(plane, loop_shell_field()),
+        "no trivial coordinates": plane,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(restriction_cases()))
+def test_fixed_space_field_equals_the_sliced_restriction(name):
+    fld = restriction_cases()[name]
+    sub = fixed_space_field(fld)
+    assert sub.domain.dim == sub.rep.dim == len(fld.layout.trivial)
+    assert (sub.jacobian is None) == (fld.jacobian is None) and sub.affine == fld.affine
+    rng = np.random.default_rng(2)
+    Y = np.vstack([sub.domain.interior_samples(5, rng), sub.domain.boundary_samples(3, rng)])
+    value, jacobian = sliced_restriction(fld)
+    for got, want in ((sub.evaluate(Y), value(Y)), (_full_jacobians(sub, Y, step=1e-6), jacobian(Y))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_nonzero_origin_without_fixed_coordinates_is_an_equivariance_failure():
+    # x -> x + c near the origin on a mode-1 plane: equivariant at every
+    # spot-check sample, but f(0) = c, and the origin is forced to be a zero
+    def field(c):
+        def value(X):
+            X = np.atleast_2d(X)
+            return X + np.exp(-np.sum(X**2, axis=1) / 1e-6)[:, None] * np.asarray(c)
+
+        return GradientField(Rep(0, ((1, 1),)), value, Ball(np.zeros(2), 1.0))
+
+    with pytest.raises(EquivarianceFailure, match="does not map the fixed space to itself"):
+        grad_degree(field([3e-8, 4e-8]))  # |f(0)| = 5e-8
+    assert grad_degree(field([3e-9, 4e-9])) == ONE
+
+
+# ---------------------------------------------------------------------------
 # Products
 
 
@@ -307,6 +380,18 @@ def test_product_degree_matches_ring_product_nonlinear():
     got = product_degree(fld, linear)
     assert got == grad_degree(fld) * linear_degree(mode_op)
     assert got == ONE - e(2)
+
+
+@pytest.mark.parametrize("dims, s", [((3, 3), 1), ((3, 3), 4), ((2, 3), 12)])
+def test_product_of_fixed_space_fields_finds_every_zero(dims, s):
+    # inputs on which a product seed grid cut to a corner of each factor's
+    # grid gave 2*[S1/S1], 0 and 0, with zeros missed
+    rng = np.random.default_rng(1000 + s)
+    f, g = (random_fixed_space_field(rng, d) for d in dims)
+    (vf, zf), (vg, zg) = (grad_degree(h, return_zeros=True) for h in (f, g))
+    value, zeros = grad_degree(product_field(f, g), return_zeros=True)
+    assert value == vf * vg
+    assert len(zeros) == len(zf) * len(zg)
 
 
 # ---------------------------------------------------------------------------
