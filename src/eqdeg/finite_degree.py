@@ -413,6 +413,10 @@ def grad_degree(
     DegenerateZero for near-singular Hessians, and ZeroOutsideFixedSpace
     when a probe finds a zero orbit off the fixed space.
     """
+    if not fld.domain.dim:  # the origin, when the domain holds it, is the one zero
+        zeros = np.zeros((1, 0))[fld.domain.contains(np.zeros((1, 0)))]
+        total = basis_element(CIRCLE, FULL) if len(zeros) else ring_zero(CIRCLE)
+        return (total, zeros) if return_zeros else total
     rng = np.random.default_rng(seed)
     scale = fld.domain.scale
     if fld.layout.pairs:

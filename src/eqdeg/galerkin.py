@@ -42,6 +42,7 @@ from .euler_ring import (
     unit,
 )
 from .finite_degree import (
+    BOUNDARY_MARGIN,
     BOUNDARY_PER_DIM,
     GradientField,
     block_diagonal_jacobian,
@@ -54,7 +55,6 @@ from .reps import Rep, ShellBasis, SpectralOperator, shell_operator
 
 REFERENCE_OFFSET = 4  # margins at level n are certified against level n + REFERENCE_OFFSET
 MAX_LEVEL = 10  # the automatic level search stops here
-BOUNDARY_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ def realize_region(region, basis: ShellBasis):
     for spec in region.balls:
         center = np.zeros(basis.dim)
         if spec.center:
+            if spec.center_level > basis.level:
+                raise MarginFailure(f"ball center lies above V_{basis.level}; raise the level")
             d = basis.prefix_dim(spec.center_level)
             if len(spec.center) != d:
                 raise ValueError(
@@ -149,7 +151,8 @@ def shell_field(f: LocalMapSpec, n: int) -> GradientField:
 
     def value(X):
         X = np.atleast_2d(X)
-        return X * eigs - f.nonlinearity(X, basis)
+        F = f.nonlinearity(X, basis)
+        return X * eigs - F
 
     jacobian = None
     if f.jacobian is not None:
@@ -187,6 +190,14 @@ def _inverse_product(degrees: Sequence[RingElement]) -> RingElement:
     return out
 
 
+def _reference_level(op: SpectralOperator, n: int) -> Optional[int]:
+    """The level whose shells certify the margin at level n: n +
+    REFERENCE_OFFSET, capped by the operator's declared maximum level; None
+    when no shell lies above n."""
+    m = n + REFERENCE_OFFSET if op.max_level is None else min(n + REFERENCE_OFFSET, op.max_level)
+    return m if m > n else None
+
+
 def certify_margin(
     f: LocalMapSpec,
     n: int,
@@ -196,42 +207,34 @@ def certify_margin(
 ) -> tuple[float, float]:
     """Estimate the boundary margin and the projection tail at level n.
 
-    Samples the boundary of the truncated domain in V_n, evaluates the map
-    at a finer reference level m = n + REFERENCE_OFFSET (capped by the
-    operator's declared maximum level), and certifies when
-    the sampled tail sup |(P_m - P_n) F| stays below epsilon = half the
-    sampled min |f|.  Raises MarginFailure when it does not (raise n),
-    BoundaryZero when a sample sits numerically on the zero set, and
-    NonFiniteField when the nonlinearity is not finite at a sample.
+    Samples the boundary of the truncated domain in V_n, evaluates the
+    truncated field f_m at the reference level m of ``_reference_level``,
+    and certifies when the sampled tail sup |(P_m - P_n) F| stays below
+    epsilon = half the sampled min |f|.  Raises MarginFailure when it does
+    not (raise n), BoundaryZero when a sample sits numerically on the zero
+    set, and NonFiniteField when the field is not finite at a sample.
     """
     op = f.operator
     basis_n = op.basis(n)
     if basis_n.dim == 0:
         raise MarginFailure(f"{f.name}: V_{n} is zero-dimensional; raise the level")
-    m = n + REFERENCE_OFFSET
-    if op.max_level is not None:
-        m = min(m, op.max_level)
-    if m <= n:
+    m = _reference_level(op, n)
+    if m is None:
         raise MarginFailure(f"{f.name}: no reference shells available above level {n}")
-    basis_m = op.basis(m)
     rng = np.random.default_rng(seed)
     count = budget if budget is not None else BOUNDARY_PER_DIM * max(basis_n.dim, 1)
-    domain_n = realize_region(f.region, basis_n)
-    boundary = domain_n.boundary_samples(count, rng)
-    Xm = np.zeros((len(boundary), basis_m.dim))
-    Xm[:, : basis_n.dim] = boundary
+    boundary = realize_region(f.region, basis_n).boundary_samples(count, rng)
+    field_m = shell_field(f, m)
+    X = np.zeros((len(boundary), field_m.rep.dim))
+    X[:, : basis_n.dim] = boundary
     message = f"{f.name}: nonlinearity not finite on boundary samples"
-    F = finite_values(lambda X: f.nonlinearity(X, basis_m), Xm, message)
-    residual = Xm * basis_m.eigenvalues - F
-    norms = np.linalg.norm(residual, axis=1)
-    smallest = float(norms.min())
-    if smallest < BOUNDARY_ZERO_TOL:
-        raise BoundaryZero(
-            f"{f.name}: sampled |f| = {smallest:.3e} on the boundary at level {n}"
-        )
+    residual = finite_values(field_m.value, X, message)
+    smallest = float(np.linalg.norm(residual, axis=1).min())
+    if smallest <= BOUNDARY_MARGIN:
+        raise BoundaryZero(f"{f.name}: sampled |f| = {smallest:.3e} on the boundary at level {n}")
     epsilon = 0.5 * smallest
-    cut = basis_m.prefix_dim(n)
-    tail = float(np.linalg.norm(F[:, cut:], axis=1).max()) if cut < basis_m.dim else 0.0
+    beyond = residual[:, basis_n.dim :]  # the samples vanish there, so this is -(P_m - P_n) F
+    tail = float(np.linalg.norm(beyond, axis=1).max()) if beyond.shape[1] else 0.0
     if tail >= epsilon:
         raise MarginFailure(
             f"{f.name}: tail bound {tail:.3e} >= epsilon {epsilon:.3e} at level {n}"
@@ -295,10 +298,47 @@ def degree_result_from_json(data: Mapping, group=CIRCLE) -> dict:
     }
 
 
-def _level_cap(op: SpectralOperator, depth: int) -> int:
-    """The highest level N whose levels N .. N + depth keep reference
-    shells above them for certification."""
-    return MAX_LEVEL if op.max_level is None else min(MAX_LEVEL, op.max_level - depth)
+def _search_levels(op: SpectralOperator, start: int, depth: int) -> list[int]:
+    """The levels N from start up to MAX_LEVEL that an automatic search may
+    settle on: those whose last stabilization level N + depth still has a
+    reference level above it."""
+    return [n for n in range(start, MAX_LEVEL + 1) if _reference_level(op, n + depth) is not None]
+
+
+def _stabilized(
+    f: LocalMapSpec, N: int, margin: tuple[float, float], *, depth: int, seed: int, budget
+) -> DegreeResult:
+    """The degree at level N, whose margin (epsilon, tail) is certified: the
+    values m_n deg(f_n) at n = N .. N+depth, each level above N certified
+    first, must agree exactly (StabilizationFailure otherwise)."""
+    epsilon, tail = margin
+    per_level = []
+    for n in range(N, N + depth + 1):
+        if n > N:
+            certify_margin(f, n, seed=seed, budget=budget)
+        per_level.append(grad_degree(shell_field(f, n), seed=seed, return_zeros=True))
+    degrees = [d for d, _ in per_level]
+    shells = shell_degrees(f.operator, N + depth)
+    values = [_inverse_product(shells[: N + j]) * d for j, d in enumerate(degrees)]
+    if any(v != values[0] for v in values[1:]):
+        raise StabilizationFailure(
+            f"{f.name}: corrected degree changed between levels {N} and {N + depth}: "
+            + " vs ".join(str(v) for v in values)
+        )
+    return DegreeResult(
+        value=values[0],
+        level=N,
+        epsilon=epsilon,
+        tail_bound=tail,
+        stabilization=tuple(values),
+        limit_class=DirectLimitClass(N, degrees[0], shells[:N]),
+        diagnostics={
+            "levels_checked": list(range(N, N + depth + 1)),
+            "zero_counts": [len(zeros) for _, zeros in per_level],
+            "sample_budget": budget or BOUNDARY_PER_DIM * f.operator.basis(N).dim,
+            "margin_ratio": (tail / epsilon) if epsilon > 0 else float("inf"),
+        },
+    )
 
 
 def deg_infinite(
@@ -312,74 +352,33 @@ def deg_infinite(
     """The stabilized degree m_N * deg(f_N) of a local map.
 
     With ``level="auto"`` the truncation level N is the first one up to
-    MAX_LEVEL whose margin certifies.  The value is recomputed at
+    MAX_LEVEL whose margin certifies, among those whose levels N .. N+depth
+    have reference shells above them.  The value is recomputed at
     N+1 .. N+depth and exact agreement is required (StabilizationFailure
     otherwise).
     """
     if stabilization_depth < 1:
         raise ValueError("stabilization_depth must be >= 1")
-    op = f.operator
-    cap = _level_cap(op, stabilization_depth)
-
-    if level == "auto":
-        start = max(f.min_level, 1)
-        if cap < start:
-            raise MarginFailure(
-                f"{f.name}: the declared spectrum is too short to certify any "
-                f"truncation level (levels beyond N are needed as reference; "
-                f"declared max level {op.max_level})"
-            )
-        N = None
-        last: Optional[DegreeError] = None
-        for n in range(start, cap + 1):
-            try:
-                epsilon, tail = certify_margin(f, n, seed=seed, budget=budget)
-                N = n
-                break
-            except MarginFailure as exc:
-                last = exc
-        if N is None:
-            raise MarginFailure(
-                f"{f.name}: no truncation level up to {cap} certified ({last})"
-            )
-    else:
+    step = dict(depth=stabilization_depth, seed=seed, budget=budget)
+    if level != "auto":
         N = int(level)
-        epsilon, tail = certify_margin(f, N, seed=seed, budget=budget)
+        return _stabilized(f, N, certify_margin(f, N, seed=seed, budget=budget), **step)
 
-    degrees: list[RingElement] = []
-    zero_counts: list[int] = []
-    for j in range(stabilization_depth + 1):
-        n = N + j
-        if j:
-            certify_margin(f, n, seed=seed, budget=budget)
-        d, zeros = grad_degree(shell_field(f, n), seed=seed, return_zeros=True)
-        degrees.append(d)
-        zero_counts.append(len(zeros))
-    shells = shell_degrees(op, N + stabilization_depth)
-    values = [_inverse_product(shells[: N + j]) * d for j, d in enumerate(degrees)]
-    if any(v != values[0] for v in values[1:]):
-        raise StabilizationFailure(
-            f"{f.name}: corrected degree changed between levels {N} and {N + stabilization_depth}: "
-            + " vs ".join(str(v) for v in values)
+    levels = _search_levels(f.operator, max(f.min_level, 1), stabilization_depth)
+    if not levels:
+        raise MarginFailure(
+            f"{f.name}: the declared spectrum is too short to certify any truncation level "
+            f"(levels above N are needed as reference; declared max level {f.operator.max_level})"
         )
-
-    limit_class = DirectLimitClass(N, degrees[0], shells[:N])
-    sample_budget = budget if budget is not None else BOUNDARY_PER_DIM * op.basis(N).dim
-    diagnostics = {
-        "levels_checked": [N + j for j in range(stabilization_depth + 1)],
-        "zero_counts": zero_counts,
-        "sample_budget": sample_budget,
-        "margin_ratio": (tail / epsilon) if epsilon > 0 else float("inf"),
-    }
-    return DegreeResult(
-        value=values[0],
-        level=N,
-        epsilon=epsilon,
-        tail_bound=tail,
-        stabilization=tuple(values),
-        limit_class=limit_class,
-        diagnostics=diagnostics,
-    )
+    last: Optional[DegreeError] = None
+    for n in levels:
+        try:
+            margin = certify_margin(f, n, seed=seed, budget=budget)
+        except MarginFailure as exc:
+            last = exc
+            continue
+        return _stabilized(f, n, margin, **step)
+    raise MarginFailure(f"{f.name}: no truncation level up to {levels[-1]} certified ({last})")
 
 
 @dataclass
@@ -401,33 +400,30 @@ def deg_along_otopy(path: OtopyPath, *, seed: int = 0) -> list[DegreeResult]:
     slices = [(t, path.family(t)) for t in path.grid]
     if not slices:
         raise ValueError("empty otopy grid")
-    cap = _level_cap(slices[0][1].operator, 1)
     start = max(max(s.min_level for _, s in slices), 1)
+    levels = _search_levels(slices[0][1].operator, start, 1)
 
-    common = None
-    last_fail: Optional[tuple[float, DegreeError]] = None
-    for n in range(start, cap + 1):
-        ok = True
+    last_fail: tuple[float, object] = (path.grid[0], "the declared spectrum is too short")
+    for n in levels:
+        margins = []
         for t, s in slices:
             try:
-                certify_margin(s, n, seed=seed)
+                margins.append(certify_margin(s, n, seed=seed))
             except BoundaryZero as exc:
                 raise SliceMarginFailure(t, str(exc)) from exc
             except MarginFailure as exc:
                 last_fail = (t, exc)
-                ok = False
                 break
-        if ok:
-            common = n
+        if len(margins) == len(slices):
             break
-    if common is None:
-        t, exc = last_fail if last_fail else (path.grid[0], None)
-        raise SliceMarginFailure(t, f"no common level up to {cap} certified ({exc})")
+    else:
+        t, exc = last_fail
+        raise SliceMarginFailure(t, f"no common level from {start} certified ({exc})")
 
     results = []
-    for t, s in slices:
+    for (t, s), margin in zip(slices, margins):
         try:
-            results.append(deg_infinite(s, level=common, seed=seed))
+            results.append(_stabilized(s, n, margin, depth=1, seed=seed, budget=None))
         except DegreeError as exc:
             raise SliceMarginFailure(t, str(exc)) from exc
     for (t, _), r in zip(slices, results):

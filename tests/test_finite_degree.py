@@ -215,6 +215,19 @@ def test_grad_degree_empty_zero_set_is_zero():
     assert grad_degree(fld).is_zero
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["differences", "exact jacobian"])
+@pytest.mark.parametrize("affine", [False, True], ids=["general", "affine"])
+def test_a_zero_dimensional_field_has_the_origin_as_its_one_zero(exact, affine):
+    jacobian = (lambda X, idx: np.zeros((len(X), 0, 0))) if exact else None
+    fld = GradientField(
+        Rep(0), lambda X: np.zeros((len(X), 0)), Ball(np.zeros(0), 1.0),
+        jacobian=jacobian, affine=affine,
+    )
+    value, zeros = grad_degree(fld, return_zeros=True)
+    assert value == ONE and zeros.shape == (1, 0)
+    assert brouwer_oracle(fld) == 1
+
+
 def test_grad_degree_boundary_zero():
     fld = double_well_field(radius=1.0, dim=1)
     with pytest.raises(BoundaryZero):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import eqdeg.galerkin
-from eqdeg.errors import MarginFailure, NonFiniteField, SliceMarginFailure, StabilizationFailure
+from eqdeg.errors import (
+    BoundaryZero,
+    MarginFailure,
+    NonFiniteField,
+    SliceMarginFailure,
+    StabilizationFailure,
+)
 from eqdeg.euler_ring import (
     CIRCLE,
     DirectLimitClass,
@@ -235,6 +241,60 @@ def test_auto_level_exhaustion_reports_margin_failure():
         deg_infinite(f)
 
 
+def sphere_zero_map(offset=0.0, radius=0.8):
+    """f(x) = ((|x|_w^2 - r^2) w + offset) x, the gradient of
+    (|x|_w^2 - r^2)^2 / 4 + offset |x|^2 / 2 in the graph norm |x|_w: with
+    offset 0 it vanishes on the whole sphere |x|_w = r, the domain's
+    boundary, and otherwise it stays within offset * |x| of zero there."""
+
+    def F(X, basis):
+        X = np.atleast_2d(X)
+        w = basis.graph_weights
+        shrink = np.sum(w * X * X, axis=1) - radius**2
+        return X * basis.eigenvalues - (shrink[:, None] * w + offset) * X
+
+    return LocalMapSpec(loop_operator(1), F, RegionSpec.ball(radius), name="sphere zeros")
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e-9], ids=["on the sphere", "below the margin"])
+def test_a_zero_on_the_boundary_stops_every_certificate(offset):
+    # |f| <= 5e-9 * 0.8 on the boundary: below finite_degree.BOUNDARY_MARGIN
+    f = sphere_zero_map(offset)
+    with pytest.raises(BoundaryZero):
+        certify_margin(f, 1)
+    with pytest.raises(BoundaryZero):
+        deg_infinite(f)
+    with pytest.raises(SliceMarginFailure) as err:
+        deg_along_otopy(OtopyPath.uniform(lambda t: f, steps=2))
+    assert err.value.t == 0.0
+
+
+def test_a_ball_center_above_the_level_asks_for_a_higher_level():
+    f = normalization_map(synthetic_operator_a()).with_region(
+        RegionSpec.ball(1.0, center=[0.1] + [0.0] * 7, center_level=2)
+    )
+    with pytest.raises(MarginFailure, match="raise the level"):
+        deg_infinite(f, level=1)
+    res = deg_infinite(f)
+    assert res.level == 2 and res.value == ONE
+
+
+def test_a_spectrum_too_short_for_its_reference_shells_fails_before_any_degree(monkeypatch):
+    # shells 0..3 and min_level 2: level 2 would need level 3 certified,
+    # and no shell lies above level 3 to certify it against
+    op = SpectralOperator({n: [(float(n), Rep(1))] for n in range(4)})
+    f = LocalMapSpec(op, scalar_nonlinearity(0.5), RegionSpec.ball(1.0), min_level=2, name="short")
+
+    def no_degree(*args, **kwargs):
+        raise AssertionError("grad_degree ran")
+
+    monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
+    with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
+        deg_infinite(f)
+    with pytest.raises(SliceMarginFailure, match="the declared spectrum is too short"):
+        deg_along_otopy(OtopyPath.uniform(lambda t: f, steps=1))
+
+
 def test_stabilization_failure_is_detected():
     # a non-gradient-consistent nonlinearity that changes the truncated
     # degree with the level: F acts only on the top shell of each basis
@@ -315,6 +375,21 @@ def test_otopy_constant_path():
     results = deg_along_otopy(path)
     assert len(results) == 5
     assert all(r.value == ONE for r in results)
+
+
+def test_otopy_certifies_each_slice_level_once(monkeypatch):
+    # five slices at level 1: one certificate there, one at level 2 each
+    calls = []
+    certify = eqdeg.galerkin.certify_margin
+
+    def counted(f, n, **kwargs):
+        calls.append(n)
+        return certify(f, n, **kwargs)
+
+    monkeypatch.setattr(eqdeg.galerkin, "certify_margin", counted)
+    results = deg_along_otopy(OtopyPath.uniform(lambda t: half_shift_map(), steps=4))
+    assert [r.level for r in results] == [1] * 5
+    assert sorted(calls) == [1] * 5 + [2] * 5
 
 
 def test_otopy_between_equal_negative_parts():

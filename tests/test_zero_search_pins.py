@@ -9,7 +9,15 @@ new Newton rule) updates the pins and says why.
 import numpy as np
 import pytest
 
-from eqdeg import grad_degree, periodic_existence, selftest
+from eqdeg import (
+    OtopyPath,
+    deg_along_otopy,
+    deg_infinite,
+    grad_degree,
+    periodic_existence,
+    selftest,
+)
+from eqdeg.hamiltonian import local_map
 
 # (dimension, field seed, degree, zeros): grad_degree(seed=0) of
 # random_fixed_space_field(default_rng(field seed), dimension); each zero
@@ -75,3 +83,33 @@ def test_loops_certificate_is_pinned():
     assert float(res.epsilon).hex() == "0x1.5c7979ece5382p-3"
     assert float(res.tail_bound).hex() == "0x1.4a30c1a831b42p-9"
     assert list(res.diagnostics["zero_counts"]) == [1, 1]
+
+
+def test_explicit_level_certificate_is_pinned():
+    inst = next(i for i in selftest.corpus_local_maps() if i.name == "loop2-coupled-quartic")
+    res = deg_infinite(inst.build(), level=2, seed=0)
+    assert str(res.value) == "[S1/S1]" and res.level == 2
+    assert float(res.epsilon).hex() == "0x1.0a5e988cec6c2p-2"
+    assert float(res.tail_bound).hex() == "0x1.a11fb042daf4ep-10"
+    assert res.diagnostics["levels_checked"] == [2, 3]
+    assert list(res.diagnostics["zero_counts"]) == [1, 1]
+    assert res.diagnostics["sample_budget"] == 1280
+
+
+# (epsilon, tail) of each slice of the otopy below, certified at level 1
+OTOPY = (
+    ("0x1.586195677a1c4p-3", "0x1.03bd405177905p-8"),
+    ("0x1.468df83440a01p-3", "0x1.2434e85ba6813p-8"),
+    ("0x1.3329cb6739fbcp-3", "0x1.44ac9065d576bp-8"),
+)
+
+
+def test_otopy_certificates_are_pinned():
+    def family(t):
+        return local_map(selftest.quartic_hamiltonian(1, 0.4 + 0.1 * t), radius=0.8)
+
+    results = deg_along_otopy(OtopyPath.uniform(family, steps=2), seed=0)
+    assert [str(r.value) for r in results] == ["[S1/S1]"] * 3
+    assert [r.level for r in results] == [1] * 3
+    assert [(r.epsilon.hex(), r.tail_bound.hex()) for r in results] == list(OTOPY)
+    assert [list(r.diagnostics["zero_counts"]) for r in results] == [[1, 1]] * 3
