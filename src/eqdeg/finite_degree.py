@@ -399,6 +399,7 @@ def grad_degree(
     *,
     seed: int = 0,
     return_zeros: bool = False,
+    _boundary: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ):
     """Equivariant gradient degree over the field's domain.
 
@@ -412,6 +413,12 @@ def grad_degree(
     BoundaryZero when the sampled boundary margin collapses,
     DegenerateZero for near-singular Hessians, and ZeroOutsideFixedSpace
     when a probe finds a zero orbit off the fixed space.
+
+    The boundary checks run on BOUNDARY_PER_DIM seeded samples per
+    dimension and the field's values there.  ``_boundary`` is internal: the
+    Galerkin level step passes the (samples, values) of the pass its margin
+    certificate made on this field, the same number of samples, in place
+    of a second pass.
     """
     if not fld.domain.dim:  # the origin, when the domain holds it, is the one zero
         zeros = np.zeros((1, 0))[fld.domain.contains(np.zeros((1, 0)))]
@@ -422,13 +429,16 @@ def grad_degree(
     if fld.layout.pairs:
         _spot_check_equivariance(fld, rng)
 
-    count = BOUNDARY_PER_DIM * max(fld.domain.dim, 1)
-    bsamples = fld.domain.boundary_samples(count, rng)
-    bvalues = np.zeros_like(bsamples)
+    message = f"{fld.name}: field not finite on the boundary"
+    if _boundary is None:
+        bsamples = fld.domain.boundary_samples(BOUNDARY_PER_DIM * max(fld.domain.dim, 1), rng)
+        bvalues = np.zeros_like(bsamples)
+        if len(bsamples):
+            bvalues = finite_values(fld.evaluate, bsamples, message)
+    else:
+        bsamples, bvalues = _boundary
     derivative_scale = 0.0
     if len(bsamples):
-        message = f"{fld.name}: field not finite on the boundary"
-        bvalues = finite_values(fld.evaluate, bsamples, message)
         # finite values can still overflow their norms
         bvals = finite_values(lambda V: np.linalg.norm(V, axis=1), bvalues, message)
         if bvals.min() <= BOUNDARY_MARGIN:

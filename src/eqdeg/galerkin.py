@@ -9,11 +9,19 @@ the first n spectral shells.  The correction makes the value independent
 of n, which this module verifies empirically by recomputing at n+1 (and
 deeper on request) instead of trusting the asymptotic argument.
 
-Boundary margins and tail bounds are estimated by sampling, not proved:
-epsilon is half the smallest sampled |f| on the truncated domain boundary
-at a finer reference level, and the tail is the largest sampled norm of
-the nonlinearity's components beyond V_n.  Diagnostics always record the
-sample budget and margin ratio.
+Boundary margins are estimated by sampling, not proved.  At each level
+one pass evaluates f_n on seeded samples of the truncated domain's
+boundary in V_n, together with the projection tail |(I - P_n) F| there.
+A map's declared ``tail`` gives that tail exactly (every nonlinearity of
+this library and the Hamiltonian local map declare one); for a user
+callable without one it is estimated from F on the finer reference level
+n + REFERENCE_OFFSET, which misses F's components above that level.
+epsilon is half the smallest |f| = sqrt(|f_n|^2 + tail^2) of the
+untruncated map over the samples, and the level certifies when the
+largest sampled tail stays below it.  The finite-dimensional degree at
+the level reuses the same pass for its boundary checks.  Diagnostics
+always record the sample budget, the margin ratio and whether the tail
+was exact.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from .finite_degree import (
 from .polynomials import Polynomial
 from .reps import Rep, ShellBasis, SpectralOperator, shell_operator
 
-REFERENCE_OFFSET = 4  # margins at level n are certified against level n + REFERENCE_OFFSET
+REFERENCE_OFFSET = 4  # a map without a tail is certified at level n against level n + this
 MAX_LEVEL = 10  # the automatic level search stops here
 
 
@@ -120,9 +128,16 @@ class LocalMapSpec:
     this module and the Hamiltonian local map carry.  Without one, Newton
     and the Hessians at zeros use central differences.  ``affine``, the
     declaration that F is affine, likewise defaults to the nonlinearity's
-    ``affine`` attribute; grad_degree checks it.  ``region`` bounds
-    the invariant domain in the graph norm.  ``min_level`` is the first
-    truncation level at which the nonlinearity is meaningful.  The
+    ``affine`` attribute; grad_degree checks it.  ``tail(X, basis)``
+    optionally returns, for each row x of X in V_{basis.level}, the exact
+    norm |(I - P_n) F(x)| of the part of F that the truncation drops, as an
+    (m,) array; it defaults to the nonlinearity's ``tail`` attribute, which
+    the nonlinearities of this module (whose F stays in V_n, so the tail is
+    0) and the Hamiltonian local map carry.  Without one, certify_margin
+    estimates the tail on the finer level n + REFERENCE_OFFSET, and the
+    declared spectrum needs a shell above every level used.  ``region``
+    bounds the invariant domain in the graph norm.  ``min_level`` is the
+    first truncation level at which the nonlinearity is meaningful.  The
     truncated fields are always spot-checked for equivariance.
     """
 
@@ -133,12 +148,15 @@ class LocalMapSpec:
     name: str = "local map"
     jacobian: Optional[Callable] = None
     affine: bool = False
+    tail: Optional[Callable] = None
 
     def __post_init__(self):
         if self.jacobian is None:
             self.jacobian = getattr(self.nonlinearity, "jacobian", None)
         if not self.affine:
             self.affine = getattr(self.nonlinearity, "affine", False)
+        if self.tail is None:
+            self.tail = getattr(self.nonlinearity, "tail", None)
 
     def with_region(self, region) -> "LocalMapSpec":
         return dataclasses.replace(self, region=region)
@@ -190,12 +208,51 @@ def _inverse_product(degrees: Sequence[RingElement]) -> RingElement:
     return out
 
 
-def _reference_level(op: SpectralOperator, n: int) -> Optional[int]:
-    """The level whose shells certify the margin at level n: n +
-    REFERENCE_OFFSET, capped by the operator's declared maximum level; None
-    when no shell lies above n."""
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1 boundary sample, got {budget}")
+
+
+def _offset_tail(f: LocalMapSpec, n: int) -> Callable:
+    """The tail of a map that declares none, estimated at the reference
+    level m = n + REFERENCE_OFFSET (the declared spectrum's last level if
+    that comes first): |(P_m - P_n) F(x)|, from F on V_m.  It misses the
+    components of F above V_m, so it can underestimate the tail.
+    MarginFailure when no shell lies above n."""
+    op = f.operator
     m = n + REFERENCE_OFFSET if op.max_level is None else min(n + REFERENCE_OFFSET, op.max_level)
-    return m if m > n else None
+    if m <= n:
+        raise MarginFailure(f"{f.name}: no reference shells available above level {n}")
+    basis_m = op.basis(m)
+
+    def tail(X, basis):
+        Xm = np.zeros((len(X), basis_m.dim))
+        Xm[:, : basis.dim] = X
+        return np.linalg.norm(f.nonlinearity(Xm, basis_m)[:, basis.dim :], axis=1)
+
+    return tail
+
+
+@dataclass(frozen=True, eq=False)
+class Margin:
+    """The certified boundary margin at one level, with the pass behind it.
+
+    ``epsilon`` is half the smallest |f| of the untruncated map over the
+    boundary samples and ``tail`` the largest sampled |(I - P_n) F|;
+    ``exact_tail`` tells whether the map declared its tail or it was
+    estimated on the reference level.  ``samples`` are the boundary
+    samples of the truncated domain in V_n and ``values`` the truncated
+    field f_n at them.  A Margin unpacks as (epsilon, tail).
+    """
+
+    epsilon: float
+    tail: float
+    exact_tail: bool
+    samples: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def __iter__(self):
+        return iter((self.epsilon, self.tail))
 
 
 def certify_margin(
@@ -204,42 +261,44 @@ def certify_margin(
     *,
     seed: int = 0,
     budget: Optional[int] = None,
-) -> tuple[float, float]:
-    """Estimate the boundary margin and the projection tail at level n.
+) -> Margin:
+    """Certify the boundary margin against the projection tail at level n.
 
-    Samples the boundary of the truncated domain in V_n, evaluates the
-    truncated field f_m at the reference level m of ``_reference_level``,
-    and certifies when the sampled tail sup |(P_m - P_n) F| stays below
-    epsilon = half the sampled min |f|.  Raises MarginFailure when it does
-    not (raise n), BoundaryZero when a sample sits numerically on the zero
-    set, and NonFiniteField when the field is not finite at a sample.
+    Evaluates ``shell_field(f, n)`` once at seeded samples of the boundary
+    of the truncated domain in V_n (``budget`` of them, 64 per dimension by
+    default) and the tail t = |(I - P_n) F| at the same samples: the map's
+    declared ``tail``, or for a map without one |(P_m - P_n) F| on the
+    reference level m = n + REFERENCE_OFFSET.  Since f_n and the tail are
+    orthogonal, |f| = sqrt(|f_n|^2 + t^2) is the untruncated map; epsilon
+    is half its smallest sampled value and the level certifies when the
+    largest sampled tail stays below epsilon.  Raises MarginFailure when it
+    does not (raise n), BoundaryZero when a sample sits numerically on the
+    zero set, NonFiniteField when the field or the tail is not finite at a
+    sample, and ValueError for a budget below 1.
     """
-    op = f.operator
-    basis_n = op.basis(n)
-    if basis_n.dim == 0:
+    _check_budget(budget)
+    basis = f.operator.basis(n)
+    if basis.dim == 0:
         raise MarginFailure(f"{f.name}: V_{n} is zero-dimensional; raise the level")
-    m = _reference_level(op, n)
-    if m is None:
-        raise MarginFailure(f"{f.name}: no reference shells available above level {n}")
+    tail_of = f.tail if f.tail is not None else _offset_tail(f, n)
+    fld = shell_field(f, n)
     rng = np.random.default_rng(seed)
-    count = budget if budget is not None else BOUNDARY_PER_DIM * max(basis_n.dim, 1)
-    boundary = realize_region(f.region, basis_n).boundary_samples(count, rng)
-    field_m = shell_field(f, m)
-    X = np.zeros((len(boundary), field_m.rep.dim))
-    X[:, : basis_n.dim] = boundary
+    count = budget if budget is not None else BOUNDARY_PER_DIM * basis.dim
+    samples = fld.domain.boundary_samples(count, rng)
     message = f"{f.name}: nonlinearity not finite on boundary samples"
-    residual = finite_values(field_m.value, X, message)
-    smallest = float(np.linalg.norm(residual, axis=1).min())
+    values = finite_values(fld.value, samples, message)
+    tails = finite_values(lambda X: tail_of(X, basis), samples, message)
+    with np.errstate(over="ignore"):
+        smallest = float(np.hypot(np.linalg.norm(values, axis=1), tails).min())
     if smallest <= BOUNDARY_MARGIN:
         raise BoundaryZero(f"{f.name}: sampled |f| = {smallest:.3e} on the boundary at level {n}")
     epsilon = 0.5 * smallest
-    beyond = residual[:, basis_n.dim :]  # the samples vanish there, so this is -(P_m - P_n) F
-    tail = float(np.linalg.norm(beyond, axis=1).max()) if beyond.shape[1] else 0.0
+    tail = float(tails.max())
     if tail >= epsilon:
         raise MarginFailure(
             f"{f.name}: tail bound {tail:.3e} >= epsilon {epsilon:.3e} at level {n}"
         )
-    return epsilon, tail
+    return Margin(epsilon, tail, f.tail is not None, samples, values)
 
 
 @dataclass(frozen=True)
@@ -298,25 +357,46 @@ def degree_result_from_json(data: Mapping, group=CIRCLE) -> dict:
     }
 
 
-def _search_levels(op: SpectralOperator, start: int, depth: int) -> list[int]:
+def _last_level(f: LocalMapSpec, depth: int) -> Optional[int]:
+    """The last level N whose levels N .. N+depth the declared spectrum
+    holds, with a shell above N+depth too when f has no tail (its
+    estimate needs a reference level above each level); None when the
+    operator declares no last level."""
+    top = f.operator.max_level
+    return None if top is None else top - depth - (f.tail is None)
+
+
+def _search_levels(maps: Sequence[LocalMapSpec], start: int, depth: int) -> range:
     """The levels N from start up to MAX_LEVEL that an automatic search may
-    settle on: those whose last stabilization level N + depth still has a
-    reference level above it."""
-    return [n for n in range(start, MAX_LEVEL + 1) if _reference_level(op, n + depth) is not None]
+    settle on for all the maps, which share one operator."""
+    stop = min([MAX_LEVEL] + [n for n in (_last_level(f, depth) for f in maps) if n is not None])
+    return range(start, stop + 1)
+
+
+def _too_short(f: LocalMapSpec, what: str) -> MarginFailure:
+    reference = "" if f.tail is not None else " and, as the map declares no tail, a shell above them"
+    return MarginFailure(
+        f"{f.name}: the declared spectrum is too short to certify {what} (the levels "
+        f"N .. N+depth are needed{reference}; declared max level {f.operator.max_level})"
+    )
 
 
 def _stabilized(
-    f: LocalMapSpec, N: int, margin: tuple[float, float], *, depth: int, seed: int, budget
+    f: LocalMapSpec, N: int, margin: Margin, *, depth: int, seed: int, budget
 ) -> DegreeResult:
-    """The degree at level N, whose margin (epsilon, tail) is certified: the
-    values m_n deg(f_n) at n = N .. N+depth, each level above N certified
-    first, must agree exactly (StabilizationFailure otherwise)."""
-    epsilon, tail = margin
+    """The degree at level N, whose margin is certified: the values
+    m_n deg(f_n) at n = N .. N+depth, each level above N certified first,
+    must agree exactly (StabilizationFailure otherwise).  Without a budget,
+    each level's certified pass holds the 64 samples per dimension that
+    grad_degree would draw, and grad_degree takes its boundary checks from
+    it instead of sampling the boundary again."""
     per_level = []
     for n in range(N, N + depth + 1):
-        if n > N:
-            certify_margin(f, n, seed=seed, budget=budget)
-        per_level.append(grad_degree(shell_field(f, n), seed=seed, return_zeros=True))
+        level = margin if n == N else certify_margin(f, n, seed=seed, budget=budget)
+        shared = (level.samples, level.values) if budget is None else None
+        per_level.append(
+            grad_degree(shell_field(f, n), seed=seed, return_zeros=True, _boundary=shared)
+        )
     degrees = [d for d, _ in per_level]
     shells = shell_degrees(f.operator, N + depth)
     values = [_inverse_product(shells[: N + j]) * d for j, d in enumerate(degrees)]
@@ -325,6 +405,7 @@ def _stabilized(
             f"{f.name}: corrected degree changed between levels {N} and {N + depth}: "
             + " vs ".join(str(v) for v in values)
         )
+    epsilon, tail = margin
     return DegreeResult(
         value=values[0],
         level=N,
@@ -337,6 +418,7 @@ def _stabilized(
             "zero_counts": [len(zeros) for _, zeros in per_level],
             "sample_budget": budget or BOUNDARY_PER_DIM * f.operator.basis(N).dim,
             "margin_ratio": (tail / epsilon) if epsilon > 0 else float("inf"),
+            "exact_tail": margin.exact_tail,
         },
     )
 
@@ -353,23 +435,27 @@ def deg_infinite(
 
     With ``level="auto"`` the truncation level N is the first one up to
     MAX_LEVEL whose margin certifies, among those whose levels N .. N+depth
-    have reference shells above them.  The value is recomputed at
-    N+1 .. N+depth and exact agreement is required (StabilizationFailure
-    otherwise).
+    the declared spectrum holds (with a reference shell above them for a
+    map without a tail).  An explicit level outside that range raises
+    MarginFailure before any degree is computed.  The value is recomputed
+    at N+1 .. N+depth and exact agreement is required (StabilizationFailure
+    otherwise).  ``budget`` sets the number of boundary samples of each
+    margin certificate; ValueError below 1.
     """
     if stabilization_depth < 1:
         raise ValueError("stabilization_depth must be >= 1")
+    _check_budget(budget)
     step = dict(depth=stabilization_depth, seed=seed, budget=budget)
     if level != "auto":
         N = int(level)
+        top = _last_level(f, stabilization_depth)
+        if top is not None and N > top:
+            raise _too_short(f, f"level {N} at depth {stabilization_depth}")
         return _stabilized(f, N, certify_margin(f, N, seed=seed, budget=budget), **step)
 
-    levels = _search_levels(f.operator, max(f.min_level, 1), stabilization_depth)
+    levels = _search_levels([f], max(f.min_level, 1), stabilization_depth)
     if not levels:
-        raise MarginFailure(
-            f"{f.name}: the declared spectrum is too short to certify any truncation level "
-            f"(levels above N are needed as reference; declared max level {f.operator.max_level})"
-        )
+        raise _too_short(f, "any truncation level")
     last: Optional[DegreeError] = None
     for n in levels:
         try:
@@ -401,7 +487,7 @@ def deg_along_otopy(path: OtopyPath, *, seed: int = 0) -> list[DegreeResult]:
     if not slices:
         raise ValueError("empty otopy grid")
     start = max(max(s.min_level for _, s in slices), 1)
-    levels = _search_levels(slices[0][1].operator, start, 1)
+    levels = _search_levels([s for _, s in slices], start, 1)
 
     last_fail: tuple[float, object] = (path.grid[0], "the declared spectrum is too short")
     for n in levels:
@@ -441,12 +527,18 @@ def _diagonal_jacobian(X, diag) -> np.ndarray:
     return np.repeat(np.diag(diag)[None], len(np.atleast_2d(X)), axis=0)
 
 
+def _no_tail(X, basis) -> np.ndarray:
+    """The tail of a nonlinearity that maps V_n into itself: exactly 0."""
+    return np.zeros(len(np.atleast_2d(X)))
+
+
 def zero_nonlinearity(X, basis):
     return np.zeros_like(np.atleast_2d(X))
 
 
 zero_nonlinearity.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.zeros(len(idx)))
 zero_nonlinearity.affine = True
+zero_nonlinearity.tail = _no_tail
 
 
 def scalar_nonlinearity(c: float):
@@ -457,6 +549,7 @@ def scalar_nonlinearity(c: float):
 
     F.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.full(len(idx), float(c)))
     F.affine = True
+    F.tail = _no_tail
     return F
 
 
@@ -475,12 +568,14 @@ def kernel_projection_nonlinearity():
 
     F.jacobian = jacobian
     F.affine = True
+    F.tail = _no_tail
     return F
 
 
 def potential_nonlinearity(poly: Polynomial):
     """F = grad of a polynomial potential in the leading eigencoordinates
-    (affine for degree <= 2)."""
+    (affine for degree <= 2); F stays in every V_n that holds those
+    coordinates, so its tail is 0."""
 
     def check(basis):
         if basis.dim < poly.nvars:
@@ -509,6 +604,7 @@ def potential_nonlinearity(poly: Polynomial):
 
     F.jacobian = jacobian
     F.affine = poly.degree <= 2
+    F.tail = _no_tail
     return F
 
 
@@ -550,7 +646,9 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
     """The product map f x g on the direct sum of the operators.
 
     Its Jacobian, present when both summands have one, is block diagonal;
-    it is affine when both summands are.
+    it is affine when both summands are.  Its tail, present when both
+    summands have one, is the hypot of theirs: the summands' tails are
+    orthogonal.
     """
     op = f.operator.direct_sum(g.operator)
     levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # level -> (ia, ib), built on first use
@@ -581,6 +679,14 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
             )
             return block_diagonal_jacobian(X, idx, blocks)
 
+    tail = None
+    if f.tail is not None and g.tail is not None:
+
+        def tail(X, basis):
+            X = np.atleast_2d(X)
+            ia, basisA, ib, basisB = split(basis)
+            return np.hypot(f.tail(X[:, ia], basisA), g.tail(X[:, ib], basisB))
+
     def region(basis):
         ia, basisA, ib, basisB = split(basis)
         return ProductDomain(
@@ -595,4 +701,5 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
         name=f"{f.name} x {g.name}",
         jacobian=jacobian,
         affine=f.affine and g.affine,
+        tail=tail,
     )

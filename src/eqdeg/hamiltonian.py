@@ -17,8 +17,11 @@ both through the active rows of one synthesis matrix per level.  This is
 exact (no aliasing) once the grid has at least deg(H)*N + 1 points for N
 retained modes.  The exact Jacobian of the local map, the affine matrix
 plus the Galerkin matrix of lambda * Hessian along the loop, is alias-free
-on the same grid.  ``hamiltonian_gradient`` is the local map's
-nonlinearity at lambda = 1, read on a single loop.
+on the same grid.  The projection tail |(I - P_N) F| is exact too: the
+affine part keeps V_N, and |grad R|^2 along a loop of V_N has frequencies
+up to 2(deg(H) - 1)N, so a grid past that integrates it exactly.
+``hamiltonian_gradient`` is the local map's nonlinearity at lambda = 1,
+read on a single loop.
 """
 
 from __future__ import annotations
@@ -251,6 +254,14 @@ def default_quadrature_size(poly_degree: int, modes: int) -> int:
     return _pow2_at_least(max(poly_degree, 2) * max(modes, 1) + 1)
 
 
+def tail_quadrature_size(poly_degree: int, modes: int) -> int:
+    """Power-of-two grid size on which, for H of degree p = poly_degree and
+    a loop u of the given modes, both |grad H(u)|^2 (frequencies up to
+    2(p - 1) modes) and the projection of grad H(u) onto those modes
+    (products up to p modes) are exact."""
+    return _pow2_at_least(max(poly_degree * modes + 1, 2 * (poly_degree - 1) * modes + 1))
+
+
 def _synthesis_matrix(dof: int, level: int, size: int) -> np.ndarray:
     """Grid values of the eigencoordinate basis loops of V_level.
 
@@ -297,6 +308,13 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
     L[idx, idx] + w B_a[:, idx]^T hess R B_a[:, idx].  Only R is evaluated
     on the grid, whose size M stays the alias-free size for deg H.  With no
     terms of degree >= 3 the map is affine.
+
+    The tail of F on V_n is lambda |(I - P_n) grad R(u)|, since the affine
+    part maps V_n into itself; on the grid of ``tail_quadrature_size`` it
+    is lambda sqrt(|grad R(u)|^2 - |P_n grad R(u)|^2), both terms exact,
+    plus a bound on their rounding under the square root, so that
+    cancellation never makes it an underestimate.  Both grids read the
+    active rows B_a of one synthesis matrix per level and grid size.
     """
     op = loop_operator(spec.dof)
     poly = spec.potential
@@ -308,19 +326,25 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
     origin = np.zeros(n2)
     g0, S = affine.gradient(origin), affine.hessian(origin)
     levels: dict[int, tuple] = {}  # level -> (M, w, L, f0, B_a), built on first use
+    rows: dict[tuple[int, int], np.ndarray] = {}  # (level, grid size) -> B_a, kept for both grids
+
+    def synthesis(level, M):
+        """The (M, 2 dof, dim) synthesis matrix of a level and its active rows B_a."""
+        B = _synthesis_matrix(spec.dof, level, M).reshape(M, n2, -1)
+        Ba = rows.setdefault((level, M), B[:, active, :].reshape(M * len(active), B.shape[2]))
+        return B, Ba
 
     def active_values(X, basis):
         """The level's matrices and the (m, M, |active|) grid values of the active variables."""
         mats = levels.get(basis.level)
         if mats is None:
             M = default_quadrature_size(poly.degree, basis.level)
-            B = _synthesis_matrix(spec.dof, basis.level, M).reshape(M, n2, basis.dim)
+            B, Ba = synthesis(basis.level, M)
             w = spec.lam * 2.0 * math.pi / M
             L = w * B.reshape(M * n2, -1).T @ (S @ B).reshape(M * n2, -1)
             # symmetric up to rounding; made exact so that L[idx, idx] is the derivative of X L
             L = 0.5 * (L + L.T)
             f0 = w * g0 @ B.sum(axis=0)
-            Ba = B[:, active, :].reshape(M * len(active), basis.dim)
             mats = levels[basis.level] = (M, w, L, f0, Ba)
         M, Ba = mats[0], mats[-1]
         return mats, (X @ Ba.T).reshape(len(X), M, len(active))
@@ -341,6 +365,22 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
         J = (Bi.T @ HB.reshape(M * na, m * k)).reshape(k, m, k)
         return L[np.ix_(idx, idx)] + w * J.transpose(1, 0, 2)
 
+    def tail(X, basis):
+        X = np.atleast_2d(X)
+        if not higher:
+            return np.zeros(len(X))
+        M = tail_quadrature_size(rest.degree, basis.level)
+        Ba = rows[(basis.level, M)] if (basis.level, M) in rows else synthesis(basis.level, M)[1]
+        g = rest.gradient((X @ Ba.T).reshape(len(X), M, len(active))).reshape(len(X), -1)
+        h = 2.0 * math.pi / M
+        total = h * np.einsum("ij,ij->i", g, g)
+        coeffs = g @ Ba
+        kept = h * h * np.einsum("ij,ij->i", coeffs, coeffs)
+        # each coefficient of P_n grad R is a K-term sum, K = g.shape[1], with
+        # rounding below K eps |grad R|; this bounds the rounding of total - kept
+        rounding = 2.0 * (g.shape[1] + 2) * (math.sqrt(basis.dim) + 1.0) * np.finfo(float).eps
+        return spec.lam * np.sqrt(np.maximum(total - kept, 0.0) + rounding * total)
+
     return LocalMapSpec(
         operator=op,
         nonlinearity=nonlinearity,
@@ -348,6 +388,7 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
         name=f"hamiltonian(dof={spec.dof}, lambda={spec.lam:g})",
         jacobian=jacobian,
         affine=not higher,
+        tail=tail,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -279,20 +280,61 @@ def test_a_ball_center_above_the_level_asks_for_a_higher_level():
     assert res.level == 2 and res.value == ONE
 
 
-def test_a_spectrum_too_short_for_its_reference_shells_fails_before_any_degree(monkeypatch):
-    # shells 0..3 and min_level 2: level 2 would need level 3 certified,
-    # and no shell lies above level 3 to certify it against
-    op = SpectralOperator({n: [(float(n), Rep(1))] for n in range(4)})
-    f = LocalMapSpec(op, scalar_nonlinearity(0.5), RegionSpec.ball(1.0), min_level=2, name="short")
+def short_table():
+    """Shells 0..3, one trivial line each."""
+    return SpectralOperator({n: [(float(n), Rep(1))] for n in range(4)})
 
-    def no_degree(*args, **kwargs):
-        raise AssertionError("grad_degree ran")
+
+def no_degree(*args, **kwargs):
+    raise AssertionError("grad_degree ran")
+
+
+def halve(X, basis):
+    """x/2, with no declared tail."""
+    return 0.5 * np.atleast_2d(X)
+
+
+def test_a_spectrum_too_short_for_its_reference_shells_fails_before_any_degree(monkeypatch):
+    # min_level 2: level 2 would need level 3 certified, and a map without
+    # a tail has no shell above level 3 to estimate its tail against
+    f = LocalMapSpec(short_table(), halve, RegionSpec.ball(1.0), min_level=2, name="short")
+    assert f.tail is None
 
     monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
         deg_infinite(f)
     with pytest.raises(SliceMarginFailure, match="the declared spectrum is too short"):
         deg_along_otopy(OtopyPath.uniform(lambda t: f, steps=1))
+
+
+def test_an_explicit_level_on_a_short_spectrum_fails_before_any_degree(monkeypatch):
+    f = LocalMapSpec(short_table(), halve, RegionSpec.ball(1.0), name="short")
+    monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
+    with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
+        deg_infinite(f, level=2)
+    # with a tail, level 2 needs no reference shell, but depth 2 needs shell 4
+    g = dataclasses.replace(f, tail=scalar_nonlinearity(0.5).tail)
+    with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
+        deg_infinite(g, level=2, stabilization_depth=2)
+
+
+def test_a_map_with_a_tail_searches_up_to_the_last_declared_level():
+    f = LocalMapSpec(short_table(), scalar_nonlinearity(0.5), RegionSpec.ball(1.0), min_level=2, name="short")
+    res = deg_infinite(f)
+    assert res.level == 2 and res.diagnostics["levels_checked"] == [2, 3]
+    assert res.value == deg_infinite(f, level=2).value
+    assert res.diagnostics["exact_tail"] is True
+    with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
+        deg_infinite(f, stabilization_depth=2)
+
+
+def test_a_budget_below_one_is_a_value_error():
+    f = half_shift_map()
+    with pytest.raises(ValueError, match="budget"):
+        certify_margin(f, 1, budget=0)
+    with pytest.raises(ValueError, match="budget"):
+        deg_infinite(f, budget=0)
+    assert certify_margin(f, 1, budget=1).tail == 0.0
 
 
 def test_stabilization_failure_is_detected():

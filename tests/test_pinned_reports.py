@@ -37,7 +37,7 @@ PINNED = {
         "problem": {"dof": 1, "group": "S1", "kind": "hamiltonian", "lambda": 0.5, "radius": 1.0},
         "verdict": "periodic solution certified (nonzero degree)",
         "epsilon": 0.18822408508806657,
-        "tail_bound": 5.610615508104435e-16,
+        "tail_bound": 0.0,  # a quadratic H has no terms of degree >= 3, so no tail
     },
 }
 

@@ -76,12 +76,17 @@ def test_fixed_space_zero_search_is_pinned(dim, field_seed, value, zeros):
     assert [" ".join(float(x).hex() for x in row) for row in found] == list(zeros)
 
 
+# The tails below are the exact tails on V_n (LocalMapSpec.tail), with the
+# rounding bound under their square root; epsilon is half the smallest
+# sqrt(|f_n|^2 + tail^2) over the level-n boundary samples.
+
+
 def test_loops_certificate_is_pinned():
     cert = periodic_existence(selftest.quartic_hamiltonian(2, 0.4), 0.8, seed=0)
     res = cert.result
     assert str(res.value) == "[S1/S1]" and res.level == 1
-    assert float(res.epsilon).hex() == "0x1.5c7979ece5382p-3"
-    assert float(res.tail_bound).hex() == "0x1.4a30c1a831b42p-9"
+    assert float(res.epsilon).hex() == "0x1.5c7979ece5380p-3"
+    assert float(res.tail_bound).hex() == "0x1.4a30c1a831de4p-9"
     assert list(res.diagnostics["zero_counts"]) == [1, 1]
 
 
@@ -90,7 +95,7 @@ def test_explicit_level_certificate_is_pinned():
     res = deg_infinite(inst.build(), level=2, seed=0)
     assert str(res.value) == "[S1/S1]" and res.level == 2
     assert float(res.epsilon).hex() == "0x1.0a5e988cec6c2p-2"
-    assert float(res.tail_bound).hex() == "0x1.a11fb042daf4ep-10"
+    assert float(res.tail_bound).hex() == "0x1.a11fb042db575p-10"
     assert res.diagnostics["levels_checked"] == [2, 3]
     assert list(res.diagnostics["zero_counts"]) == [1, 1]
     assert res.diagnostics["sample_budget"] == 1280
@@ -98,9 +103,9 @@ def test_explicit_level_certificate_is_pinned():
 
 # (epsilon, tail) of each slice of the otopy below, certified at level 1
 OTOPY = (
-    ("0x1.586195677a1c4p-3", "0x1.03bd405177905p-8"),
-    ("0x1.468df83440a01p-3", "0x1.2434e85ba6813p-8"),
-    ("0x1.3329cb6739fbcp-3", "0x1.44ac9065d576bp-8"),
+    ("0x1.586195677a1c1p-3", "0x1.03bd405177a6ap-8"),
+    ("0x1.468df834409fep-3", "0x1.2434e85ba69b7p-8"),
+    ("0x1.3329cb6739fbbp-3", "0x1.44ac9065d5904p-8"),
 )
 
 
