@@ -10,18 +10,14 @@ of n, which this module verifies empirically by recomputing at n+1 (and
 deeper on request) instead of trusting the asymptotic argument.
 
 Boundary margins are estimated by sampling, not proved.  At each level
-one pass evaluates f_n on seeded samples of the truncated domain's
-boundary in V_n, together with the projection tail |(I - P_n) F| there.
-A map's declared ``tail`` gives that tail exactly (every nonlinearity of
-this library and the Hamiltonian local map declare one); for a user
-callable without one it is estimated from F on the finer reference level
-n + REFERENCE_OFFSET, which misses F's components above that level.
-epsilon is half the smallest |f| = sqrt(|f_n|^2 + tail^2) of the
-untruncated map over the samples, and the level certifies when the
-largest sampled tail stays below it.  The finite-dimensional degree at
-the level reuses the same pass for its boundary checks.  Diagnostics
-always record the sample budget, the margin ratio and whether the tail
-was exact.
+one pass evaluates f_n and the map's declared tail t, |(I - P_n) F| or
+a bound of it, on seeded samples of the truncated domain's boundary in
+V_n.  epsilon is half the smallest sqrt(|f_n|^2 + t^2), |f| of the
+untruncated map or a bound of it, and the level certifies when the
+largest sampled tail stays below epsilon, which keeps the true tail
+below min |f_n| / sqrt(3).  The finite-dimensional degree at the level
+reuses the same pass for its boundary checks.  Diagnostics always
+record the sample budget and the margin ratio.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ from .finite_degree import (
 from .polynomials import Polynomial
 from .reps import Rep, ShellBasis, SpectralOperator, shell_operator
 
-REFERENCE_OFFSET = 4  # a map without a tail is certified at level n against level n + this
 MAX_LEVEL = 10  # the automatic level search stops here
 
 
@@ -79,6 +74,12 @@ class BallSpec:
 class RegionSpec:
     balls: tuple[BallSpec, ...]
     mode: str = "union"  # or "intersection"
+
+    def __post_init__(self):
+        if self.mode not in ("union", "intersection"):
+            raise ValueError(f"unknown region mode {self.mode!r}")
+        if not self.balls:
+            raise ValueError("a region needs at least one ball")
 
     @staticmethod
     def ball(radius: float, center: Sequence[float] = (), center_level: int = 0) -> "RegionSpec":
@@ -108,11 +109,7 @@ def realize_region(region, basis: ShellBasis):
         balls.append(Ball(center, spec.radius, basis.graph_weights))
     if len(balls) == 1:
         return balls[0]
-    if region.mode == "union":
-        return UnionDomain(balls)
-    if region.mode == "intersection":
-        return IntersectionDomain(balls)
-    raise ValueError(f"unknown region mode {region.mode!r}")
+    return (UnionDomain if region.mode == "union" else IntersectionDomain)(balls)
 
 
 @dataclass
@@ -129,13 +126,12 @@ class LocalMapSpec:
     and the Hessians at zeros use central differences.  ``affine``, the
     declaration that F is affine, likewise defaults to the nonlinearity's
     ``affine`` attribute; grad_degree checks it.  ``tail(X, basis)``
-    optionally returns, for each row x of X in V_{basis.level}, the exact
-    norm |(I - P_n) F(x)| of the part of F that the truncation drops, as an
-    (m,) array; it defaults to the nonlinearity's ``tail`` attribute, which
-    the nonlinearities of this module (whose F stays in V_n, so the tail is
-    0) and the Hamiltonian local map carry.  Without one, certify_margin
-    estimates the tail on the finer level n + REFERENCE_OFFSET, and the
-    declared spectrum needs a shell above every level used.  ``region``
+    returns, for each row x of X in V_{basis.level}, the norm
+    |(I - P_n) F(x)| of the part of F that the truncation drops, or an
+    upper bound of it, as a finite (m,) array >= 0.  It defaults to the
+    nonlinearity's ``tail`` attribute, which the nonlinearities of this
+    module (whose F stays in V_n, so the tail is 0) and the Hamiltonian
+    local map carry; a map with neither is a ValueError.  ``region``
     bounds the invariant domain in the graph norm.  ``min_level`` is the
     first truncation level at which the nonlinearity is meaningful.  The
     truncated fields are always spot-checked for equivariance.
@@ -157,6 +153,8 @@ class LocalMapSpec:
             self.affine = getattr(self.nonlinearity, "affine", False)
         if self.tail is None:
             self.tail = getattr(self.nonlinearity, "tail", None)
+        if self.tail is None:
+            raise ValueError(f"{self.name}: declare tail(X, basis), a bound of |(I - P_n) F| per row")
 
     def with_region(self, region) -> "LocalMapSpec":
         return dataclasses.replace(self, region=region)
@@ -208,46 +206,31 @@ def _inverse_product(degrees: Sequence[RingElement]) -> RingElement:
     return out
 
 
-def _check_budget(budget: Optional[int]) -> None:
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be at least 1 boundary sample, got {budget}")
-
-
-def _offset_tail(f: LocalMapSpec, n: int) -> Callable:
-    """The tail of a map that declares none, estimated at the reference
-    level m = n + REFERENCE_OFFSET (the declared spectrum's last level if
-    that comes first): |(P_m - P_n) F(x)|, from F on V_m.  It misses the
-    components of F above V_m, so it can underestimate the tail.
-    MarginFailure when no shell lies above n."""
-    op = f.operator
-    m = n + REFERENCE_OFFSET if op.max_level is None else min(n + REFERENCE_OFFSET, op.max_level)
-    if m <= n:
-        raise MarginFailure(f"{f.name}: no reference shells available above level {n}")
-    basis_m = op.basis(m)
-
-    def tail(X, basis):
-        Xm = np.zeros((len(X), basis_m.dim))
-        Xm[:, : basis.dim] = X
-        return np.linalg.norm(f.nonlinearity(Xm, basis_m)[:, basis.dim :], axis=1)
-
-    return tail
+def _check_counts(**counts) -> None:
+    """ValueError naming the argument unless each count is an integer
+    (numpy integers included, bool not) of at least 0 for a level and 1
+    otherwise; a budget of None, the default, passes."""
+    for name, value in counts.items():
+        least = 0 if name in ("n", "level") else 1
+        if value is None and name == "budget":
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Margin:
     """The certified boundary margin at one level, with the pass behind it.
 
-    ``epsilon`` is half the smallest |f| of the untruncated map over the
-    boundary samples and ``tail`` the largest sampled |(I - P_n) F|;
-    ``exact_tail`` tells whether the map declared its tail or it was
-    estimated on the reference level.  ``samples`` are the boundary
-    samples of the truncated domain in V_n and ``values`` the truncated
-    field f_n at them.  A Margin unpacks as (epsilon, tail).
+    ``epsilon`` is half the smallest sqrt(|f_n|^2 + t^2) over the boundary
+    samples, with t the declared tail, and ``tail`` the largest sampled t.
+    ``samples`` are the boundary samples of the truncated domain in V_n and
+    ``values`` the truncated field f_n at them.  A Margin unpacks as
+    (epsilon, tail).
     """
 
     epsilon: float
     tail: float
-    exact_tail: bool
     samples: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
@@ -266,28 +249,30 @@ def certify_margin(
 
     Evaluates ``shell_field(f, n)`` once at seeded samples of the boundary
     of the truncated domain in V_n (``budget`` of them, 64 per dimension by
-    default) and the tail t = |(I - P_n) F| at the same samples: the map's
-    declared ``tail``, or for a map without one |(P_m - P_n) F| on the
-    reference level m = n + REFERENCE_OFFSET.  Since f_n and the tail are
-    orthogonal, |f| = sqrt(|f_n|^2 + t^2) is the untruncated map; epsilon
+    default) and the map's declared tail t, |(I - P_n) F| or a bound of
+    it, at the same samples.  Since f_n and the tail are orthogonal,
+    sqrt(|f_n|^2 + t^2) is |f| of the untruncated map or bounds it; epsilon
     is half its smallest sampled value and the level certifies when the
     largest sampled tail stays below epsilon.  Raises MarginFailure when it
     does not (raise n), BoundaryZero when a sample sits numerically on the
     zero set, NonFiniteField when the field or the tail is not finite at a
-    sample, and ValueError for a budget below 1.
+    sample, and ValueError for a tail not one value >= 0 per sample, an n
+    not an integer >= 0 or a budget not an integer >= 1.
     """
-    _check_budget(budget)
+    _check_counts(n=n, budget=budget)
     basis = f.operator.basis(n)
     if basis.dim == 0:
         raise MarginFailure(f"{f.name}: V_{n} is zero-dimensional; raise the level")
-    tail_of = f.tail if f.tail is not None else _offset_tail(f, n)
     fld = shell_field(f, n)
     rng = np.random.default_rng(seed)
     count = budget if budget is not None else BOUNDARY_PER_DIM * basis.dim
     samples = fld.domain.boundary_samples(count, rng)
     message = f"{f.name}: nonlinearity not finite on boundary samples"
     values = finite_values(fld.value, samples, message)
-    tails = finite_values(lambda X: tail_of(X, basis), samples, message)
+    tails = finite_values(lambda X: f.tail(X, basis), samples, message)
+    if tails.shape != (len(samples),) or np.any(tails < 0):
+        shape, least = tails.shape, tails.min(initial=np.inf)
+        raise ValueError(f"{f.name}: the tail must be one value >= 0 per sample, got shape {shape}, least {least:.3g}")
     with np.errstate(over="ignore"):
         smallest = float(np.hypot(np.linalg.norm(values, axis=1), tails).min())
     if smallest <= BOUNDARY_MARGIN:
@@ -298,7 +283,7 @@ def certify_margin(
         raise MarginFailure(
             f"{f.name}: tail bound {tail:.3e} >= epsilon {epsilon:.3e} at level {n}"
         )
-    return Margin(epsilon, tail, f.tail is not None, samples, values)
+    return Margin(epsilon, tail, samples, values)
 
 
 @dataclass(frozen=True)
@@ -357,27 +342,22 @@ def degree_result_from_json(data: Mapping, group=CIRCLE) -> dict:
     }
 
 
-def _last_level(f: LocalMapSpec, depth: int) -> Optional[int]:
+def _last_level(op: SpectralOperator, depth: int) -> Optional[int]:
     """The last level N whose levels N .. N+depth the declared spectrum
-    holds, with a shell above N+depth too when f has no tail (its
-    estimate needs a reference level above each level); None when the
-    operator declares no last level."""
-    top = f.operator.max_level
-    return None if top is None else top - depth - (f.tail is None)
+    holds; None when the operator declares no last level."""
+    return None if op.max_level is None else op.max_level - depth
 
 
-def _search_levels(maps: Sequence[LocalMapSpec], start: int, depth: int) -> range:
-    """The levels N from start up to MAX_LEVEL that an automatic search may
-    settle on for all the maps, which share one operator."""
-    stop = min([MAX_LEVEL] + [n for n in (_last_level(f, depth) for f in maps) if n is not None])
-    return range(start, stop + 1)
+def _search_levels(op: SpectralOperator, start: int, depth: int) -> range:
+    """The levels N from start up to MAX_LEVEL that an automatic search may settle on."""
+    top = _last_level(op, depth)
+    return range(start, (MAX_LEVEL if top is None else min(MAX_LEVEL, top)) + 1)
 
 
 def _too_short(f: LocalMapSpec, what: str) -> MarginFailure:
-    reference = "" if f.tail is not None else " and, as the map declares no tail, a shell above them"
     return MarginFailure(
         f"{f.name}: the declared spectrum is too short to certify {what} (the levels "
-        f"N .. N+depth are needed{reference}; declared max level {f.operator.max_level})"
+        f"N .. N+depth are needed; declared max level {f.operator.max_level})"
     )
 
 
@@ -418,7 +398,6 @@ def _stabilized(
             "zero_counts": [len(zeros) for _, zeros in per_level],
             "sample_budget": budget or BOUNDARY_PER_DIM * f.operator.basis(N).dim,
             "margin_ratio": (tail / epsilon) if epsilon > 0 else float("inf"),
-            "exact_tail": margin.exact_tail,
         },
     )
 
@@ -435,25 +414,24 @@ def deg_infinite(
 
     With ``level="auto"`` the truncation level N is the first one up to
     MAX_LEVEL whose margin certifies, among those whose levels N .. N+depth
-    the declared spectrum holds (with a reference shell above them for a
-    map without a tail).  An explicit level outside that range raises
-    MarginFailure before any degree is computed.  The value is recomputed
-    at N+1 .. N+depth and exact agreement is required (StabilizationFailure
-    otherwise).  ``budget`` sets the number of boundary samples of each
-    margin certificate; ValueError below 1.
+    the declared spectrum holds (N <= max_level - depth).  An explicit
+    level above that raises MarginFailure before any degree is computed.
+    The value is recomputed at N+1 .. N+depth and exact agreement is
+    required (StabilizationFailure otherwise).  ``budget`` sets the number
+    of boundary samples of each margin certificate.  ValueError unless an
+    explicit level is an integer >= 0 and the depth and budget integers
+    >= 1 (numpy integers count, bools do not).
     """
-    if stabilization_depth < 1:
-        raise ValueError("stabilization_depth must be >= 1")
-    _check_budget(budget)
+    _check_counts(stabilization_depth=stabilization_depth, budget=budget)
     step = dict(depth=stabilization_depth, seed=seed, budget=budget)
     if level != "auto":
-        N = int(level)
-        top = _last_level(f, stabilization_depth)
+        _check_counts(level=level)
+        N, top = int(level), _last_level(f.operator, stabilization_depth)
         if top is not None and N > top:
             raise _too_short(f, f"level {N} at depth {stabilization_depth}")
         return _stabilized(f, N, certify_margin(f, N, seed=seed, budget=budget), **step)
 
-    levels = _search_levels([f], max(f.min_level, 1), stabilization_depth)
+    levels = _search_levels(f.operator, max(f.min_level, 1), stabilization_depth)
     if not levels:
         raise _too_short(f, "any truncation level")
     last: Optional[DegreeError] = None
@@ -487,7 +465,7 @@ def deg_along_otopy(path: OtopyPath, *, seed: int = 0) -> list[DegreeResult]:
     if not slices:
         raise ValueError("empty otopy grid")
     start = max(max(s.min_level for _, s in slices), 1)
-    levels = _search_levels([s for _, s in slices], start, 1)
+    levels = _search_levels(slices[0][1].operator, start, 1)
 
     last_fail: tuple[float, object] = (path.grid[0], "the declared spectrum is too short")
     for n in levels:
@@ -646,9 +624,8 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
     """The product map f x g on the direct sum of the operators.
 
     Its Jacobian, present when both summands have one, is block diagonal;
-    it is affine when both summands are.  Its tail, present when both
-    summands have one, is the hypot of theirs: the summands' tails are
-    orthogonal.
+    it is affine when both summands are.  Its tail is the hypot of theirs:
+    the summands' tails are orthogonal.
     """
     op = f.operator.direct_sum(g.operator)
     levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # level -> (ia, ib), built on first use
@@ -679,13 +656,10 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
             )
             return block_diagonal_jacobian(X, idx, blocks)
 
-    tail = None
-    if f.tail is not None and g.tail is not None:
-
-        def tail(X, basis):
-            X = np.atleast_2d(X)
-            ia, basisA, ib, basisB = split(basis)
-            return np.hypot(f.tail(X[:, ia], basisA), g.tail(X[:, ib], basisB))
+    def tail(X, basis):
+        X = np.atleast_2d(X)
+        ia, basisA, ib, basisB = split(basis)
+        return np.hypot(f.tail(X[:, ia], basisA), g.tail(X[:, ib], basisB))
 
     def region(basis):
         ia, basisA, ib, basisB = split(basis)

@@ -141,7 +141,12 @@ def test_random_fixed_space_field_is_not_declared_affine():
 
 
 def test_user_nonlinearity_is_not_declared_affine():
-    lm = LocalMapSpec(synthetic_operator_a(), lambda X, basis: 0.3 * X, RegionSpec.ball(1.0))
+    lm = LocalMapSpec(
+        synthetic_operator_a(),
+        lambda X, basis: 0.3 * X,
+        RegionSpec.ball(1.0),
+        tail=lambda X, basis: np.zeros(len(X)),
+    )
     assert not lm.affine and not shell_field(lm, 1).affine
 
 

@@ -61,6 +61,17 @@ def e(k):
     return basis_element(CIRCLE, SubgroupClass.finite(k))
 
 
+def zero_tail(X, basis):
+    """The tail of a nonlinearity that maps V_n into itself: exactly 0."""
+    return np.zeros(len(X))
+
+
+def heavy(X, basis):
+    """A tail of 5 per coordinate of V_n: at every level it outweighs the
+    part of the heavy-tail maps below inside V_n, at most 5 per coordinate."""
+    return np.full(len(X), 5.0 * basis.dim)
+
+
 def half_shift_map(radius=1.0):
     """x -> Ax - x/2 on the integer-spectrum loop operator (kernel R^2)."""
     return LocalMapSpec(
@@ -139,7 +150,7 @@ def test_certify_margin_failure_when_tail_dominates():
         out[:, d1:] = 5.0
         return out
 
-    f = LocalMapSpec(op, heavy_tail, RegionSpec.ball(1.0), name="tail heavy")
+    f = LocalMapSpec(op, heavy_tail, RegionSpec.ball(1.0), name="tail heavy", tail=heavy)
     with pytest.raises(MarginFailure):
         certify_margin(f, 1)
 
@@ -148,9 +159,13 @@ def test_certify_margin_rejects_a_nonlinearity_not_finite_on_samples():
     def overflowing(X, basis):
         return np.full_like(np.atleast_2d(X), np.nan)
 
-    f = LocalMapSpec(loop_operator(1), overflowing, RegionSpec.ball(1.0), name="nan")
+    f = LocalMapSpec(loop_operator(1), overflowing, RegionSpec.ball(1.0), name="nan", tail=zero_tail)
     with pytest.raises(NonFiniteField, match="not finite on boundary samples"):
         certify_margin(f, 1)
+    # and so is a declared tail
+    g = dataclasses.replace(f, nonlinearity=halve, tail=lambda X, basis: np.full(len(X), np.inf))
+    with pytest.raises(NonFiniteField, match="not finite on boundary samples"):
+        certify_margin(g, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +252,7 @@ def test_auto_level_exhaustion_reports_margin_failure():
         out[:, basis.prefix_dim(min(1, basis.level)) :] = 5.0
         return out
 
-    f = LocalMapSpec(op, heavy_tail, RegionSpec.ball(1.0), name="tail heavy")
+    f = LocalMapSpec(op, heavy_tail, RegionSpec.ball(1.0), name="tail heavy", tail=heavy)
     with pytest.raises(MarginFailure):
         deg_infinite(f)
 
@@ -254,7 +269,9 @@ def sphere_zero_map(offset=0.0, radius=0.8):
         shrink = np.sum(w * X * X, axis=1) - radius**2
         return X * basis.eigenvalues - (shrink[:, None] * w + offset) * X
 
-    return LocalMapSpec(loop_operator(1), F, RegionSpec.ball(radius), name="sphere zeros")
+    return LocalMapSpec(
+        loop_operator(1), F, RegionSpec.ball(radius), name="sphere zeros", tail=zero_tail
+    )
 
 
 @pytest.mark.parametrize("offset", [0.0, 5e-9], ids=["on the sphere", "below the margin"])
@@ -290,16 +307,14 @@ def no_degree(*args, **kwargs):
 
 
 def halve(X, basis):
-    """x/2, with no declared tail."""
+    """x/2, a nonlinearity that keeps V_n."""
     return 0.5 * np.atleast_2d(X)
 
 
 def test_a_spectrum_too_short_for_its_reference_shells_fails_before_any_degree(monkeypatch):
-    # min_level 2: level 2 would need level 3 certified, and a map without
-    # a tail has no shell above level 3 to estimate its tail against
-    f = LocalMapSpec(short_table(), halve, RegionSpec.ball(1.0), min_level=2, name="short")
-    assert f.tail is None
-
+    # min_level 3: level 3 would need level 4 certified, and the table ends
+    # at shell 3
+    f = LocalMapSpec(short_table(), halve, RegionSpec.ball(1.0), min_level=3, name="short", tail=zero_tail)
     monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
         deg_infinite(f)
@@ -308,14 +323,13 @@ def test_a_spectrum_too_short_for_its_reference_shells_fails_before_any_degree(m
 
 
 def test_an_explicit_level_on_a_short_spectrum_fails_before_any_degree(monkeypatch):
-    f = LocalMapSpec(short_table(), halve, RegionSpec.ball(1.0), name="short")
+    f = LocalMapSpec(short_table(), halve, RegionSpec.ball(1.0), name="short", tail=zero_tail)
     monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
-        deg_infinite(f, level=2)
-    # with a tail, level 2 needs no reference shell, but depth 2 needs shell 4
-    g = dataclasses.replace(f, tail=scalar_nonlinearity(0.5).tail)
+        deg_infinite(f, level=3)
+    # level 2 at depth 2 needs shell 4
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
-        deg_infinite(g, level=2, stabilization_depth=2)
+        deg_infinite(f, level=2, stabilization_depth=2)
 
 
 def test_a_map_with_a_tail_searches_up_to_the_last_declared_level():
@@ -323,7 +337,6 @@ def test_a_map_with_a_tail_searches_up_to_the_last_declared_level():
     res = deg_infinite(f)
     assert res.level == 2 and res.diagnostics["levels_checked"] == [2, 3]
     assert res.value == deg_infinite(f, level=2).value
-    assert res.diagnostics["exact_tail"] is True
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
         deg_infinite(f, stabilization_depth=2)
 
@@ -335,6 +348,56 @@ def test_a_budget_below_one_is_a_value_error():
     with pytest.raises(ValueError, match="budget"):
         deg_infinite(f, budget=0)
     assert certify_margin(f, 1, budget=1).tail == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("level", 2.7),
+        ("level", True),
+        ("level", -1),
+        ("level", "2"),
+        ("stabilization_depth", 1.5),
+        ("stabilization_depth", 0),
+        ("stabilization_depth", np.True_),
+        ("budget", 2.5),
+        ("budget", False),
+        ("budget", np.int64(0)),
+    ],
+)
+def test_levels_depths_and_budgets_must_be_integers_in_range(monkeypatch, name, value):
+    monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
+    f = half_shift_map()
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        deg_infinite(f, **{name: value})
+    if name == "level":
+        with pytest.raises(ValueError, match="n must be an integer"):
+            certify_margin(f, value)
+    if name == "budget":
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            certify_margin(f, 1, budget=value)
+
+
+def test_numpy_integers_are_levels_depths_and_budgets():
+    f = half_shift_map()
+    res = deg_infinite(f, level=np.int64(2), stabilization_depth=np.int32(2), budget=np.int64(40))
+    assert type(res.level) is int and res.diagnostics["levels_checked"] == [2, 3, 4]
+    assert res.value == deg_infinite(f, level=2, stabilization_depth=2, budget=40).value
+    assert certify_margin(f, np.int64(1), budget=np.int16(40)).tail == 0.0
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [lambda X, basis: -5.0 * np.ones(len(X)), lambda X, basis: np.zeros((len(X), 1))],
+    ids=["negative", "a column"],
+)
+def test_a_declared_tail_must_be_one_value_at_least_zero_per_sample(tail):
+    f = LocalMapSpec(loop_operator(1), scalar_nonlinearity(0.5), RegionSpec.ball(1.0), name="odd tail", tail=tail)
+    with pytest.raises(ValueError, match="odd tail: the tail must be") as err:
+        certify_margin(f, 1)
+    assert not isinstance(err.value, NonFiniteField)
+    with pytest.raises(ValueError, match="odd tail: the tail must be"):
+        deg_infinite(f)
 
 
 def test_stabilization_failure_is_detected():
@@ -349,7 +412,7 @@ def test_stabilization_failure_is_detected():
         out[:, top:] = 3.0 * X[:, top:]
         return out
 
-    f = LocalMapSpec(op, level_dependent, RegionSpec.ball(1.0), name="level dependent")
+    f = LocalMapSpec(op, level_dependent, RegionSpec.ball(1.0), name="level dependent", tail=zero_tail)
     with pytest.raises(StabilizationFailure):
         deg_infinite(f)
 
@@ -484,6 +547,17 @@ def test_degree_result_json_round_trip():
     assert back["level"] == res.level
     assert back["stabilization"] == list(res.stabilization)
     assert back["limit_class"]["value"] == res.limit_class.value
+
+
+def test_region_spec_checks_its_mode_and_its_balls():
+    # one ball never reaches the mode in realize_region, so the spec checks it
+    with pytest.raises(ValueError, match="uniom"):
+        RegionSpec((BallSpec(1.0),), mode="uniom")
+    with pytest.raises(ValueError, match="uniom"):
+        RegionSpec((BallSpec(1.0), BallSpec(0.5)), mode="uniom")
+    with pytest.raises(ValueError, match="at least one ball"):
+        RegionSpec(())
+    assert RegionSpec((BallSpec(1.0),), mode="intersection").mode == "intersection"
 
 
 def test_region_validation_rejects_center_off_fixed_space():

@@ -413,7 +413,9 @@ def test_maps_with_jacobians_use_no_finite_differences(monkeypatch):
 def test_local_map_spec_without_jacobian_gives_the_same_degree():
     inst = CORPUS["loop2-coupled-quartic"]
     lm = inst.build()
-    plain = LocalMapSpec(lm.operator, lambda X, basis: lm.nonlinearity(X, basis), lm.region)
+    plain = LocalMapSpec(
+        lm.operator, lambda X, basis: lm.nonlinearity(X, basis), lm.region, tail=lm.tail
+    )
     assert plain.jacobian is None and shell_field(plain, 1).jacobian is None
     assert deg_infinite(plain).value == deg_infinite(lm).value == inst.expected
 

@@ -1,8 +1,8 @@
 """Exact projection tails on V_n and the one boundary pass per level.
 
 A map's declared tail |(I - P_n) F| is checked against tails estimated
-here from F on much finer levels, and against the reference-level
-estimate it replaces, which can only miss part of the tail.
+here from F on much finer levels, and against the estimate on the level
+n + 4 that it replaced, which can only miss part of the tail.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 from eqdeg.cli import build_problem
 from eqdeg.finite_degree import BOUNDARY_PER_DIM
 from eqdeg.galerkin import (
-    REFERENCE_OFFSET,
     LocalMapSpec,
     RegionSpec,
     _embedding_indices,
@@ -33,6 +32,7 @@ from eqdeg.polynomials import Polynomial
 from eqdeg.selftest import corpus_local_maps, quartic_hamiltonian, synthetic_operator_a
 
 DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
+OFFSET = 4  # tails were once estimated on the level n + OFFSET
 
 
 def sextic_map():
@@ -68,14 +68,13 @@ def demo_maps():
 def test_sextic_tail_matches_a_far_reference_level():
     f = sextic_map()
     margin = certify_margin(f, 3)
-    assert margin.exact_tail
     assert f"{margin.tail:.5e}" == "1.38463e-03"
     far = offset_tail(f, margin.samples, 3, 23)
     assert abs(margin.tail - far.max()) < 1e-10
     exact = f.tail(margin.samples, f.operator.basis(3))
     assert np.max(np.abs(exact - far)) < 1e-10
-    # the reference level n + 4 misses part of this tail
-    assert offset_tail(f, margin.samples, 3, 3 + REFERENCE_OFFSET).max() < margin.tail - 2e-5
+    # the level n + 4 misses part of this tail
+    assert offset_tail(f, margin.samples, 3, 3 + OFFSET).max() < margin.tail - 2e-5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -83,7 +82,7 @@ def test_exact_tails_bound_the_reference_level_estimate(n):
     maps = [inst.build() for inst in corpus_local_maps()] + demo_maps()
     for f in maps:
         top = f.operator.max_level
-        m = n + REFERENCE_OFFSET if top is None else min(n + REFERENCE_OFFSET, top)
+        m = n + OFFSET if top is None else min(n + OFFSET, top)
         if n < max(f.min_level, 1) or m <= n:
             continue
         X = boundary(f, n)
@@ -122,9 +121,8 @@ def test_nonlinearities_inside_v_n_have_exactly_zero_tail():
             X = boundary(f, n)
             assert np.all(f.tail(X, f.operator.basis(n)) == 0.0), f.name
         margin = certify_margin(f, 2)
-        assert margin.tail == 0.0 and margin.exact_tail, f.name
-    res = deg_infinite(maps[-1])
-    assert res.tail_bound == 0.0 and res.diagnostics["exact_tail"]
+        assert margin.tail == 0.0, f.name
+    assert deg_infinite(maps[-1]).tail_bound == 0.0
 
 
 def test_a_quadratic_hamiltonian_has_no_tail():
@@ -144,19 +142,9 @@ def test_direct_sum_tail_is_the_hypot_of_the_summand_tails():
     parts = np.hypot(f.tail(X[:, ia], f.operator.basis(n)), g.tail(X[:, ib], g.operator.basis(n)))
     assert np.array_equal(tails, parts)
     assert np.max(np.abs(tails - offset_tail(fg, X, n, n + 20))) < 1e-10
-    # a summand without a tail leaves the sum without one
-    bare = LocalMapSpec(f.operator, lambda X, basis: f.nonlinearity(X, basis), f.region)
-    assert direct_sum_local_maps(bare, g).tail is None
-
-
-def test_a_map_without_a_tail_uses_the_reference_level():
-    f = local_map(quartic_hamiltonian(1, 0.4), radius=0.8)
-    bare = LocalMapSpec(f.operator, lambda X, basis: f.nonlinearity(X, basis), f.region)
-    exact, estimated = certify_margin(f, 1), certify_margin(bare, 1)
-    assert exact.exact_tail and not estimated.exact_tail
-    # the quartic's tail at level 1 lies in modes 2 and 3, inside level 5
-    assert estimated.tail == pytest.approx(exact.tail, rel=1e-9)
-    assert deg_infinite(bare).diagnostics["exact_tail"] is False
+    # a summand cannot be built without a tail
+    with pytest.raises(ValueError, match="tail"):
+        LocalMapSpec(f.operator, lambda X, basis: f.nonlinearity(X, basis), f.region)
 
 
 # ---------------------------------------------------------------------------
