@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteField,
     SliceMarginFailure,
     StabilizationFailure,
+    SupportFailure,
     UnresolvedZeroCluster,
     ZeroOutsideFixedSpace,
 )

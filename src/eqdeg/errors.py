@@ -72,6 +72,12 @@ class AffinityFailure(DegreeError, ValueError):
     rounding at a boundary sample."""
 
 
+class SupportFailure(DegreeError, ValueError):
+    """A local map declared that its nonlinearity writes only its leading
+    ``support`` coordinates, but f_n differs from Ax beyond them by more
+    than rounding at a boundary sample."""
+
+
 class NonFiniteField(DegreeError, ValueError):
     """A field or nonlinearity returned a value that is not finite at a
     boundary sample, so no margin can be certified there."""

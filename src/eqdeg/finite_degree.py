@@ -285,31 +285,42 @@ def _spot_check_equivariance(fld: GradientField, rng: np.random.Generator):
             )
 
 
-def _embed_fixed(layout: Layout, Y: np.ndarray) -> np.ndarray:
-    """The points with trivial coordinates Y and zeros on the rotation planes."""
-    X = np.zeros((len(Y), layout.size))
-    X[:, list(layout.trivial)] = Y
+def _embed(size: int, coords: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The points with coordinates ``coords`` Y and zeros on the others."""
+    X = np.zeros((len(Y), size))
+    X[:, coords] = Y
     return X
 
 
-def fixed_space_field(fld: GradientField) -> GradientField:
-    """fld restricted to its fixed-point space: a field on its trivial
-    coordinates and on ``fld.domain.section`` of them, affine when fld is.
-    Its value calls fld's ``value`` once at the embedded points, and its
-    Jacobian, when fld has one, is fld's restricted to those coordinates."""
-    fixed = np.asarray(fld.layout.trivial, dtype=int)
+def restricted_field(fld: GradientField, coords) -> GradientField:
+    """fld restricted to the coordinates ``coords``, which must hold each
+    rotation plane they touch whole: a field on them, with the layout
+    ``fld.layout.section`` and the domain ``fld.domain.section`` of them,
+    affine when fld is.  Its value calls fld's ``value`` once at the points
+    embedded with zeros on the other coordinates, and its Jacobian, when
+    fld has one, is fld's restricted to ``coords``.  It is a field of its
+    own when fld maps the zero set of the other coordinates into itself."""
+    coords = np.asarray(coords, dtype=int)
+    layout = fld.layout.section(coords)
+    size = fld.layout.size
 
     def jacobian(Y, idx):
-        return fld.jacobian(_embed_fixed(fld.layout, Y), fixed[idx])
+        return fld.jacobian(_embed(size, coords, Y), coords[idx])
 
     return GradientField(
-        rep=Rep(len(fixed)),
-        value=lambda Y: np.asarray(fld.value(_embed_fixed(fld.layout, Y)), dtype=float)[:, fixed],
-        domain=fld.domain.section(fixed),
+        rep=layout.rep(),
+        value=lambda Y: np.asarray(fld.value(_embed(size, coords, Y)), dtype=float)[:, coords],
+        domain=fld.domain.section(coords),
+        layout=layout,
         name=fld.name,
         jacobian=jacobian if fld.jacobian is not None else None,
         affine=fld.affine,
     )
+
+
+def fixed_space_field(fld: GradientField) -> GradientField:
+    """fld restricted to its fixed-point space, its trivial coordinates."""
+    return restricted_field(fld, fld.layout.trivial)
 
 
 def _located_fixed_zeros(fld: GradientField, *, probe_scale: float, unique: bool) -> np.ndarray:
@@ -317,7 +328,8 @@ def _located_fixed_zeros(fld: GradientField, *, probe_scale: float, unique: bool
     alone when ``unique``); fld's normal part must vanish at each zero."""
     sub = fixed_space_field(fld)
     seeds = np.zeros((1, sub.domain.dim)) if unique else sub.domain.seed_points(SEED_FRACTION)
-    pts = _embed_fixed(fld.layout, _newton_batch(sub, seeds, scale=probe_scale))
+    fixed = np.asarray(fld.layout.trivial, dtype=int)
+    pts = _embed(fld.layout.size, fixed, _newton_batch(sub, seeds, scale=probe_scale))
     pts = _dedupe(pts[fld.domain.contains(pts)])
     if len(pts):
         normals = fld.evaluate(pts)[:, fld.layout.normal_indices()]

@@ -18,6 +18,16 @@ largest sampled tail stays below epsilon, which keeps the true tail
 below min |f_n| / sqrt(3).  The finite-dimensional degree at the level
 reuses the same pass for its boundary checks.  Diagnostics always
 record the sample budget and the margin ratio.
+
+A map whose nonlinearity declares a ``support`` s reads and writes only
+the leading s eigencoordinates, so f_n = g_W + Ax on V_n = W + W^perp,
+with W those coordinates (widened to whole rotation planes and over the
+region's ball centers) and g_W the same field at every level n >= N.
+The zeros are then searched once per certificate, on g_W over the
+domain's section by W, and deg f_n is deg g_W times the linear degree of
+A on W^perp at each level: linear degrees multiply over block sums.
+Each level's certified pass checks the declaration: f_n must equal Ax
+on W^perp there to rounding (SupportFailure otherwise).
 """
 
 from __future__ import annotations
@@ -31,10 +41,13 @@ import numpy as np
 from .domains import Ball, IntersectionDomain, ProductDomain, UnionDomain
 from .errors import (
     BoundaryZero,
+    DegenerateZero,
     DegreeError,
     MarginFailure,
+    NearSingular,
     SliceMarginFailure,
     StabilizationFailure,
+    SupportFailure,
 )
 from .euler_ring import (
     CIRCLE,
@@ -48,11 +61,14 @@ from .euler_ring import (
 from .finite_degree import (
     BOUNDARY_MARGIN,
     BOUNDARY_PER_DIM,
+    SINGULAR_RATIO,
     GradientField,
     block_diagonal_jacobian,
+    blocks_from_matrix,
     finite_values,
     grad_degree,
     linear_degree,
+    restricted_field,
 )
 from .polynomials import Polynomial
 from .reps import Rep, ShellBasis, SpectralOperator, shell_operator
@@ -131,7 +147,14 @@ class LocalMapSpec:
     upper bound of it, as a finite (m,) array >= 0.  It defaults to the
     nonlinearity's ``tail`` attribute, which the nonlinearities of this
     module (whose F stays in V_n, so the tail is 0) and the Hamiltonian
-    local map carry; a map with neither is a ValueError.  ``region``
+    local map carry; a map with neither is a ValueError.  ``support``,
+    read from the nonlinearity's ``support`` attribute when not given,
+    declares that F reads and writes only the leading ``support``
+    eigencoordinates: an integer >= 0 (ValueError naming the map
+    otherwise), which ``potential_nonlinearity`` and ``zero_nonlinearity``
+    set, or None, the default, for all of V_n.  The degree at each level
+    then searches zeros only there (see the module docstring), and the
+    declaration is checked on each level's boundary samples.  ``region``
     bounds the invariant domain in the graph norm.  ``min_level`` is the
     first truncation level at which the nonlinearity is meaningful.  The
     truncated fields are always spot-checked for equivariance.
@@ -145,6 +168,7 @@ class LocalMapSpec:
     jacobian: Optional[Callable] = None
     affine: bool = False
     tail: Optional[Callable] = None
+    support: Optional[int] = None
 
     def __post_init__(self):
         if self.jacobian is None:
@@ -155,6 +179,10 @@ class LocalMapSpec:
             self.tail = getattr(self.nonlinearity, "tail", None)
         if self.tail is None:
             raise ValueError(f"{self.name}: declare tail(X, basis), a bound of |(I - P_n) F| per row")
+        if self.support is None:
+            self.support = getattr(self.nonlinearity, "support", None)
+        if self.support is not None and not _is_count(self.support, 0):
+            raise ValueError(f"{self.name}: support must be an integer >= 0, got {self.support!r}")
 
     def with_region(self, region) -> "LocalMapSpec":
         return dataclasses.replace(self, region=region)
@@ -206,6 +234,11 @@ def _inverse_product(degrees: Sequence[RingElement]) -> RingElement:
     return out
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether value is an integer (numpy integers included, bool not) >= least."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+
+
 def _check_counts(**counts) -> None:
     """ValueError naming the argument unless each count is an integer
     (numpy integers included, bool not) of at least 0 for a level and 1
@@ -214,7 +247,7 @@ def _check_counts(**counts) -> None:
         least = 0 if name in ("n", "level") else 1
         if value is None and name == "budget":
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        if not _is_count(value, least):
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -361,22 +394,90 @@ def _too_short(f: LocalMapSpec, what: str) -> MarginFailure:
     )
 
 
+def _search_width(f: LocalMapSpec, basis: ShellBasis) -> Optional[int]:
+    """The number w of leading coordinates of V_n, the space W, that hold
+    the map's declared support, widened to a whole rotation plane and over
+    the region's ball centers, so that the domain's section by W is its
+    slice where the other coordinates vanish.  None, for all of V_n,
+    without a support, with a callable region, or when W exceeds V_n."""
+    if f.support is None or callable(f.region):
+        return None
+    centers = [int(np.flatnonzero(b.center).max(initial=-1)) + 1 for b in f.region.balls]
+    w = max([int(f.support)] + centers)
+    if any(base == w - 1 for _, base in basis.layout.pairs):
+        w += 1
+    return w if w <= basis.dim else None
+
+
+def _check_support(f: LocalMapSpec, basis: ShellBasis, w: int, level: Margin) -> None:
+    """SupportFailure unless f_n = Ax beyond the leading w coordinates of
+    V_n, to rounding, at the level's certified boundary samples."""
+    outside = level.values[:, w:] - level.samples[:, w:] * basis.eigenvalues[w:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.linalg.norm(outside, axis=1).max(initial=0.0))
+        size = float(np.linalg.norm(level.values, axis=1).max())
+    if not defect <= SINGULAR_RATIO * size:
+        raise SupportFailure(
+            f"{f.name}: declared support {f.support}, but |f_n - Ax| beyond coordinate {w} "
+            f"reaches {defect:.2e} on the boundary at level {basis.level}, where |f_n| reaches {size:.2e}"
+        )
+
+
+def _outside_degree(f: LocalMapSpec, basis: ShellBasis, w: int) -> RingElement:
+    """The linear degree of A on the coordinates of V_n beyond the leading
+    w; DegenerateZero when A is singular there, since f_n's zeros are then
+    not isolated."""
+    rest = basis.layout.section(range(w, basis.dim))
+    try:
+        return linear_degree(blocks_from_matrix(np.diag(basis.eigenvalues[w:]), rest))
+    except NearSingular as exc:
+        raise DegenerateZero(
+            f"{f.name}: A is singular beyond the support at level {basis.level}: {exc}"
+        ) from exc
+
+
+def _level_degrees(
+    f: LocalMapSpec, N: int, margin: Margin, *, depth: int, seed: int, budget
+) -> list[tuple[RingElement, np.ndarray]]:
+    """deg(f_n) and the zeros of f_n in V_n at n = N .. N+depth, each level
+    above N certified first.  Without a budget, each level's certified pass
+    holds the 64 samples per dimension that grad_degree would draw, and
+    grad_degree takes its boundary checks from it instead of sampling the
+    boundary again.  With a support, the zeros are searched once, on f_N
+    restricted to W (``_search_width``); each level n checks the support
+    on its pass and multiplies that degree by the linear degree of A
+    beyond W in V_n, and its zeros are those of W with 0 beyond."""
+    w = _search_width(f, f.operator.basis(N))
+    search = None  # (degree, zeros) of f_N restricted to W, shared by the levels
+    per_level = []
+    for n in range(N, N + depth + 1):
+        level = margin if n == N else certify_margin(f, n, seed=seed, budget=budget)
+        if w is None:
+            shared = (level.samples, level.values) if budget is None else None
+            per_level.append(
+                grad_degree(shell_field(f, n), seed=seed, return_zeros=True, _boundary=shared)
+            )
+            continue
+        basis = f.operator.basis(n)
+        _check_support(f, basis, w, level)
+        if search is None:
+            search = grad_degree(
+                restricted_field(shell_field(f, n), range(w)), seed=seed, return_zeros=True
+            )
+        degree, zeros = search
+        if len(zeros):
+            degree = degree * _outside_degree(f, basis, w)
+        per_level.append((degree, np.pad(zeros, ((0, 0), (0, basis.dim - w)))))
+    return per_level
+
+
 def _stabilized(
     f: LocalMapSpec, N: int, margin: Margin, *, depth: int, seed: int, budget
 ) -> DegreeResult:
     """The degree at level N, whose margin is certified: the values
-    m_n deg(f_n) at n = N .. N+depth, each level above N certified first,
-    must agree exactly (StabilizationFailure otherwise).  Without a budget,
-    each level's certified pass holds the 64 samples per dimension that
-    grad_degree would draw, and grad_degree takes its boundary checks from
-    it instead of sampling the boundary again."""
-    per_level = []
-    for n in range(N, N + depth + 1):
-        level = margin if n == N else certify_margin(f, n, seed=seed, budget=budget)
-        shared = (level.samples, level.values) if budget is None else None
-        per_level.append(
-            grad_degree(shell_field(f, n), seed=seed, return_zeros=True, _boundary=shared)
-        )
+    m_n deg(f_n) at n = N .. N+depth (``_level_degrees``) must agree
+    exactly (StabilizationFailure otherwise)."""
+    per_level = _level_degrees(f, N, margin, depth=depth, seed=seed, budget=budget)
     degrees = [d for d, _ in per_level]
     shells = shell_degrees(f.operator, N + depth)
     values = [_inverse_product(shells[: N + j]) * d for j, d in enumerate(degrees)]
@@ -517,6 +618,7 @@ def zero_nonlinearity(X, basis):
 zero_nonlinearity.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.zeros(len(idx)))
 zero_nonlinearity.affine = True
 zero_nonlinearity.tail = _no_tail
+zero_nonlinearity.support = 0
 
 
 def scalar_nonlinearity(c: float):
@@ -553,7 +655,7 @@ def kernel_projection_nonlinearity():
 def potential_nonlinearity(poly: Polynomial):
     """F = grad of a polynomial potential in the leading eigencoordinates
     (affine for degree <= 2); F stays in every V_n that holds those
-    coordinates, so its tail is 0."""
+    coordinates, so its tail is 0, and its support is their number."""
 
     def check(basis):
         if basis.dim < poly.nvars:
@@ -583,11 +685,16 @@ def potential_nonlinearity(poly: Polynomial):
     F.jacobian = jacobian
     F.affine = poly.degree <= 2
     F.tail = _no_tail
+    F.support = poly.nvars
     return F
 
 
 def normalization_map(op: SpectralOperator) -> LocalMapSpec:
-    """The map Ax + P_0 x on the unit ball, whose degree is the ring unit."""
+    """The map Ax + P_0 x on the unit ball, whose degree is the ring unit.
+
+    Its nonlinearity declares no support, so its degree takes the zero
+    search over all of V_n, and the CLI's normalization check keeps
+    exercising that unrestricted search."""
     return LocalMapSpec(
         operator=op,
         nonlinearity=kernel_projection_nonlinearity(),

@@ -133,6 +133,20 @@ class Layout:
         fixed = set(self.trivial)
         return tuple(i for i in range(self.size) if i not in fixed)
 
+    def section(self, indices: Sequence[int]) -> "Layout":
+        """The layout of the coordinates ``indices``, numbered by their
+        position there.  A rotation plane they touch must be whole, its two
+        coordinates adjacent and in order; ValueError otherwise."""
+        pos = {int(i): j for j, i in enumerate(indices)}
+        pairs = []
+        for k, b in self.pairs:
+            if b in pos or b + 1 in pos:
+                if pos.get(b + 1, -1) != pos.get(b, -2) + 1:
+                    raise ValueError(f"coordinates {b}, {b + 1} of a mode-{k} plane are split")
+                pairs.append((k, pos[b]))
+        trivial = tuple(sorted(pos[i] for i in self.trivial if i in pos))
+        return Layout(len(pos), trivial, tuple(pairs))
+
 
 def canonical_layout(rep: Rep) -> Layout:
     """Trivial coordinates first, then mode planes in ascending mode order."""
