@@ -149,11 +149,6 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
             raise InputError(f"bad nonlinearity description: {exc}") from exc
         try:
             dim0 = op.basis(op.max_level).dim
-            # the first level whose V_n holds the potential's variables; a kernel-only
-            # spectrum keeps level 1, which deg_infinite rejects as too short
-            min_level = next(
-                (n for n in range(1, op.max_level + 1) if op.basis(n).dim >= poly.nvars), 1
-            )
         except ValueError as exc:
             raise InputError(f"bad spectrum description: {exc}") from exc
         if poly.nvars > dim0:
@@ -167,7 +162,6 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
                 operator=op,
                 nonlinearity=potential_nonlinearity(poly),
                 region=RegionSpec.ball(radius),
-                min_level=min_level,
                 name="abstract problem",
             ),
             meta,

@@ -148,6 +148,18 @@ def finite_values(evaluate: Callable, X: np.ndarray, message: str) -> np.ndarray
     return values
 
 
+def check_declared(error: type, claim: str, defects: np.ndarray, values: np.ndarray) -> None:
+    """The check of a declared structure on one boundary pass: ``error``
+    unless the largest row norm of ``defects``, the samples' departure from
+    the declaration, stays <= SINGULAR_RATIO times the largest |f| of the
+    field ``values`` there; NaN fails.  The message opens with ``claim``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.linalg.norm(defects, axis=1).max(initial=0.0))
+        size = float(np.linalg.norm(values, axis=1).max(initial=0.0))
+    if not defect <= SINGULAR_RATIO * size:
+        raise error(f"{claim} reaches {defect:.2e} on the boundary, where |f| reaches {size:.2e}")
+
+
 # ---------------------------------------------------------------------------
 # Newton machinery
 
@@ -392,13 +404,8 @@ def _unique_zero(fld: GradientField, bsamples: np.ndarray, bvalues: np.ndarray, 
     except NearSingular:
         return False
     if len(bsamples):
-        defect = np.linalg.norm(bvalues - fld.evaluate(origin) - bsamples @ J.T, axis=1).max()
-        size = np.linalg.norm(bvalues, axis=1).max()
-        if not defect <= SINGULAR_RATIO * size:
-            raise AffinityFailure(
-                f"{fld.name}: declared affine, but |f(x) - f(0) - J x| = {defect:.2e} "
-                f"on the boundary where |f| reaches {size:.2e}"
-            )
+        defects = bvalues - fld.evaluate(origin) - bsamples @ J.T
+        check_declared(AffinityFailure, f"{fld.name}: declared affine, but |f(x) - f(0) - J x|", defects, bvalues)
     return True
 
 

@@ -28,6 +28,11 @@ domain's section by W, and deg f_n is deg g_W times the linear degree of
 A on W^perp at each level: linear degrees multiply over block sums.
 Each level's certified pass checks the declaration: f_n must equal Ax
 on W^perp there to rounding (SupportFailure otherwise).
+
+The level floor is derived, not declared: every level search starts at
+n = 1, and a nonlinearity evaluated on a V_n too small to hold its
+variables raises MarginFailure ("raise the level"), as a ball center
+above V_n does, so the search moves on to the next level.
 """
 
 from __future__ import annotations
@@ -61,10 +66,10 @@ from .euler_ring import (
 from .finite_degree import (
     BOUNDARY_MARGIN,
     BOUNDARY_PER_DIM,
-    SINGULAR_RATIO,
     GradientField,
     block_diagonal_jacobian,
     blocks_from_matrix,
+    check_declared,
     finite_values,
     grad_degree,
     linear_degree,
@@ -128,61 +133,59 @@ def realize_region(region, basis: ShellBasis):
     return (UnionDomain if region.mode == "union" else IntersectionDomain)(balls)
 
 
+# What a nonlinearity declares as attributes: name -> (default, check, what
+# the check asks).  LocalMapSpec reads and checks each of them.
+_DECLARATIONS = {
+    "tail": (None, callable, "a callable tail(X, basis), a bound of |(I - P_n) F| per row"),
+    "jacobian": (None, lambda v: v is None or callable(v), "a callable jacobian(X, basis, idx) or None"),
+    "affine": (False, lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
+    "support": (None, lambda v: v is None or _is_count(v, 0), "an integer >= 0 or None"),
+}
+
+
 @dataclass
 class LocalMapSpec:
-    """A gradient perturbation f = Ax - F(x) of a spectral operator.
+    """A gradient perturbation f = Ax - F(x) of a spectral operator on a
+    region, which bounds the invariant domain in the graph norm.
 
     ``nonlinearity(X, basis)`` receives an (m, basis.dim) batch of
-    eigencoordinates of V_{basis.level} and must return the projection of
-    F onto that space in the same coordinates.  ``jacobian(X, basis, idx)``
-    optionally returns the exact derivative of that projection on the rows
-    and columns idx, as an (m, |idx|, |idx|) array; it defaults to the
-    nonlinearity's own ``jacobian`` attribute, which the nonlinearities of
-    this module and the Hamiltonian local map carry.  Without one, Newton
-    and the Hessians at zeros use central differences.  ``affine``, the
-    declaration that F is affine, likewise defaults to the nonlinearity's
-    ``affine`` attribute; grad_degree checks it.  ``tail(X, basis)``
-    returns, for each row x of X in V_{basis.level}, the norm
-    |(I - P_n) F(x)| of the part of F that the truncation drops, or an
-    upper bound of it, as a finite (m,) array >= 0.  It defaults to the
-    nonlinearity's ``tail`` attribute, which the nonlinearities of this
-    module (whose F stays in V_n, so the tail is 0) and the Hamiltonian
-    local map carry; a map with neither is a ValueError.  ``support``,
-    read from the nonlinearity's ``support`` attribute when not given,
-    declares that F reads and writes only the leading ``support``
-    eigencoordinates: an integer >= 0 (ValueError naming the map
-    otherwise), which ``potential_nonlinearity`` and ``zero_nonlinearity``
-    set, or None, the default, for all of V_n.  The degree at each level
-    then searches zeros only there (see the module docstring), and the
-    declaration is checked on each level's boundary samples.  ``region``
-    bounds the invariant domain in the graph norm.  ``min_level`` is the
-    first truncation level at which the nonlinearity is meaningful.  The
-    truncated fields are always spot-checked for equivariance.
+    eigencoordinates of V_{basis.level} and returns the projection of F
+    onto that space in the same coordinates; on a V_n too small for F's
+    variables it raises MarginFailure, as ``potential_nonlinearity`` does.
+    Its attributes declare the rest, read and checked once here (ValueError
+    naming the map), and again by ``with_region``:
+
+    - ``tail(X, basis)``, required: per row x of X in V_{basis.level}, the
+      norm |(I - P_n) F(x)| of the part of F that the truncation drops, or
+      an upper bound of it, as a finite (m,) array >= 0;
+    - ``jacobian(X, basis, idx)``, or None, the default, for central
+      differences: the exact derivative of the projection on the rows and
+      columns idx, as an (m, |idx|, |idx|) array;
+    - ``affine``, a bool, False by default: F is affine (grad_degree checks);
+    - ``support``, an integer >= 0 (numpy integers count, bools do not), or
+      None, the default, for all of V_n: F reads and writes only the leading
+      ``support`` eigencoordinates, where the degree then searches its zeros
+      (see the module docstring); each level checks it on its boundary.
+
+    The nonlinearities of this module and the Hamiltonian local map carry
+    their declarations.
     """
 
     operator: SpectralOperator
     nonlinearity: Callable
     region: object
-    min_level: int = 1
     name: str = "local map"
-    jacobian: Optional[Callable] = None
-    affine: bool = False
-    tail: Optional[Callable] = None
-    support: Optional[int] = None
+    jacobian: Optional[Callable] = field(init=False, repr=False)
+    affine: bool = field(init=False)
+    tail: Callable = field(init=False, repr=False)
+    support: Optional[int] = field(init=False)
 
     def __post_init__(self):
-        if self.jacobian is None:
-            self.jacobian = getattr(self.nonlinearity, "jacobian", None)
-        if not self.affine:
-            self.affine = getattr(self.nonlinearity, "affine", False)
-        if self.tail is None:
-            self.tail = getattr(self.nonlinearity, "tail", None)
-        if self.tail is None:
-            raise ValueError(f"{self.name}: declare tail(X, basis), a bound of |(I - P_n) F| per row")
-        if self.support is None:
-            self.support = getattr(self.nonlinearity, "support", None)
-        if self.support is not None and not _is_count(self.support, 0):
-            raise ValueError(f"{self.name}: support must be an integer >= 0, got {self.support!r}")
+        for attr, (default, valid, what) in _DECLARATIONS.items():
+            value = getattr(self.nonlinearity, attr, default)
+            if not valid(value):
+                raise ValueError(f"{self.name}: {attr} must be {what}, got {value!r}")
+            setattr(self, attr, value)
 
     def with_region(self, region) -> "LocalMapSpec":
         return dataclasses.replace(self, region=region)
@@ -409,20 +412,6 @@ def _search_width(f: LocalMapSpec, basis: ShellBasis) -> Optional[int]:
     return w if w <= basis.dim else None
 
 
-def _check_support(f: LocalMapSpec, basis: ShellBasis, w: int, level: Margin) -> None:
-    """SupportFailure unless f_n = Ax beyond the leading w coordinates of
-    V_n, to rounding, at the level's certified boundary samples."""
-    outside = level.values[:, w:] - level.samples[:, w:] * basis.eigenvalues[w:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect = float(np.linalg.norm(outside, axis=1).max(initial=0.0))
-        size = float(np.linalg.norm(level.values, axis=1).max())
-    if not defect <= SINGULAR_RATIO * size:
-        raise SupportFailure(
-            f"{f.name}: declared support {f.support}, but |f_n - Ax| beyond coordinate {w} "
-            f"reaches {defect:.2e} on the boundary at level {basis.level}, where |f_n| reaches {size:.2e}"
-        )
-
-
 def _outside_degree(f: LocalMapSpec, basis: ShellBasis, w: int) -> RingElement:
     """The linear degree of A on the coordinates of V_n beyond the leading
     w; DegenerateZero when A is singular there, since f_n's zeros are then
@@ -445,8 +434,9 @@ def _level_degrees(
     grad_degree takes its boundary checks from it instead of sampling the
     boundary again.  With a support, the zeros are searched once, on f_N
     restricted to W (``_search_width``); each level n checks the support
-    on its pass and multiplies that degree by the linear degree of A
-    beyond W in V_n, and its zeros are those of W with 0 beyond."""
+    on its pass (f_n = Ax beyond W, SupportFailure otherwise) and
+    multiplies that degree by the linear degree of A beyond W in V_n, and
+    its zeros are those of W with 0 beyond."""
     w = _search_width(f, f.operator.basis(N))
     search = None  # (degree, zeros) of f_N restricted to W, shared by the levels
     per_level = []
@@ -459,7 +449,9 @@ def _level_degrees(
             )
             continue
         basis = f.operator.basis(n)
-        _check_support(f, basis, w, level)
+        claim = f"{f.name}: declared support {f.support}, but at level {n} |f_n - Ax| beyond coordinate {w}"
+        outside = level.values[:, w:] - level.samples[:, w:] * basis.eigenvalues[w:]
+        check_declared(SupportFailure, claim, outside, level.values)
         if search is None:
             search = grad_degree(
                 restricted_field(shell_field(f, n), range(w)), seed=seed, return_zeros=True
@@ -513,9 +505,9 @@ def deg_infinite(
 ) -> DegreeResult:
     """The stabilized degree m_N * deg(f_N) of a local map.
 
-    With ``level="auto"`` the truncation level N is the first one up to
-    MAX_LEVEL whose margin certifies, among those whose levels N .. N+depth
-    the declared spectrum holds (N <= max_level - depth).  An explicit
+    With ``level="auto"`` the truncation level N is the first one from 1
+    up to MAX_LEVEL whose margin certifies, among those whose levels
+    N .. N+depth the declared spectrum holds (N <= max_level - depth).  An explicit
     level above that raises MarginFailure before any degree is computed.
     The value is recomputed at N+1 .. N+depth and exact agreement is
     required (StabilizationFailure otherwise).  ``budget`` sets the number
@@ -532,7 +524,7 @@ def deg_infinite(
             raise _too_short(f, f"level {N} at depth {stabilization_depth}")
         return _stabilized(f, N, certify_margin(f, N, seed=seed, budget=budget), **step)
 
-    levels = _search_levels(f.operator, max(f.min_level, 1), stabilization_depth)
+    levels = _search_levels(f.operator, 1, stabilization_depth)
     if not levels:
         raise _too_short(f, "any truncation level")
     last: Optional[DegreeError] = None
@@ -565,8 +557,7 @@ def deg_along_otopy(path: OtopyPath, *, seed: int = 0) -> list[DegreeResult]:
     slices = [(t, path.family(t)) for t in path.grid]
     if not slices:
         raise ValueError("empty otopy grid")
-    start = max(max(s.min_level for _, s in slices), 1)
-    levels = _search_levels(slices[0][1].operator, start, 1)
+    levels = _search_levels(slices[0][1].operator, 1, 1)
 
     last_fail: tuple[float, object] = (path.grid[0], "the declared spectrum is too short")
     for n in levels:
@@ -583,7 +574,7 @@ def deg_along_otopy(path: OtopyPath, *, seed: int = 0) -> list[DegreeResult]:
             break
     else:
         t, exc = last_fail
-        raise SliceMarginFailure(t, f"no common level from {start} certified ({exc})")
+        raise SliceMarginFailure(t, f"no common level certified ({exc})")
 
     results = []
     for (t, s), margin in zip(slices, margins):
@@ -655,12 +646,13 @@ def kernel_projection_nonlinearity():
 def potential_nonlinearity(poly: Polynomial):
     """F = grad of a polynomial potential in the leading eigencoordinates
     (affine for degree <= 2); F stays in every V_n that holds those
-    coordinates, so its tail is 0, and its support is their number."""
+    coordinates, so its tail is 0, and its support is their number.  On a
+    V_n too small to hold them it raises MarginFailure ("raise the level")."""
 
     def check(basis):
         if basis.dim < poly.nvars:
-            raise ValueError(
-                f"potential uses {poly.nvars} coordinates, basis has {basis.dim}"
+            raise MarginFailure(
+                f"potential uses {poly.nvars} coordinates, V_{basis.level} has {basis.dim}; raise the level"
             )
 
     def F(X, basis):
@@ -752,21 +744,22 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
         out[:, ib] = g.nonlinearity(X[:, ib], basisB)
         return out
 
-    jacobian = None
-    if f.jacobian is not None and g.jacobian is not None:
-
-        def jacobian(X, basis, idx):
-            ia, basisA, ib, basisB = split(basis)
-            blocks = (
-                (lambda Y, sub: f.jacobian(Y, basisA, sub), ia),
-                (lambda Y, sub: g.jacobian(Y, basisB, sub), ib),
-            )
-            return block_diagonal_jacobian(X, idx, blocks)
+    def jacobian(X, basis, idx):
+        ia, basisA, ib, basisB = split(basis)
+        blocks = (
+            (lambda Y, sub: f.jacobian(Y, basisA, sub), ia),
+            (lambda Y, sub: g.jacobian(Y, basisB, sub), ib),
+        )
+        return block_diagonal_jacobian(X, idx, blocks)
 
     def tail(X, basis):
         X = np.atleast_2d(X)
         ia, basisA, ib, basisB = split(basis)
         return np.hypot(f.tail(X[:, ia], basisA), g.tail(X[:, ib], basisB))
+
+    nonlinearity.jacobian = jacobian if f.jacobian is not None and g.jacobian is not None else None
+    nonlinearity.affine = f.affine and g.affine
+    nonlinearity.tail = tail
 
     def region(basis):
         ia, basisA, ib, basisB = split(basis)
@@ -778,9 +771,5 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
         operator=op,
         nonlinearity=nonlinearity,
         region=region,
-        min_level=max(f.min_level, g.min_level),
         name=f"{f.name} x {g.name}",
-        jacobian=jacobian,
-        affine=f.affine and g.affine,
-        tail=tail,
     )

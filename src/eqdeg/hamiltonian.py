@@ -381,14 +381,14 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
         rounding = 2.0 * (g.shape[1] + 2) * (math.sqrt(basis.dim) + 1.0) * np.finfo(float).eps
         return spec.lam * np.sqrt(np.maximum(total - kept, 0.0) + rounding * total)
 
+    nonlinearity.jacobian = jacobian
+    nonlinearity.affine = not higher
+    nonlinearity.tail = tail
     return LocalMapSpec(
         operator=op,
         nonlinearity=nonlinearity,
         region=RegionSpec.ball(radius),
         name=f"hamiltonian(dof={spec.dof}, lambda={spec.lam:g})",
-        jacobian=jacobian,
-        affine=not higher,
-        tail=tail,
     )
 
 

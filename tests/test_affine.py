@@ -49,6 +49,8 @@ from eqdeg.selftest import (
     synthetic_operator_b,
 )
 
+from declarations import declared
+
 AFFINE_RTOL = 1e-12  # f(x) - f(0) - J(0) x against the largest |f(x)| sampled
 CORPUS = {inst.name: inst for inst in corpus_local_maps()}
 S_COUPLED = HamiltonianSpec.from_terms(  # demo 04: quadratic with a (1,1) term
@@ -143,9 +145,8 @@ def test_random_fixed_space_field_is_not_declared_affine():
 def test_user_nonlinearity_is_not_declared_affine():
     lm = LocalMapSpec(
         synthetic_operator_a(),
-        lambda X, basis: 0.3 * X,
+        declared(lambda X, basis: 0.3 * X, tail=lambda X, basis: np.zeros(len(X))),
         RegionSpec.ball(1.0),
-        tail=lambda X, basis: np.zeros(len(X)),
     )
     assert not lm.affine and not shell_field(lm, 1).affine
 
@@ -219,7 +220,8 @@ def test_field_wrongly_declared_affine_is_an_affinity_failure():
     )
     with pytest.raises(AffinityFailure):
         grad_degree(cubic)
-    quartic = dataclasses.replace(local_map(quartic_hamiltonian(1, 0.4), radius=0.8), affine=True)
+    quartic = local_map(quartic_hamiltonian(1, 0.4), radius=0.8)
+    quartic = dataclasses.replace(quartic, nonlinearity=declared(quartic.nonlinearity, affine=True))
     with pytest.raises(AffinityFailure):
         deg_infinite(quartic)
 

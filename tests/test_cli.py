@@ -433,6 +433,20 @@ def test_auto_level_starts_at_the_first_level_holding_the_potential(tmp_path, ca
     assert reports[0]["value"] == reports[1]["value"]
 
 
+def test_an_explicit_level_below_the_potential_is_a_margin_failure(tmp_path, capsys):
+    # V_1 (dim 3) does not hold the potential's 4 variables, V_2 (dim 5) does
+    spectrum = [(0.0, 1, [])]
+    for n in range(1, 6):
+        spectrum += [(-(n - 0.3), 1, []), (n - 0.3, 1, [])]
+    terms = [{"exps": [2 * (j == i) for j in range(4)], "coeff": 0.5} for i in range(4)]
+    src = write(tmp_path, "p.json", abstract_problem(spectrum, terms, 4))
+    assert main(["compute", src, "--truncation", "1"]) == EXIT_CERTIFICATION
+    assert capsys.readouterr().err.startswith("certification failure (MarginFailure)")
+    for level in ("auto", "2"):
+        assert main(["compute", src, "--truncation", level]) == EXIT_OK
+        assert "level      : 2\n" in capsys.readouterr().out
+
+
 def test_kernel_only_spectrum_is_a_margin_failure(tmp_path, capsys):
     problem = abstract_problem([(0.0, 1, [])], [{"exps": [2], "coeff": -0.5}], 1)
     assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_CERTIFICATION

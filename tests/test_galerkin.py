@@ -52,6 +52,7 @@ from eqdeg.selftest import (
 )
 from eqdeg.hamiltonian import local_map as hamiltonian_local_map
 
+from declarations import declared
 import oracles
 
 ONE = unit(CIRCLE)
@@ -150,7 +151,7 @@ def test_certify_margin_failure_when_tail_dominates():
         out[:, d1:] = 5.0
         return out
 
-    f = LocalMapSpec(op, heavy_tail, RegionSpec.ball(1.0), name="tail heavy", tail=heavy)
+    f = LocalMapSpec(op, declared(heavy_tail, tail=heavy), RegionSpec.ball(1.0), name="tail heavy")
     with pytest.raises(MarginFailure):
         certify_margin(f, 1)
 
@@ -159,11 +160,11 @@ def test_certify_margin_rejects_a_nonlinearity_not_finite_on_samples():
     def overflowing(X, basis):
         return np.full_like(np.atleast_2d(X), np.nan)
 
-    f = LocalMapSpec(loop_operator(1), overflowing, RegionSpec.ball(1.0), name="nan", tail=zero_tail)
+    f = LocalMapSpec(loop_operator(1), declared(overflowing, tail=zero_tail), RegionSpec.ball(1.0), name="nan")
     with pytest.raises(NonFiniteField, match="not finite on boundary samples"):
         certify_margin(f, 1)
     # and so is a declared tail
-    g = dataclasses.replace(f, nonlinearity=halve, tail=lambda X, basis: np.full(len(X), np.inf))
+    g = dataclasses.replace(f, nonlinearity=declared(halve, tail=lambda X, basis: np.full(len(X), np.inf)))
     with pytest.raises(NonFiniteField, match="not finite on boundary samples"):
         certify_margin(g, 1)
 
@@ -252,7 +253,7 @@ def test_auto_level_exhaustion_reports_margin_failure():
         out[:, basis.prefix_dim(min(1, basis.level)) :] = 5.0
         return out
 
-    f = LocalMapSpec(op, heavy_tail, RegionSpec.ball(1.0), name="tail heavy", tail=heavy)
+    f = LocalMapSpec(op, declared(heavy_tail, tail=heavy), RegionSpec.ball(1.0), name="tail heavy")
     with pytest.raises(MarginFailure):
         deg_infinite(f)
 
@@ -270,7 +271,7 @@ def sphere_zero_map(offset=0.0, radius=0.8):
         return X * basis.eigenvalues - (shrink[:, None] * w + offset) * X
 
     return LocalMapSpec(
-        loop_operator(1), F, RegionSpec.ball(radius), name="sphere zeros", tail=zero_tail
+        loop_operator(1), declared(F, tail=zero_tail), RegionSpec.ball(radius), name="sphere zeros"
     )
 
 
@@ -297,9 +298,9 @@ def test_a_ball_center_above_the_level_asks_for_a_higher_level():
     assert res.level == 2 and res.value == ONE
 
 
-def short_table():
-    """Shells 0..3, one trivial line each."""
-    return SpectralOperator({n: [(float(n), Rep(1))] for n in range(4)})
+def short_table(last=3):
+    """Shells 0..last, one trivial line each."""
+    return SpectralOperator({n: [(float(n), Rep(1))] for n in range(last + 1)})
 
 
 def no_degree(*args, **kwargs):
@@ -312,18 +313,20 @@ def halve(X, basis):
 
 
 def test_a_spectrum_too_short_for_its_reference_shells_fails_before_any_degree(monkeypatch):
-    # min_level 3: level 3 would need level 4 certified, and the table ends
+    # at depth 3, level 1 would need level 4 certified, and the table ends
     # at shell 3
-    f = LocalMapSpec(short_table(), halve, RegionSpec.ball(1.0), min_level=3, name="short", tail=zero_tail)
+    f = LocalMapSpec(short_table(), declared(halve, tail=zero_tail), RegionSpec.ball(1.0), name="short")
     monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
-        deg_infinite(f)
+        deg_infinite(f, stabilization_depth=3)
+    # an otopy certifies at depth 1, so level 1 needs shell 2
+    g = LocalMapSpec(short_table(1), declared(halve, tail=zero_tail), RegionSpec.ball(1.0), name="short")
     with pytest.raises(SliceMarginFailure, match="the declared spectrum is too short"):
-        deg_along_otopy(OtopyPath.uniform(lambda t: f, steps=1))
+        deg_along_otopy(OtopyPath.uniform(lambda t: g, steps=1))
 
 
 def test_an_explicit_level_on_a_short_spectrum_fails_before_any_degree(monkeypatch):
-    f = LocalMapSpec(short_table(), halve, RegionSpec.ball(1.0), name="short", tail=zero_tail)
+    f = LocalMapSpec(short_table(), declared(halve, tail=zero_tail), RegionSpec.ball(1.0), name="short")
     monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
         deg_infinite(f, level=3)
@@ -333,12 +336,17 @@ def test_an_explicit_level_on_a_short_spectrum_fails_before_any_degree(monkeypat
 
 
 def test_a_map_with_a_tail_searches_up_to_the_last_declared_level():
-    f = LocalMapSpec(short_table(), scalar_nonlinearity(0.5), RegionSpec.ball(1.0), min_level=2, name="short")
+    # |x|^2 / 4 in 3 variables, which V_1 (dim 2) does not hold: the search
+    # moves past level 1 and settles on 2, the last whose level 3 the table holds
+    poly = Polynomial.from_terms(3, [((2, 0, 0), 0.25), ((0, 2, 0), 0.25), ((0, 0, 2), 0.25)])
+    f = LocalMapSpec(short_table(), potential_nonlinearity(poly), RegionSpec.ball(1.0), name="short")
     res = deg_infinite(f)
     assert res.level == 2 and res.diagnostics["levels_checked"] == [2, 3]
     assert res.value == deg_infinite(f, level=2).value
+    with pytest.raises(MarginFailure, match="raise the level"):
+        deg_infinite(f, level=1)
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
-        deg_infinite(f, stabilization_depth=2)
+        deg_infinite(f, stabilization_depth=3)
 
 
 def test_a_budget_below_one_is_a_value_error():
@@ -392,7 +400,8 @@ def test_numpy_integers_are_levels_depths_and_budgets():
     ids=["negative", "a column"],
 )
 def test_a_declared_tail_must_be_one_value_at_least_zero_per_sample(tail):
-    f = LocalMapSpec(loop_operator(1), scalar_nonlinearity(0.5), RegionSpec.ball(1.0), name="odd tail", tail=tail)
+    F = declared(scalar_nonlinearity(0.5), tail=tail)
+    f = LocalMapSpec(loop_operator(1), F, RegionSpec.ball(1.0), name="odd tail")
     with pytest.raises(ValueError, match="odd tail: the tail must be") as err:
         certify_margin(f, 1)
     assert not isinstance(err.value, NonFiniteField)
@@ -412,7 +421,7 @@ def test_stabilization_failure_is_detected():
         out[:, top:] = 3.0 * X[:, top:]
         return out
 
-    f = LocalMapSpec(op, level_dependent, RegionSpec.ball(1.0), name="level dependent", tail=zero_tail)
+    f = LocalMapSpec(op, declared(level_dependent, tail=zero_tail), RegionSpec.ball(1.0), name="level dependent")
     with pytest.raises(StabilizationFailure):
         deg_infinite(f)
 
@@ -571,12 +580,39 @@ def test_region_validation_rejects_center_off_fixed_space():
 
 def test_potential_nonlinearity_requires_enough_coordinates():
     # the potential touches 8 coordinates; V_1 of the loop operator has 6,
-    # so forcing level 1 must surface the coordinate shortfall
+    # so forcing level 1 must ask for a higher level
     op = loop_operator(1)
     poly = Polynomial.from_terms(8, [((2,) + (0,) * 7, 1.0)])
     f = LocalMapSpec(op, potential_nonlinearity(poly), RegionSpec.ball(1.0), name="wide")
-    with pytest.raises(ValueError):
+    with pytest.raises(MarginFailure, match="potential uses 8 coordinates, V_1 has 6; raise the level"):
         deg_infinite(f, level=1)
+
+
+def wide_potential_map():
+    """|x|^2 / 2 in 4 variables over a kernel line and shells 1..5 of two
+    trivial lines each, at -(n - 0.3) and n - 0.3: V_1 (dim 3) does not
+    hold the potential's variables, V_2 (dim 5) does."""
+    pairs = [(0.0, Rep(1))]
+    for n in range(1, 6):
+        pairs += [(-(n - 0.3), Rep(1)), (n - 0.3, Rep(1))]
+    poly = Polynomial.from_terms(4, [(tuple(2 * (j == i) for j in range(4)), 0.5) for i in range(4)])
+    return LocalMapSpec(
+        SpectralOperator.from_eigenvalues(pairs), potential_nonlinearity(poly), RegionSpec.ball(1.0), name="wide"
+    )
+
+
+def test_the_level_search_starts_at_one_and_moves_past_a_level_too_small_for_the_potential():
+    f = wide_potential_map()
+    for depth in (1, 2):
+        res = deg_infinite(f, stabilization_depth=depth)
+        assert res.level == 2 and res.value == ONE
+        assert res.diagnostics["zero_counts"] == [1] * (depth + 1)
+    assert [r.level for r in deg_along_otopy(OtopyPath.uniform(lambda t: f, steps=1))] == [2, 2]
+    # in a direct sum, on either side
+    a = next(i for i in corpus_local_maps() if i.name == "abstract-a").build()
+    for pair in ((f, a), (a, f)):
+        res = deg_infinite(direct_sum_local_maps(*pair))
+        assert res.level == 2 and res.value == ONE
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ from eqdeg.selftest import (
     synthetic_operator_a,
 )
 
+from declarations import declared
+
 JAC_RTOL = 1e-6  # exact against central differences, relative to the largest entry
 HESS_RTOL = 1e-12  # Polynomial.hessian against the loop at single points, relative to the largest entry
 SYNTH_RTOL = 1e-12  # synthesis-matrix values against the cos/sin + rfft reference
@@ -413,9 +415,7 @@ def test_maps_with_jacobians_use_no_finite_differences(monkeypatch):
 def test_local_map_spec_without_jacobian_gives_the_same_degree():
     inst = CORPUS["loop2-coupled-quartic"]
     lm = inst.build()
-    plain = LocalMapSpec(
-        lm.operator, lambda X, basis: lm.nonlinearity(X, basis), lm.region, tail=lm.tail
-    )
+    plain = LocalMapSpec(lm.operator, declared(lm.nonlinearity, jacobian=None), lm.region)
     assert plain.jacobian is None and shell_field(plain, 1).jacobian is None
     assert deg_infinite(plain).value == deg_infinite(lm).value == inst.expected
 

@@ -33,6 +33,8 @@ from eqdeg.polynomials import Polynomial
 from eqdeg.reps import Layout, Rep, SpectralOperator
 from eqdeg.selftest import corpus_local_maps, synthetic_operator_a
 
+from declarations import declared
+
 DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 SHRINK = 0.9  # the CLI's restriction check shrinks the ball by this factor
 NEAR = 0.05  # zeros within this share of a sphere are redrawn
@@ -208,9 +210,9 @@ def leaky_potential():
 def test_a_nonlinearity_that_writes_beyond_its_support_is_a_support_failure():
     f = LocalMapSpec(synthetic_operator_a(), leaky_potential(), RegionSpec.ball(1.5), name="leaky")
     assert f.support is None and deg_infinite(f).value == unit_multiple(1)
-    declared = dataclasses.replace(f, support=2)
+    with_support = dataclasses.replace(f, nonlinearity=declared(f.nonlinearity, support=2))
     with pytest.raises(SupportFailure, match="leaky: declared support 2") as err:
-        deg_infinite(declared)
+        deg_infinite(with_support)
     assert isinstance(err.value, DegreeError)
 
 
@@ -221,7 +223,20 @@ def test_a_nonlinearity_that_writes_beyond_its_support_is_a_support_failure():
 @pytest.mark.parametrize("support", [-1, 1.5, True, "2", np.float64(2.0)])
 def test_a_support_must_be_an_integer_at_least_zero(support):
     with pytest.raises(ValueError, match="odd support: support must be an integer >= 0"):
-        LocalMapSpec(synthetic_operator_a(), zero_nonlinearity, RegionSpec.ball(1.0), name="odd support", support=support)
+        F = declared(zero_nonlinearity, support=support)
+        LocalMapSpec(synthetic_operator_a(), F, RegionSpec.ball(1.0), name="odd support")
+
+
+@pytest.mark.parametrize(
+    "declaration, value",
+    [("tail", None), ("tail", 5), ("jacobian", 5), ("jacobian", "exact"), ("affine", "no"), ("affine", 1)],
+)
+def test_every_declaration_is_checked_where_the_map_is_built(declaration, value):
+    # a non-callable tail or jacobian once built and failed inside deg_infinite,
+    # and a truthy non-bool affine was taken as affine
+    F = declared(zero_nonlinearity, **{declaration: value})
+    with pytest.raises(ValueError, match=f"odd map: {declaration} must be"):
+        LocalMapSpec(synthetic_operator_a(), F, RegionSpec.ball(1.0), name="odd map")
 
 
 def test_a_support_is_read_from_the_nonlinearity():
@@ -229,7 +244,7 @@ def test_a_support_is_read_from_the_nonlinearity():
     op = synthetic_operator_a()
     assert LocalMapSpec(op, potential_nonlinearity(poly), RegionSpec.ball(1.0)).support == 3
     assert LocalMapSpec(op, zero_nonlinearity, RegionSpec.ball(1.0)).support == 0
-    assert LocalMapSpec(op, zero_nonlinearity, RegionSpec.ball(1.0), support=np.int64(2)).support == 2
+    assert LocalMapSpec(op, declared(zero_nonlinearity, support=np.int64(2)), RegionSpec.ball(1.0)).support == 2
     f = LocalMapSpec(op, zero_nonlinearity, RegionSpec.ball(1.0))
     assert direct_sum_local_maps(f, f).support is None
     assert normalization_map(op).support is None

@@ -31,6 +31,8 @@ from eqdeg.hamiltonian import HamiltonianSpec, local_map, loop_operator
 from eqdeg.polynomials import Polynomial
 from eqdeg.selftest import corpus_local_maps, quartic_hamiltonian, synthetic_operator_a
 
+from declarations import declared
+
 DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 OFFSET = 4  # tails were once estimated on the level n + OFFSET
 
@@ -83,7 +85,7 @@ def test_exact_tails_bound_the_reference_level_estimate(n):
     for f in maps:
         top = f.operator.max_level
         m = n + OFFSET if top is None else min(n + OFFSET, top)
-        if n < max(f.min_level, 1) or m <= n:
+        if m <= n:
             continue
         X = boundary(f, n)
         exact = f.tail(X, f.operator.basis(n))
@@ -160,9 +162,8 @@ def counted(f):
         calls.append((basis.level, len(X)))
         return inner(X, basis)
 
-    return LocalMapSpec(
-        f.operator, nonlinearity, f.region, f.min_level, f.name, f.jacobian, f.affine, f.tail
-    ), calls
+    nonlinearity = declared(nonlinearity, jacobian=f.jacobian, affine=f.affine, tail=f.tail)
+    return LocalMapSpec(f.operator, nonlinearity, f.region, f.name), calls
 
 
 @pytest.mark.parametrize("depth", [1, 2])
