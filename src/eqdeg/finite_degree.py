@@ -10,9 +10,12 @@ the field restricted to its trivial coordinates and to its domain's
 section there, seeded by that section's deterministic grid.  A field's
 one derivative source, for Newton steps and Hessians at zeros alike, is
 its exact Jacobian or else central differences.
-Equivariance is spot-checked, and zeros off the fixed-point space are found
-by randomized full-space probes and rejected, since slice linearization
-around free orbits is out of scope.  A field declared affine with a
+Equivariance is spot-checked, and zeros off the fixed-point space are
+rejected, since slice linearization around free orbits is out of scope:
+a Galerkin level whose map declares a derivative bound L below the least
+|eigenvalue| of A on its rotation planes excludes them by proof (see
+``galerkin``), and every other field is searched for them by randomized
+full-space probes.  A field declared affine with a
 nonsingular Jacobian has one zero, in the fixed space, which Newton finds
 from the origin with no seed grid or probe (AffinityFailure if it is not).
 
@@ -419,6 +422,7 @@ def grad_degree(
     seed: int = 0,
     return_zeros: bool = False,
     _boundary: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    _off_space_proved: bool = False,
 ):
     """Equivariant gradient degree over the field's domain.
 
@@ -437,7 +441,9 @@ def grad_degree(
     dimension and the field's values there.  ``_boundary`` is internal: the
     Galerkin level step passes the (samples, values) of the pass its margin
     certificate made on this field, the same number of samples, in place
-    of a second pass.
+    of a second pass.  ``_off_space_proved`` is internal too: the level step
+    sets it where its map's derivative bound proves that no zero lies off
+    the fixed space, and the probes for one are skipped.
     """
     if not fld.domain.dim:  # the origin, when the domain holds it, is the one zero
         zeros = np.zeros((1, 0))[fld.domain.contains(np.zeros((1, 0)))]
@@ -472,7 +478,7 @@ def grad_degree(
     floor = SINGULAR_RATIO * derivative_scale
     unique = fld.affine and _unique_zero(fld, bsamples, bvalues, floor)
     zeros = _located_fixed_zeros(fld, probe_scale=scale, unique=unique)
-    if fld.layout.pairs and not unique:
+    if fld.layout.pairs and not unique and not _off_space_proved:
         _scan_off_space_zeros(fld, rng, probe_scale=scale)
 
     total = ring_zero(CIRCLE)

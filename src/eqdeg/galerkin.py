@@ -29,6 +29,33 @@ A on W^perp at each level: linear degrees multiply over block sums.
 Each level's certified pass checks the declaration: f_n must equal Ax
 on W^perp there to rounding (SupportFailure otherwise).
 
+A zero of f_n off the fixed space lies on a whole orbit of zeros, which
+grad_degree rejects; a map that declares a bound L on |DF| over its region
+(``lipschitz``) proves there is none at a level n where L < mu_n, the
+least |eigenvalue| of A on the rotation planes of V_n.  Write x = x_F + x_N
+with x_F the fixed part of x in V_n.  Ball centers lie in the fixed space
+and the graph norm is diagonal, so x_F lies in every ball that x does, and
+so does the segment between them.  Equivariance maps the fixed space into
+itself, so the normal part P_N f_n(x_F) is 0, and along the segment
+
+    |P_N f_n(x)| = |A x_N - P_N (F(x) - F(x_F))| >= (mu_n - L) |x_N|,
+
+which is > 0 off the fixed space (the non-resonance argument of Amann &
+Zehnder, Ann. Sc. Norm. Sup. Pisa 1980).  The degree then skips its
+probes for such zeros, and ``diagnostics["off_space"]`` records per level
+{"proved": True, "bound": L, "gap": mu_n} or {"proved": False}.  For a
+loop map the eigencoordinates are L^2 coordinates of loops, with graph
+weights 1 + k^2 on mode k, and by Cauchy-Schwarz against those weights a
+loop c + v, with c constant and v in the graph-norm ball of radius r, has
+
+    sup_t |c + v(t)| <= |c| / sqrt(2 pi)
+                        + r sqrt(1 / (2 pi) + sum_{k >= 1} 1 / (pi (1 + k^2)))
+                      = |c| / sqrt(2 pi) + r sqrt(coth(pi) / 2) = rho,
+
+since sum_{k >= 1} 1 / (1 + k^2) = (pi coth(pi) - 1) / 2.  Then
+|DF| <= lambda sup_{|z| <= rho} |hess H(z)| at every level, which
+``hamiltonian.local_map`` bounds term by term.
+
 The level floor is derived, not declared: every level search starts at
 n = 1, and a nonlinearity evaluated on a V_n too small to hold its
 variables raises MarginFailure ("raise the level"), as a ball center
@@ -140,6 +167,7 @@ _DECLARATIONS = {
     "jacobian": (None, lambda v: v is None or callable(v), "a callable jacobian(X, basis, idx) or None"),
     "affine": (False, lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
     "support": (None, lambda v: v is None or _is_count(v, 0), "an integer >= 0 or None"),
+    "lipschitz": (None, lambda v: v is None or callable(v), "a callable lipschitz(region) or None"),
 }
 
 
@@ -165,7 +193,13 @@ class LocalMapSpec:
     - ``support``, an integer >= 0 (numpy integers count, bools do not), or
       None, the default, for all of V_n: F reads and writes only the leading
       ``support`` eigencoordinates, where the degree then searches its zeros
-      (see the module docstring); each level checks it on its boundary.
+      (see the module docstring); each level checks it on its boundary;
+    - ``lipschitz(region)``, or None, the default: a bound L >= 0 on the
+      operator norm of DF(x) in eigencoordinates, for x in the region (a
+      RegionSpec) and at every level, or None for no bound.  Where L is
+      below the least |eigenvalue| of A on the rotation planes of V_n, no
+      zero of f_n lies off the fixed space (see the module docstring), and
+      the degree skips its probes for one; a callable region takes them.
 
     The nonlinearities of this module and the Hamiltonian local map carry
     their declarations.
@@ -179,6 +213,7 @@ class LocalMapSpec:
     affine: bool = field(init=False)
     tail: Callable = field(init=False, repr=False)
     support: Optional[int] = field(init=False)
+    lipschitz: Optional[Callable] = field(init=False, repr=False)
 
     def __post_init__(self):
         for attr, (default, valid, what) in _DECLARATIONS.items():
@@ -425,41 +460,75 @@ def _outside_degree(f: LocalMapSpec, basis: ShellBasis, w: int) -> RingElement:
         ) from exc
 
 
+def _lipschitz_bound(f: LocalMapSpec) -> Optional[float]:
+    """The map's declared bound L on |DF| over its region; None without a
+    declaration, with a callable region or when it returns None, and a
+    ValueError naming the map unless it is a finite number >= 0."""
+    if f.lipschitz is None or callable(f.region):
+        return None
+    bound = f.lipschitz(f.region)
+    if bound is None:
+        return None
+    number = isinstance(bound, (int, float, np.integer, np.floating)) and not isinstance(bound, (bool, np.bool_))
+    if not (number and 0 <= bound < np.inf):
+        raise ValueError(f"{f.name}: lipschitz(region) must be a finite number >= 0 or None, got {bound!r}")
+    return float(bound)
+
+
+def _off_space_proof(bound: Optional[float], basis: ShellBasis) -> dict:
+    """Whether the bound proves that no zero of f_n lies off the fixed space
+    of V_n (module docstring): {"proved": True, "bound": L, "gap": mu_n}
+    when L < mu_n, the least |eigenvalue| of A on the rotation planes of
+    V_n (inf without any), and {"proved": False} otherwise."""
+    normal = np.asarray(basis.layout.normal_indices(), dtype=int)
+    gap = float(np.abs(basis.eigenvalues[normal]).min(initial=np.inf))
+    if bound is None or not bound < gap:
+        return {"proved": False}
+    return {"proved": True, "bound": bound, "gap": gap}
+
+
 def _level_degrees(
     f: LocalMapSpec, N: int, margin: Margin, *, depth: int, seed: int, budget
-) -> list[tuple[RingElement, np.ndarray]]:
-    """deg(f_n) and the zeros of f_n in V_n at n = N .. N+depth, each level
-    above N certified first.  Without a budget, each level's certified pass
+) -> list[tuple[RingElement, np.ndarray, dict]]:
+    """deg(f_n), the zeros of f_n in V_n and the off-space proof
+    (``_off_space_proof``) at n = N .. N+depth, each level above N
+    certified first.  Without a budget, each level's certified pass
     holds the 64 samples per dimension that grad_degree would draw, and
     grad_degree takes its boundary checks from it instead of sampling the
-    boundary again.  With a support, the zeros are searched once, on f_N
-    restricted to W (``_search_width``); each level n checks the support
-    on its pass (f_n = Ax beyond W, SupportFailure otherwise) and
+    boundary again; where the proof holds, it skips its off-space probes.
+    With a support, the zeros are searched once, on f_N restricted to W
+    (``_search_width``), with level N's proof; each level n checks the
+    support on its pass (f_n = Ax beyond W, SupportFailure otherwise) and
     multiplies that degree by the linear degree of A beyond W in V_n, and
     its zeros are those of W with 0 beyond."""
     w = _search_width(f, f.operator.basis(N))
+    bound = _lipschitz_bound(f)
     search = None  # (degree, zeros) of f_N restricted to W, shared by the levels
     per_level = []
     for n in range(N, N + depth + 1):
         level = margin if n == N else certify_margin(f, n, seed=seed, budget=budget)
+        basis = f.operator.basis(n)
+        proof = _off_space_proof(bound, basis)
         if w is None:
             shared = (level.samples, level.values) if budget is None else None
-            per_level.append(
-                grad_degree(shell_field(f, n), seed=seed, return_zeros=True, _boundary=shared)
+            degree, zeros = grad_degree(
+                shell_field(f, n), seed=seed, return_zeros=True,
+                _boundary=shared, _off_space_proved=proof["proved"],
             )
+            per_level.append((degree, zeros, proof))
             continue
-        basis = f.operator.basis(n)
         claim = f"{f.name}: declared support {f.support}, but at level {n} |f_n - Ax| beyond coordinate {w}"
         outside = level.values[:, w:] - level.samples[:, w:] * basis.eigenvalues[w:]
         check_declared(SupportFailure, claim, outside, level.values)
         if search is None:
             search = grad_degree(
-                restricted_field(shell_field(f, n), range(w)), seed=seed, return_zeros=True
+                restricted_field(shell_field(f, n), range(w)), seed=seed, return_zeros=True,
+                _off_space_proved=proof["proved"],
             )
         degree, zeros = search
         if len(zeros):
             degree = degree * _outside_degree(f, basis, w)
-        per_level.append((degree, np.pad(zeros, ((0, 0), (0, basis.dim - w)))))
+        per_level.append((degree, np.pad(zeros, ((0, 0), (0, basis.dim - w))), proof))
     return per_level
 
 
@@ -470,7 +539,7 @@ def _stabilized(
     m_n deg(f_n) at n = N .. N+depth (``_level_degrees``) must agree
     exactly (StabilizationFailure otherwise)."""
     per_level = _level_degrees(f, N, margin, depth=depth, seed=seed, budget=budget)
-    degrees = [d for d, _ in per_level]
+    degrees = [d for d, _, _ in per_level]
     shells = shell_degrees(f.operator, N + depth)
     values = [_inverse_product(shells[: N + j]) * d for j, d in enumerate(degrees)]
     if any(v != values[0] for v in values[1:]):
@@ -488,9 +557,10 @@ def _stabilized(
         limit_class=DirectLimitClass(N, degrees[0], shells[:N]),
         diagnostics={
             "levels_checked": list(range(N, N + depth + 1)),
-            "zero_counts": [len(zeros) for _, zeros in per_level],
+            "zero_counts": [len(zeros) for _, zeros, _ in per_level],
             "sample_budget": budget or BOUNDARY_PER_DIM * f.operator.basis(N).dim,
             "margin_ratio": (tail / epsilon) if epsilon > 0 else float("inf"),
+            "off_space": [proof for _, _, proof in per_level],
         },
     )
 
@@ -610,6 +680,7 @@ zero_nonlinearity.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.zero
 zero_nonlinearity.affine = True
 zero_nonlinearity.tail = _no_tail
 zero_nonlinearity.support = 0
+zero_nonlinearity.lipschitz = lambda region: 0.0
 
 
 def scalar_nonlinearity(c: float):
@@ -621,6 +692,7 @@ def scalar_nonlinearity(c: float):
     F.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.full(len(idx), float(c)))
     F.affine = True
     F.tail = _no_tail
+    F.lipschitz = lambda region: abs(float(c))
     return F
 
 
@@ -640,6 +712,7 @@ def kernel_projection_nonlinearity():
     F.jacobian = jacobian
     F.affine = True
     F.tail = _no_tail
+    F.lipschitz = lambda region: 1.0
     return F
 
 

@@ -242,6 +242,21 @@ def coords_to_state(coords: np.ndarray, basis: ShellBasis, dof: int) -> LoopStat
     return LoopState(dof, c0[0], C[0], S[0])
 
 
+# sup_t |v(t)| per unit of graph norm of a loop v: sqrt(coth(pi) / 2)
+_SUP_PER_GRAPH = math.sqrt(0.5 / math.tanh(math.pi))
+_OUTWARD = 1.0 + 1e-12  # rounds a derivative bound up past its rounding error
+
+
+def _loop_sup_bound(region: RegionSpec) -> float:
+    """rho: a bound of sup_t |u(t)| over the loops u of the region's balls,
+    each centered at a constant loop c, |c| / sqrt(2 pi) + r sqrt(coth(pi) / 2)
+    for a ball of radius r (the ``galerkin`` module docstring)."""
+    return max(
+        math.hypot(*b.center) / math.sqrt(2.0 * math.pi) + b.radius * _SUP_PER_GRAPH
+        for b in region.balls
+    )
+
+
 def _pow2_at_least(n: int) -> int:
     m = 4
     while m < n:
@@ -315,6 +330,13 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
     plus a bound on their rounding under the square root, so that
     cancellation never makes it an underestimate.  Both grids read the
     active rows B_a of one synthesis matrix per level and grid size.
+
+    Its ``lipschitz(region)`` bounds |DF| by lambda sup |hess H(z)| over
+    |z| <= rho, rho the sup-norm bound of the region's loops (the
+    ``galerkin`` module docstring): |S|_2 plus, for each term c z^e of
+    degree p >= 3, |c| |hess z^e(1, .., 1)|_F rho^(p - 2), since each entry
+    of hess z^e is its integer coefficient times a monomial of degree
+    p - 2.  ``_OUTWARD`` covers the rounding of these few operations.
     """
     op = loop_operator(spec.dof)
     poly = spec.potential
@@ -325,6 +347,12 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
     rest = Polynomial(len(active), tuple((tuple(e[j] for j in active), c) for e, c in higher))
     origin = np.zeros(n2)
     g0, S = affine.gradient(origin), affine.hessian(origin)
+    # (p - 2, |c| |hess z^e(1, .., 1)|_F) of each term c z^e of degree p >= 3
+    hessian_growth = [
+        (sum(e) - 2, abs(c) * float(np.linalg.norm(Polynomial(n2, ((e, 1.0),)).hessian(np.ones(n2)))))
+        for e, c in higher
+    ]
+    hessian_base = float(np.abs(np.linalg.eigvalsh(S)).max(initial=0.0))  # |S|_2, S symmetric
     levels: dict[int, tuple] = {}  # level -> (M, w, L, f0, B_a), built on first use
     rows: dict[tuple[int, int], np.ndarray] = {}  # (level, grid size) -> B_a, kept for both grids
 
@@ -381,9 +409,14 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
         rounding = 2.0 * (g.shape[1] + 2) * (math.sqrt(basis.dim) + 1.0) * np.finfo(float).eps
         return spec.lam * np.sqrt(np.maximum(total - kept, 0.0) + rounding * total)
 
+    def lipschitz(region):
+        rho = _loop_sup_bound(region)
+        return _OUTWARD * spec.lam * (hessian_base + sum(g * rho**p for p, g in hessian_growth))
+
     nonlinearity.jacobian = jacobian
     nonlinearity.affine = not higher
     nonlinearity.tail = tail
+    nonlinearity.lipschitz = lipschitz
     return LocalMapSpec(
         operator=op,
         nonlinearity=nonlinearity,

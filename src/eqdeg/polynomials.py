@@ -37,10 +37,11 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(e) for e, _ in self.terms), default=0)
 
-    def _powers(self, x: np.ndarray) -> list[list[np.ndarray]]:
+    def _powers(self, x: np.ndarray, monomials) -> list[list[np.ndarray]]:
         """Powers by repeated multiplication: entry [j][p - 1] is x_j^p, for
-        p up to the largest exponent of variable j in any term."""
-        tops = [max((exps[j] for exps, _ in self.terms), default=0) for j in range(self.nvars)]
+        p up to the largest exponent of variable j among ``monomials``, the
+        exponent tuples that are to be evaluated."""
+        tops = [max((exps[j] for exps in monomials), default=0) for j in range(self.nvars)]
         powers = []
         for j, top in enumerate(tops):
             column = [x[..., j]] if top else []
@@ -61,7 +62,7 @@ class Polynomial:
     def value(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at x with shape (..., nvars); returns shape (...)."""
         x = np.asarray(x, dtype=float)
-        powers = self._powers(x)
+        powers = self._powers(x, [exps for exps, _ in self.terms])
         out = np.zeros(x.shape[:-1])
         for exps, coeff in self.terms:
             out += self._monomial(powers, coeff, exps, x.shape[:-1])
@@ -70,13 +71,16 @@ class Polynomial:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient at x with shape (..., nvars); same output shape."""
         x = np.asarray(x, dtype=float)
-        powers = self._powers(x)
+        parts = [
+            (i, coeff * e, exps[:i] + (e - 1,) + exps[i + 1 :])
+            for exps, coeff in self.terms
+            for i, e in enumerate(exps)
+            if e
+        ]
+        powers = self._powers(x, [lowered for _, _, lowered in parts])
         out = np.zeros_like(x)
-        for exps, coeff in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
-                    out[..., i] += self._monomial(powers, coeff * e, lowered, x.shape[:-1])
+        for i, factor, lowered in parts:
+            out[..., i] += self._monomial(powers, factor, lowered, x.shape[:-1])
         return out
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
@@ -85,7 +89,7 @@ class Polynomial:
         Each off-diagonal term is computed once and written to both
         triangles, so the result is exactly symmetric."""
         x = np.asarray(x, dtype=float)
-        powers = self._powers(x)
+        powers = self._powers(x, [exps for exps, _ in self.terms])
         out = np.zeros(x.shape + (self.nvars,))
         for exps, coeff in self.terms:
             for i, ei in enumerate(exps):

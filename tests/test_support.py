@@ -160,7 +160,7 @@ def test_each_level_equals_the_search_over_all_of_v_n(name):
     levels = [n for n in (1, 2) if len(f.operator.basis(n).layout.trivial) <= 3]
     N = levels[0]
     per_level = _level_degrees(f, N, certify_margin(f, N), depth=len(levels) - 1, seed=0, budget=None)
-    for n, (degree, zeros) in zip(levels, per_level):
+    for n, (degree, zeros, _) in zip(levels, per_level):
         full, full_zeros = grad_degree(shell_field(f, n), seed=0, return_zeros=True)
         assert degree == full and len(zeros) == len(full_zeros), (name, n)
         assert zeros.shape[1] == f.operator.basis(n).dim
