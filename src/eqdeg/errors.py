@@ -36,7 +36,8 @@ class MarginFailure(DegreeError):
 
 
 class StabilizationFailure(DegreeError):
-    """Corrected degrees at consecutive truncation levels disagree."""
+    """Consecutive truncation levels disagree: in their corrected degrees, or
+    in their fields on a fixed space they share."""
 
 
 class SliceMarginFailure(DegreeError):

@@ -39,6 +39,7 @@ from .errors import (
     EquivarianceFailure,
     NearSingular,
     NonFiniteField,
+    StabilizationFailure,
     UnresolvedZeroCluster,
     ZeroOutsideFixedSpace,
 )
@@ -284,16 +285,17 @@ def _dedupe(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
 
 
 def _spot_check_equivariance(fld: GradientField, rng: np.random.Generator):
+    """f(g x) = g f(x) at 8 interior samples x and 4 random rotations g, all
+    40 points evaluated in one call."""
     samples = fld.domain.interior_samples(8, rng)
     if not len(samples):
         return
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=4)
+    batch = np.concatenate([samples] + [fld.layout.rotate(theta, samples) for theta in thetas])
     message = f"{fld.name}: field not finite at an equivariance sample"
-    vals = finite_values(fld.evaluate, samples, message)
-    for theta in rng.uniform(0.0, 2.0 * np.pi, size=4):
-        rotated_in = fld.layout.rotate(theta, samples)
-        lhs = fld.layout.rotate(theta, vals)
-        rhs = finite_values(fld.evaluate, rotated_in, message)
-        err = np.max(np.linalg.norm(lhs - rhs, axis=1))
+    vals, *rotated = np.split(finite_values(fld.evaluate, batch, message), 1 + len(thetas))
+    for theta, rhs in zip(thetas, rotated):
+        err = np.max(np.linalg.norm(fld.layout.rotate(theta, vals) - rhs, axis=1))
         if err > EQUIV_TOL:
             raise EquivarianceFailure(
                 f"{fld.name}: equivariance spot-check failed (|g f(x) - f(g x)| = {err:.2e})"
@@ -423,6 +425,7 @@ def grad_degree(
     return_zeros: bool = False,
     _boundary: Optional[tuple[np.ndarray, np.ndarray]] = None,
     _off_space_proved: bool = False,
+    _fixed_zeros: Optional[np.ndarray] = None,
 ):
     """Equivariant gradient degree over the field's domain.
 
@@ -443,7 +446,9 @@ def grad_degree(
     certificate made on this field, the same number of samples, in place
     of a second pass.  ``_off_space_proved`` is internal too: the level step
     sets it where its map's derivative bound proves that no zero lies off
-    the fixed space, and the probes for one are skipped.
+    the fixed space, and the probes for one are skipped.  So is
+    ``_fixed_zeros``: the level step's zeros of a lower level with this fixed
+    space, in place of a search; each must be a zero here (StabilizationFailure).
     """
     if not fld.domain.dim:  # the origin, when the domain holds it, is the one zero
         zeros = np.zeros((1, 0))[fld.domain.contains(np.zeros((1, 0)))]
@@ -477,7 +482,13 @@ def grad_degree(
     # finite-difference error) could flip
     floor = SINGULAR_RATIO * derivative_scale
     unique = fld.affine and _unique_zero(fld, bsamples, bvalues, floor)
-    zeros = _located_fixed_zeros(fld, probe_scale=scale, unique=unique)
+    if _fixed_zeros is None:
+        zeros = _located_fixed_zeros(fld, probe_scale=scale, unique=unique)
+    else:
+        zeros = _fixed_zeros
+        resid = np.linalg.norm(fld.evaluate(zeros), axis=1).max() if len(zeros) else 0.0
+        if not resid <= 1e-8 * (1.0 + scale):
+            raise StabilizationFailure(f"{fld.name}: a fixed-space zero of a lower level is not a zero here")
     if fld.layout.pairs and not unique and not _off_space_proved:
         _scan_off_space_zeros(fld, rng, probe_scale=scale)
 

@@ -29,6 +29,17 @@ A on W^perp at each level: linear degrees multiply over block sums.
 Each level's certified pass checks the declaration: f_n must equal Ax
 on W^perp there to rounding (SupportFailure otherwise).
 
+Without a support, a map on a RegionSpec searches its fixed space once per
+certificate too.  Where shells N+1 .. n add no trivial coordinate,
+Fix(V_n) = Fix(V_N) lies in V_N; there P_N P_n = P_N gives P_N f_n = f_N,
+and (P_n - P_N) F(x) is a fixed vector of those shells, 0, so f_n = f_N
+(Browder & Petryshyn, J. Funct. Anal. 1969).  Level n takes the zeros of
+the last level searched, padded with 0, checks that f_n vanishes there
+(StabilizationFailure otherwise) and takes their Hessians on V_n.  A loop
+map's fixed space, the constant loops, lies in shell 0; a callable region
+searches at every level, since its sections need not agree.
+``diagnostics["zeros_from"]`` records per level the level searched (N for a support).
+
 A zero of f_n off the fixed space lies on a whole orbit of zeros, which
 grad_degree rejects; a map that declares a bound L on |DF| over its region
 (``lipschitz``) proves there is none at a level n where L < mu_n, the
@@ -325,15 +336,18 @@ def certify_margin(
     sqrt(|f_n|^2 + t^2) is |f| of the untruncated map or bounds it; epsilon
     is half its smallest sampled value and the level certifies when the
     largest sampled tail stays below epsilon.  Raises MarginFailure when it
-    does not (raise n), BoundaryZero when a sample sits numerically on the
-    zero set, NonFiniteField when the field or the tail is not finite at a
-    sample, and ValueError for a tail not one value >= 0 per sample, an n
-    not an integer >= 0 or a budget not an integer >= 1.
+    does not (raise n), and before drawing a sample when V_n is empty or
+    narrower than the map's declared support, BoundaryZero when a sample
+    sits numerically on the zero set, NonFiniteField when the field or the
+    tail is not finite at a sample, and ValueError for a tail not one value
+    >= 0 per sample, an n not an integer >= 0 or a budget not an integer >= 1.
     """
     _check_counts(n=n, budget=budget)
     basis = f.operator.basis(n)
     if basis.dim == 0:
         raise MarginFailure(f"{f.name}: V_{n} is zero-dimensional; raise the level")
+    if f.support is not None and f.support > basis.dim:
+        raise MarginFailure(f"{f.name}: potential uses {f.support} coordinates, V_{n} has {basis.dim}; raise the level")
     fld = shell_field(f, n)
     rng = np.random.default_rng(seed)
     count = budget if budget is not None else BOUNDARY_PER_DIM * basis.dim
@@ -490,12 +504,14 @@ def _off_space_proof(bound: Optional[float], basis: ShellBasis) -> dict:
 def _level_degrees(
     f: LocalMapSpec, N: int, margin: Margin, *, depth: int, seed: int, budget
 ) -> list[tuple[RingElement, np.ndarray, dict]]:
-    """deg(f_n), the zeros of f_n in V_n and the off-space proof
-    (``_off_space_proof``) at n = N .. N+depth, each level above N
-    certified first.  Without a budget, each level's certified pass
-    holds the 64 samples per dimension that grad_degree would draw, and
-    grad_degree takes its boundary checks from it instead of sampling the
-    boundary again; where the proof holds, it skips its off-space probes.
+    """deg(f_n), the zeros of f_n in V_n and a record, the off-space proof
+    (``_off_space_proof``) and the level whose search gave the zeros, at
+    n = N .. N+depth, each level above N certified first.  Without a
+    budget, each level's certified pass holds the 64 samples per dimension
+    that grad_degree would draw, and grad_degree takes its boundary checks
+    from it instead of sampling the boundary again; where the proof holds,
+    it skips its off-space probes.  On a RegionSpec, a level with the fixed
+    space of the last level searched takes its zeros (module docstring).
     With a support, the zeros are searched once, on f_N restricted to W
     (``_search_width``), with level N's proof; each level n checks the
     support on its pass (f_n = Ax beyond W, SupportFailure otherwise) and
@@ -504,6 +520,7 @@ def _level_degrees(
     w = _search_width(f, f.operator.basis(N))
     bound = _lipschitz_bound(f)
     search = None  # (degree, zeros) of f_N restricted to W, shared by the levels
+    found = None  # (level, fixed coordinates, zeros) of the last search of the fixed space
     per_level = []
     for n in range(N, N + depth + 1):
         level = margin if n == N else certify_margin(f, n, seed=seed, budget=budget)
@@ -511,11 +528,14 @@ def _level_degrees(
         proof = _off_space_proof(bound, basis)
         if w is None:
             shared = (level.samples, level.values) if budget is None else None
+            reuse = found is not None and found[1] == basis.layout.trivial and not callable(f.region)
+            known = np.pad(found[2], ((0, 0), (0, basis.dim - found[2].shape[1]))) if reuse else None
             degree, zeros = grad_degree(
                 shell_field(f, n), seed=seed, return_zeros=True,
-                _boundary=shared, _off_space_proved=proof["proved"],
+                _boundary=shared, _off_space_proved=proof["proved"], _fixed_zeros=known,
             )
-            per_level.append((degree, zeros, proof))
+            found = found if reuse else (n, basis.layout.trivial, zeros)
+            per_level.append((degree, zeros, {"off_space": proof, "zeros_from": found[0]}))
             continue
         claim = f"{f.name}: declared support {f.support}, but at level {n} |f_n - Ax| beyond coordinate {w}"
         outside = level.values[:, w:] - level.samples[:, w:] * basis.eigenvalues[w:]
@@ -528,7 +548,7 @@ def _level_degrees(
         degree, zeros = search
         if len(zeros):
             degree = degree * _outside_degree(f, basis, w)
-        per_level.append((degree, np.pad(zeros, ((0, 0), (0, basis.dim - w))), proof))
+        per_level.append((degree, np.pad(zeros, ((0, 0), (0, basis.dim - w))), {"off_space": proof, "zeros_from": N}))
     return per_level
 
 
@@ -560,7 +580,8 @@ def _stabilized(
             "zero_counts": [len(zeros) for _, zeros, _ in per_level],
             "sample_budget": budget or BOUNDARY_PER_DIM * f.operator.basis(N).dim,
             "margin_ratio": (tail / epsilon) if epsilon > 0 else float("inf"),
-            "off_space": [proof for _, _, proof in per_level],
+            "off_space": [record["off_space"] for _, _, record in per_level],
+            "zeros_from": [record["zeros_from"] for _, _, record in per_level],
         },
     )
 

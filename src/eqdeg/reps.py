@@ -117,13 +117,18 @@ class Layout:
     def rep(self) -> Rep:
         return Rep(len(self.trivial), tuple((k, len(b)) for k, b in self.planes.items()))
 
+    @functools.cached_property
+    def _rotation(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each plane's base index, in ``planes`` order, and its mode (for a layout with planes)."""
+        bases = list(self.planes.values())
+        return np.concatenate(bases), np.repeat(list(self.planes), [len(b) for b in bases])
+
     def rotate(self, theta: float, x: np.ndarray) -> np.ndarray:
         """Apply the group element theta; acts on single vectors or batches."""
         out = np.array(x, dtype=float, copy=True)
         if self.pairs:
-            i = np.concatenate(list(self.planes.values()))
-            angle = theta * np.concatenate([np.full(len(b), k) for k, b in self.planes.items()])
-            c, s = np.cos(angle), np.sin(angle)
+            i, modes = self._rotation
+            c, s = np.cos(theta * modes), np.sin(theta * modes)
             u, v = out[..., i], out[..., i + 1]
             out[..., i] = c * u - s * v
             out[..., i + 1] = s * u + c * v
