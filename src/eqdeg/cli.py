@@ -37,7 +37,7 @@ from .galerkin import (
 )
 from .hamiltonian import HamiltonianSpec, local_map
 from .polynomials import Polynomial
-from .reps import SpectralOperator, rep_from_json, shell_index
+from .reps import Rep, SpectralOperator, shell_index
 from .selftest import run_suites
 
 EXIT_OK = 0
@@ -77,14 +77,43 @@ def _parse_group(data: dict):
     raise InputError(f"unrecognized group {group!r}")
 
 
-def _number(raw, name: str, *, integer: bool = False):
-    """A numeric field: an integer >= 1 when ``integer``, else a finite
-    number > 0; anything else, JSON true and false included, is an InputError."""
-    if type(raw) is int or (type(raw) is float and not integer):
-        if (raw >= 1) if integer else (0 < raw <= sys.float_info.max):
-            return raw
-    kind = "an integer >= 1" if integer else "a finite number > 0"
+def _count(raw, name: str, least: int = 1) -> int:
+    """A JSON integer >= least; anything else, JSON true and false
+    included, is an InputError."""
+    if type(raw) is int and raw >= least:
+        return raw
+    raise InputError(f"{name} must be an integer >= {least}, got {raw!r}")
+
+
+def _number(raw, name: str, *, positive: bool = True):
+    """A finite JSON number, > 0 when ``positive``; anything else, JSON
+    true and false included, is an InputError."""
+    if type(raw) in (int, float) and (raw > 0 or not positive) and abs(raw) <= sys.float_info.max:
+        return raw
+    kind = "a finite number > 0" if positive else "a finite number"
     raise InputError(f"{name} must be {kind}, got {raw!r}")
+
+
+def _polynomial(nvars: int, terms, name: str) -> Polynomial:
+    """The polynomial of a problem file's terms: each exponent an integer
+    >= 0 and each coefficient a finite number (InputError otherwise)."""
+    return Polynomial.from_terms(nvars, [
+        (
+            [_count(e, f"{name}[{i}].exps", least=0) for e in rec["exps"]],
+            _number(rec["coeff"], f"{name}[{i}].coeff", positive=False),
+        )
+        for i, rec in enumerate(terms)
+    ])
+
+
+def _rep(raw, name: str) -> Rep:
+    """A representation read from a problem file: the trivial count and each
+    mode's multiplicity integers >= 0, each mode an integer >= 1."""
+    modes = tuple(
+        (_count(k, f"{name}.modes[{j}] mode"), _count(m, f"{name}.modes[{j}] multiplicity", least=0))
+        for j, (k, m) in enumerate(raw["modes"])
+    )
+    return Rep(_count(raw["trivial"], f"{name}.trivial", least=0), modes)
 
 
 def _parse_truncation(data: dict, override: Optional[str]):
@@ -93,12 +122,12 @@ def _parse_truncation(data: dict, override: Optional[str]):
         return "auto"
     if override is not None and override.isdecimal():
         raw = int(override)
-    return _number(raw, "truncation", integer=True)
+    return _count(raw, "truncation")
 
 
 def _parse_budget(data: dict) -> Optional[int]:
     budget = data.get("sampling_budget")
-    return None if budget is None else _number(budget, "sampling_budget", integer=True)
+    return None if budget is None else _count(budget, "sampling_budget")
 
 
 def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tuple[LocalMapSpec, dict]:
@@ -110,13 +139,11 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
     meta = {"kind": kind, "group": "S1", "radius": radius}
 
     if kind == "hamiltonian":
-        dof = _number(_require(data, "dof"), "dof", integer=True)
+        dof = _count(_require(data, "dof"), "dof")
         terms = _require(data, "terms")
         lam = float(_number(_require(data, "lambda"), "lambda"))
         try:
-            spec = HamiltonianSpec(
-                dof, Polynomial.from_json(2 * dof, terms), lam
-            )
+            spec = HamiltonianSpec(dof, _polynomial(2 * dof, terms, "terms"), lam)
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad Hamiltonian description: {exc}") from exc
         meta.update({"dof": dof, "lambda": lam})
@@ -126,11 +153,11 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
         spectrum = _require(data, "spectrum")
         pairs = []
         try:
-            for rec in spectrum:
-                rep = rep_from_json(rec["rep"])
-                lam = float(rec["eigenvalue"])
+            for i, rec in enumerate(spectrum):
+                rep = _rep(rec["rep"], f"spectrum[{i}].rep")
+                lam = float(_number(rec["eigenvalue"], f"spectrum[{i}].eigenvalue", positive=False))
                 if "shell" in rec:
-                    n = int(rec["shell"])
+                    n = _count(rec["shell"], f"spectrum[{i}].shell", least=0)
                     expected = shell_index(lam)
                     if n != expected:
                         raise InputError(
@@ -144,7 +171,8 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
             raise InputError(f"bad spectrum description: {exc}") from exc
         nl = _require(data, "nonlinearity")
         try:
-            poly = Polynomial.from_json(int(nl["variables"]), nl["terms"])
+            nvars = _count(nl["variables"], "nonlinearity.variables", least=0)
+            poly = _polynomial(nvars, nl["terms"], "nonlinearity.terms")
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad nonlinearity description: {exc}") from exc
         try:

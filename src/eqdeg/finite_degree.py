@@ -342,13 +342,14 @@ def fixed_space_field(fld: GradientField) -> GradientField:
 
 def _located_fixed_zeros(fld: GradientField, *, probe_scale: float, unique: bool) -> np.ndarray:
     """Newton on fixed_space_field(fld) from its domain's seeds (the origin
-    alone when ``unique``); fld's normal part must vanish at each zero."""
+    alone when ``unique``); fld's normal part, where it has rotation planes,
+    must vanish at each zero."""
     sub = fixed_space_field(fld)
     seeds = np.zeros((1, sub.domain.dim)) if unique else sub.domain.seed_points(SEED_FRACTION)
     fixed = np.asarray(fld.layout.trivial, dtype=int)
     pts = _embed(fld.layout.size, fixed, _newton_batch(sub, seeds, scale=probe_scale))
     pts = _dedupe(pts[fld.domain.contains(pts)])
-    if len(pts):
+    if len(pts) and fld.layout.pairs:
         normals = fld.evaluate(pts)[:, fld.layout.normal_indices()]
         resid = np.max(np.linalg.norm(normals, axis=1))
         if resid > 1e-8 * (1.0 + probe_scale):
@@ -443,12 +444,13 @@ def grad_degree(
     The boundary checks run on BOUNDARY_PER_DIM seeded samples per
     dimension and the field's values there.  ``_boundary`` is internal: the
     Galerkin level step passes the (samples, values) of the pass its margin
-    certificate made on this field, the same number of samples, in place
-    of a second pass.  ``_off_space_proved`` is internal too: the level step
-    sets it where its map's derivative bound proves that no zero lies off
-    the fixed space, and the probes for one are skipped.  So is
-    ``_fixed_zeros``: the level step's zeros of a lower level with this fixed
-    space, in place of a search; each must be a zero here (StabilizationFailure).
+    certificate made on this field, in place of a second pass, with as
+    many samples as its budget set.  ``_off_space_proved`` is internal
+    too: the level step sets it where its map's derivative bound proves
+    that no zero lies off the fixed space, and the probes for one are
+    skipped.  So is ``_fixed_zeros``: the level step's zeros of a lower
+    level with this fixed space, in place of a search; each must be a
+    zero here (StabilizationFailure).
     """
     if not fld.domain.dim:  # the origin, when the domain holds it, is the one zero
         zeros = np.zeros((1, 0))[fld.domain.contains(np.zeros((1, 0)))]

@@ -306,15 +306,16 @@ class Margin:
 
     ``epsilon`` is half the smallest sqrt(|f_n|^2 + t^2) over the boundary
     samples, with t the declared tail, and ``tail`` the largest sampled t.
-    ``samples`` are the boundary samples of the truncated domain in V_n and
-    ``values`` the truncated field f_n at them.  A Margin unpacks as
-    (epsilon, tail).
+    ``samples`` are the boundary samples of the truncated domain in V_n,
+    ``values`` the truncated field f_n at them and ``field`` f_n itself,
+    which the level's degree takes.  A Margin unpacks as (epsilon, tail).
     """
 
     epsilon: float
     tail: float
     samples: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    field: GradientField = field(repr=False)  # last: it shadows dataclasses.field below it
 
     def __iter__(self):
         return iter((self.epsilon, self.tail))
@@ -368,7 +369,7 @@ def certify_margin(
         raise MarginFailure(
             f"{f.name}: tail bound {tail:.3e} >= epsilon {epsilon:.3e} at level {n}"
         )
-    return Margin(epsilon, tail, samples, values)
+    return Margin(epsilon, tail, samples, values, fld)
 
 
 @dataclass(frozen=True)
@@ -427,38 +428,40 @@ def degree_result_from_json(data: Mapping, group=CIRCLE) -> dict:
     }
 
 
-def _last_level(op: SpectralOperator, depth: int) -> Optional[int]:
-    """The last level N whose levels N .. N+depth the declared spectrum
-    holds; None when the operator declares no last level."""
-    return None if op.max_level is None else op.max_level - depth
-
-
-def _search_levels(op: SpectralOperator, start: int, depth: int) -> range:
-    """The levels N from start up to MAX_LEVEL that an automatic search may settle on."""
-    top = _last_level(op, depth)
-    return range(start, (MAX_LEVEL if top is None else min(MAX_LEVEL, top)) + 1)
-
-
-def _too_short(f: LocalMapSpec, what: str) -> MarginFailure:
-    return MarginFailure(
-        f"{f.name}: the declared spectrum is too short to certify {what} (the levels "
-        f"N .. N+depth are needed; declared max level {f.operator.max_level})"
-    )
+def _levels(f: LocalMapSpec, level, depth: int) -> range:
+    """The levels N a certificate of f may settle on: an explicit level
+    alone, or 1 .. MAX_LEVEL for "auto", keeping those whose levels
+    N .. N+depth the declared spectrum holds.  MarginFailure, before any
+    certificate runs, when none is left; ValueError for an explicit level
+    not an integer >= 0."""
+    if level != "auto":
+        _check_counts(level=level)
+    first, last = (1, MAX_LEVEL) if level == "auto" else (int(level), int(level))
+    top = f.operator.max_level
+    levels = range(first, (last if top is None else min(last, top - depth)) + 1)
+    if not levels:
+        what = "any truncation level" if level == "auto" else f"level {first} at depth {depth}"
+        raise MarginFailure(
+            f"{f.name}: the declared spectrum is too short to certify {what} (the levels "
+            f"N .. N+depth are needed; declared max level {top})"
+        )
+    return levels
 
 
 def _search_width(f: LocalMapSpec, basis: ShellBasis) -> Optional[int]:
     """The number w of leading coordinates of V_n, the space W, that hold
     the map's declared support, widened to a whole rotation plane and over
     the region's ball centers, so that the domain's section by W is its
-    slice where the other coordinates vanish.  None, for all of V_n,
-    without a support, with a callable region, or when W exceeds V_n."""
+    slice where the other coordinates vanish, and fits in V_n, since the
+    margin refuses a wider support and the region a center above V_n.
+    None, for all of V_n, without a support or with a callable region."""
     if f.support is None or callable(f.region):
         return None
     centers = [int(np.flatnonzero(b.center).max(initial=-1)) + 1 for b in f.region.balls]
     w = max([int(f.support)] + centers)
     if any(base == w - 1 for _, base in basis.layout.pairs):
         w += 1
-    return w if w <= basis.dim else None
+    return w
 
 
 def _outside_degree(f: LocalMapSpec, basis: ShellBasis, w: int) -> RingElement:
@@ -506,17 +509,17 @@ def _level_degrees(
 ) -> list[tuple[RingElement, np.ndarray, dict]]:
     """deg(f_n), the zeros of f_n in V_n and a record, the off-space proof
     (``_off_space_proof``) and the level whose search gave the zeros, at
-    n = N .. N+depth, each level above N certified first.  Without a
-    budget, each level's certified pass holds the 64 samples per dimension
-    that grad_degree would draw, and grad_degree takes its boundary checks
-    from it instead of sampling the boundary again; where the proof holds,
-    it skips its off-space probes.  On a RegionSpec, a level with the fixed
-    space of the last level searched takes its zeros (module docstring).
-    With a support, the zeros are searched once, on f_N restricted to W
-    (``_search_width``), with level N's proof; each level n checks the
-    support on its pass (f_n = Ax beyond W, SupportFailure otherwise) and
-    multiplies that degree by the linear degree of A beyond W in V_n, and
-    its zeros are those of W with 0 beyond."""
+    n = N .. N+depth, each level above N certified first.  Each level's
+    degree takes the field its margin certified (``Margin.field``) and the
+    boundary checks from that one pass, whatever the budget set its size
+    to; where the proof holds, it skips its off-space probes.  On a
+    RegionSpec, a level with the fixed space of the last level searched
+    takes its zeros (module docstring).  With a support, the zeros are
+    searched once, on level N's field restricted to W (``_search_width``),
+    with level N's proof; each level n checks the support on its pass
+    (f_n = Ax beyond W, SupportFailure otherwise) and multiplies that
+    degree by the linear degree of A beyond W in V_n, and its zeros are
+    those of W with 0 beyond."""
     w = _search_width(f, f.operator.basis(N))
     bound = _lipschitz_bound(f)
     search = None  # (degree, zeros) of f_N restricted to W, shared by the levels
@@ -527,12 +530,11 @@ def _level_degrees(
         basis = f.operator.basis(n)
         proof = _off_space_proof(bound, basis)
         if w is None:
-            shared = (level.samples, level.values) if budget is None else None
             reuse = found is not None and found[1] == basis.layout.trivial and not callable(f.region)
             known = np.pad(found[2], ((0, 0), (0, basis.dim - found[2].shape[1]))) if reuse else None
             degree, zeros = grad_degree(
-                shell_field(f, n), seed=seed, return_zeros=True,
-                _boundary=shared, _off_space_proved=proof["proved"], _fixed_zeros=known,
+                level.field, seed=seed, return_zeros=True, _boundary=(level.samples, level.values),
+                _off_space_proved=proof["proved"], _fixed_zeros=known,
             )
             found = found if reuse else (n, basis.layout.trivial, zeros)
             per_level.append((degree, zeros, {"off_space": proof, "zeros_from": found[0]}))
@@ -542,7 +544,7 @@ def _level_degrees(
         check_declared(SupportFailure, claim, outside, level.values)
         if search is None:
             search = grad_degree(
-                restricted_field(shell_field(f, n), range(w)), seed=seed, return_zeros=True,
+                restricted_field(level.field, range(w)), seed=seed, return_zeros=True,
                 _off_space_proved=proof["proved"],
             )
         degree, zeros = search
@@ -596,36 +598,29 @@ def deg_infinite(
 ) -> DegreeResult:
     """The stabilized degree m_N * deg(f_N) of a local map.
 
-    With ``level="auto"`` the truncation level N is the first one from 1
-    up to MAX_LEVEL whose margin certifies, among those whose levels
-    N .. N+depth the declared spectrum holds (N <= max_level - depth).  An explicit
-    level above that raises MarginFailure before any degree is computed.
-    The value is recomputed at N+1 .. N+depth and exact agreement is
-    required (StabilizationFailure otherwise).  ``budget`` sets the number
-    of boundary samples of each margin certificate.  ValueError unless an
-    explicit level is an integer >= 0 and the depth and budget integers
-    >= 1 (numpy integers count, bools do not).
+    The truncation level N is the explicit ``level``, or under "auto" the
+    first from 1 up to MAX_LEVEL whose margin certifies, among the levels
+    whose N .. N+depth the declared spectrum holds (``_levels``, which
+    raises MarginFailure before any certificate when none does).  An
+    explicit level's MarginFailure propagates as it is.  The value is
+    recomputed at N+1 .. N+depth and exact agreement is required
+    (StabilizationFailure otherwise).  ``budget`` sets the size of each
+    level's one boundary pass, which serves its margin and its degree.
+    ValueError unless an explicit level is an integer >= 0 and the depth
+    and budget integers >= 1 (numpy integers count, bools do not).
     """
     _check_counts(stabilization_depth=stabilization_depth, budget=budget)
-    step = dict(depth=stabilization_depth, seed=seed, budget=budget)
-    if level != "auto":
-        _check_counts(level=level)
-        N, top = int(level), _last_level(f.operator, stabilization_depth)
-        if top is not None and N > top:
-            raise _too_short(f, f"level {N} at depth {stabilization_depth}")
-        return _stabilized(f, N, certify_margin(f, N, seed=seed, budget=budget), **step)
-
-    levels = _search_levels(f.operator, 1, stabilization_depth)
-    if not levels:
-        raise _too_short(f, "any truncation level")
+    levels = _levels(f, level, stabilization_depth)
     last: Optional[DegreeError] = None
     for n in levels:
         try:
             margin = certify_margin(f, n, seed=seed, budget=budget)
         except MarginFailure as exc:
+            if level != "auto":
+                raise
             last = exc
             continue
-        return _stabilized(f, n, margin, **step)
+        return _stabilized(f, n, margin, depth=stabilization_depth, seed=seed, budget=budget)
     raise MarginFailure(f"{f.name}: no truncation level up to {levels[-1]} certified ({last})")
 
 
@@ -648,9 +643,11 @@ def deg_along_otopy(path: OtopyPath, *, seed: int = 0) -> list[DegreeResult]:
     slices = [(t, path.family(t)) for t in path.grid]
     if not slices:
         raise ValueError("empty otopy grid")
-    levels = _search_levels(slices[0][1].operator, 1, 1)
+    try:
+        levels = _levels(slices[0][1], "auto", 1)
+    except MarginFailure as exc:
+        raise SliceMarginFailure(path.grid[0], str(exc)) from exc
 
-    last_fail: tuple[float, object] = (path.grid[0], "the declared spectrum is too short")
     for n in levels:
         margins = []
         for t, s in slices:

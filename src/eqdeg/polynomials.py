@@ -28,6 +28,8 @@ class Polynomial:
     def from_terms(cls, nvars: int, terms: Sequence[tuple[Sequence[int], float]]) -> "Polynomial":
         merged: dict[tuple[int, ...], float] = {}
         for exps, coeff in terms:
+            if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in exps):
+                raise ValueError(f"exponents must be integers, got {tuple(exps)}")
             key = tuple(int(e) for e in exps)
             merged[key] = merged.get(key, 0.0) + float(coeff)
         cleaned = tuple((e, c) for e, c in sorted(merged.items()) if c != 0.0)

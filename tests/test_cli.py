@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eqdeg.cli
@@ -190,6 +191,58 @@ def test_bad_scalar_field_is_input_error(tmp_path, capsys, field, value, message
     problem = dict(quadratic_problem(), **{field: value})
     assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+def set_at(problem, path, value):
+    """problem with the entry at ``path``, a sequence of keys and indices, set to value."""
+    *parents, last = path
+    node = problem
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return problem
+
+
+@pytest.mark.parametrize(
+    "build, path, value, message",
+    [
+        (quadratic_problem, ("terms", 0, "exps", 0), 2.5, "terms[0].exps must be an integer >= 0, got 2.5"),
+        (quadratic_problem, ("terms", 0, "exps", 0), True, "terms[0].exps must be an integer >= 0, got True"),
+        (quadratic_problem, ("terms", 0, "exps", 0), -2, "terms[0].exps must be an integer >= 0, got -2"),
+        (quadratic_problem, ("terms", 1, "coeff"), "0.5", "terms[1].coeff must be a finite number, got '0.5'"),
+        (quadratic_problem, ("terms", 1, "coeff"), float("inf"), "terms[1].coeff must be a finite number, got inf"),
+        (quadratic_problem, ("terms", 1, "coeff"), float("nan"), "terms[1].coeff must be a finite number, got nan"),
+        (normalization_problem, ("spectrum", 1, "eigenvalue"), "-1.0",
+         "spectrum[1].eigenvalue must be a finite number, got '-1.0'"),
+        (normalization_problem, ("spectrum", 1, "eigenvalue"), False,
+         "spectrum[1].eigenvalue must be a finite number, got False"),
+        (normalization_problem, ("spectrum", 1, "shell"), 1.5, "spectrum[1].shell must be an integer >= 0, got 1.5"),
+        (normalization_problem, ("spectrum", 0, "rep", "trivial"), 2.5,
+         "spectrum[0].rep.trivial must be an integer >= 0, got 2.5"),
+        (normalization_problem, ("spectrum", 1, "rep", "modes", 0, 0), 1.9,
+         "spectrum[1].rep.modes[0] mode must be an integer >= 1, got 1.9"),
+        (normalization_problem, ("spectrum", 1, "rep", "modes", 0, 1), True,
+         "spectrum[1].rep.modes[0] multiplicity must be an integer >= 0, got True"),
+        (normalization_problem, ("nonlinearity", "variables"), 2.7,
+         "nonlinearity.variables must be an integer >= 0, got 2.7"),
+        (normalization_problem, ("nonlinearity", "terms", 0, "exps", 0), 1.9,
+         "nonlinearity.terms[0].exps must be an integer >= 0, got 1.9"),
+        (normalization_problem, ("nonlinearity", "terms", 0, "coeff"), float("-inf"),
+         "nonlinearity.terms[0].coeff must be a finite number, got -inf"),
+    ],
+)
+def test_bad_number_in_a_problem_file_is_input_error(tmp_path, capsys, build, path, value, message):
+    problem = set_at(build(), path, value)
+    assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_a_hamiltonian_exponent_must_be_an_integer():
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        HamiltonianSpec.from_terms(1, [((2.5, 0), 0.5)], 0.5)
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        Polynomial.from_terms(2, [((True, 1), 0.5)])
+    assert Polynomial.from_terms(2, [((np.int64(2), 0), 0.5)]).terms == (((2, 0), 0.5),)
 
 
 @pytest.mark.parametrize(

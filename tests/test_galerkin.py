@@ -335,6 +335,37 @@ def test_an_explicit_level_on_a_short_spectrum_fails_before_any_degree(monkeypat
         deg_infinite(f, level=2, stabilization_depth=2)
 
 
+def test_one_level_rule_serves_explicit_levels_the_search_and_the_otopy(monkeypatch):
+    # depth 1 on a table to shell 3: levels 1 and 2 hold their next level, 3 does not
+    f = LocalMapSpec(short_table(), declared(halve, tail=lambda X, basis: np.full(len(X), 10.0)),
+                     RegionSpec.ball(1.0), name="short")
+    tried = []
+    original = eqdeg.galerkin.certify_margin
+
+    def certify_margin(g, n, **kwargs):
+        tried.append(n)
+        return original(g, n, **kwargs)
+
+    monkeypatch.setattr(eqdeg.galerkin, "certify_margin", certify_margin)
+    with pytest.raises(MarginFailure, match="too short to certify level 3 at depth 1"):
+        deg_infinite(f, level=3)
+    assert tried == []
+    with pytest.raises(MarginFailure, match="no truncation level up to 2 certified"):
+        deg_infinite(f)  # the tail of 10 fails every margin
+    assert tried == [1, 2]
+    with pytest.raises(MarginFailure, match="tail bound") as explicit:
+        deg_infinite(f, level=2)
+    assert explicit.type is MarginFailure and tried == [1, 2, 2]
+    # the otopy reads the same rule and names its first slice
+    g = LocalMapSpec(short_table(1), declared(halve, tail=zero_tail), RegionSpec.ball(1.0), name="short")
+    with pytest.raises(MarginFailure) as search:
+        deg_infinite(g)
+    with pytest.raises(SliceMarginFailure) as otopy:
+        deg_along_otopy(OtopyPath.uniform(lambda t: g, steps=1))
+    assert otopy.value.t == 0.0 and str(otopy.value) == f"slice t=0: {search.value}"
+    assert tried == [1, 2, 2]
+
+
 def test_a_map_with_a_tail_searches_up_to_the_last_declared_level():
     # |x|^2 / 4 in 3 variables, which V_1 (dim 2) does not hold: the search
     # moves past level 1 and settles on 2, the last whose level 3 the table holds

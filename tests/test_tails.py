@@ -11,13 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eqdeg.galerkin
 from eqdeg.cli import build_problem
-from eqdeg.finite_degree import BOUNDARY_PER_DIM
+from eqdeg.finite_degree import BOUNDARY_PER_DIM, grad_degree
 from eqdeg.galerkin import (
     LocalMapSpec,
     RegionSpec,
     _embedding_indices,
     certify_margin,
+    correction_factor,
     deg_infinite,
     direct_sum_local_maps,
     kernel_projection_nonlinearity,
@@ -177,22 +179,38 @@ def test_each_level_evaluates_its_boundary_once(depth):
         assert calls.count((n, count)) == 1, n
 
 
-def test_a_sampling_budget_keeps_the_degree_its_own_pass():
+def test_a_sampling_budget_sizes_each_levels_one_pass():
     f, calls = counted(local_map(quartic_hamiltonian(1, 0.4), radius=0.8))
     res = deg_infinite(f, budget=100)
     assert res.diagnostics["sample_budget"] == 100
     for n in res.diagnostics["levels_checked"]:
         assert calls.count((n, 100)) == 1
-        assert calls.count((n, BOUNDARY_PER_DIM * f.operator.basis(n).dim)) == 1
+        assert calls.count((n, BOUNDARY_PER_DIM * f.operator.basis(n).dim)) == 0
+
+
+def test_each_level_builds_its_field_once(monkeypatch):
+    built = []
+    original = eqdeg.galerkin.shell_field
+
+    def shell_field(f, n):
+        built.append(n)
+        return original(f, n)
+
+    monkeypatch.setattr(eqdeg.galerkin, "shell_field", shell_field)
+    res = deg_infinite(local_map(quartic_hamiltonian(1, 0.4), radius=0.8), stabilization_depth=2)
+    assert built == res.diagnostics["levels_checked"] == [1, 2, 3]
 
 
 def test_shared_and_separate_passes_give_the_same_degrees():
+    # each level's degree on the certified pass against grad_degree on a
+    # field of its own, which draws its own boundary pass
     for inst in corpus_local_maps():
         f = inst.build()
         shared = deg_infinite(f, stabilization_depth=2)
-        separate = deg_infinite(f, stabilization_depth=2, budget=BOUNDARY_PER_DIM * f.operator.basis(1).dim)
-        assert shared.value == separate.value, inst.name
-        assert shared.diagnostics["zero_counts"] == separate.diagnostics["zero_counts"], inst.name
+        for j, n in enumerate(shared.diagnostics["levels_checked"]):
+            degree, zeros = grad_degree(shell_field(f, n), seed=0, return_zeros=True)
+            assert correction_factor(f.operator, n) * degree == shared.stabilization[j], (inst.name, n)
+            assert len(zeros) == shared.diagnostics["zero_counts"][j], (inst.name, n)
 
 
 def test_certify_margin_builds_no_basis_above_its_level(monkeypatch):
