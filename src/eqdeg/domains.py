@@ -103,20 +103,29 @@ class Ball:
     def contains(self, x: np.ndarray) -> np.ndarray:
         return self.metric_norm(x) < self.radius
 
+    def _directions(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """count standard normal rows, each scaled in place to norm 1 in the ball metric."""
+        y = rng.standard_normal((count, self.dim))
+        t = self.weights * y
+        t *= y
+        y /= np.sqrt(np.sum(t, axis=1))[:, None]
+        return y
+
     def boundary_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
         if self.dim == 0:
             return np.zeros((0, 0))
-        y = rng.standard_normal((count, self.dim))
-        y /= np.sqrt(np.sum(self.weights * y * y, axis=1))[:, None]
-        return self.center + self.radius * y
+        y = self._directions(count, rng)
+        y *= self.radius
+        y += self.center
+        return y
 
     def interior_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
         if self.dim == 0:
             return np.zeros((count, 0))
-        y = rng.standard_normal((count, self.dim))
-        y /= np.sqrt(np.sum(self.weights * y * y, axis=1))[:, None]
-        radii = self.radius * rng.random(count) ** (1.0 / self.dim)
-        return self.center + radii[:, None] * y
+        y = self._directions(count, rng)
+        y *= self.radius * rng.random(count)[:, None] ** (1.0 / self.dim)
+        y += self.center
+        return y
 
     def section(self, indices: Sequence[int]) -> "Ball":
         idx = np.asarray(indices, dtype=int)

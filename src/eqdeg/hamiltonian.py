@@ -22,6 +22,14 @@ affine part keeps V_N, and |grad R|^2 along a loop of V_N has frequencies
 up to 2(deg(H) - 1)N, so a grid past that integrates it exactly.
 ``hamiltonian_gradient`` is the local map's nonlinearity at lambda = 1,
 read on a single loop.
+
+The grid work of a batch of loops runs over consecutive row blocks
+(``_row_blocks``): each block holds as many loops as keep its largest grid
+array under ``_BLOCK_BYTES``, so a boundary pass of 64 dim V_N loops never
+holds all of their grids at once.  Each loop's values are computed from
+that loop alone, so blocks cannot change an answer: at most the last bits
+of a row move, where a matrix product rounds a block of another height
+differently.  A batch that fits one block is computed as a single call.
 """
 
 from __future__ import annotations
@@ -293,6 +301,31 @@ def _synthesis_matrix(dof: int, level: int, size: int) -> np.ndarray:
     return B
 
 
+_BLOCK_BYTES = 1 << 18  # the largest grid array of one row block stays under this
+
+
+def _row_blocks(kernel, X: np.ndarray, row_bytes: int) -> np.ndarray:
+    """kernel(X), computed over consecutive row blocks of X.
+
+    ``row_bytes`` is the size of the kernel's largest grid array per row;
+    each block holds as many rows as keep that array under _BLOCK_BYTES
+    (at least one), and its result is written into the block's output
+    rows.  The kernel computes each row on its own, so the blocks give the
+    rows of kernel(X) up to rounding; a batch that fits one block is
+    kernel(X) itself.
+    """
+    size = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    if len(X) <= size:
+        return kernel(X)
+    out = None
+    for start in range(0, len(X), size):
+        part = kernel(X[start : start + size])
+        if out is None:
+            out = np.empty((len(X),) + part.shape[1:], dtype=part.dtype)
+        out[start : start + len(part)] = part
+    return out
+
+
 def hamiltonian_gradient(spec: HamiltonianSpec, state: LoopState) -> LoopState:
     """Gradient of the action integrand: grad H applied along the loop,
     projected back onto the retained modes.
@@ -331,6 +364,15 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
     cancellation never makes it an underestimate.  Both grids read the
     active rows B_a of one synthesis matrix per level and grid size.
 
+    The nonlinearity, the Jacobian and the tail each run their grid work
+    through ``_row_blocks``, over blocks of rows whose largest grid array
+    stays under ``_BLOCK_BYTES``: 8 M |active| bytes per row for the values
+    and the tail (M of its own grid), 8 M |active| (|active| + |idx|) for
+    the Jacobian, whose Hessians and their products with B_a[:, idx] are
+    the largest arrays.  Every row is computed from its own loop alone, so
+    the blocks give the rows of the whole batch up to rounding; the calls
+    and the rows that reach the map are the same as without blocks.
+
     Its ``lipschitz(region)`` bounds |DF| by lambda sup |hess H(z)| over
     |z| <= rho, rho the sup-norm bound of the region's loops (the
     ``galerkin`` module docstring): |S|_2 plus, for each term c z^e of
@@ -355,15 +397,16 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
     hessian_base = float(np.abs(np.linalg.eigvalsh(S)).max(initial=0.0))  # |S|_2, S symmetric
     levels: dict[int, tuple] = {}  # level -> (M, w, L, f0, B_a), built on first use
     rows: dict[tuple[int, int], np.ndarray] = {}  # (level, grid size) -> B_a, kept for both grids
+    na = len(active)
 
     def synthesis(level, M):
         """The (M, 2 dof, dim) synthesis matrix of a level and its active rows B_a."""
         B = _synthesis_matrix(spec.dof, level, M).reshape(M, n2, -1)
-        Ba = rows.setdefault((level, M), B[:, active, :].reshape(M * len(active), B.shape[2]))
+        Ba = rows.setdefault((level, M), B[:, active, :].reshape(M * na, B.shape[2]))
         return B, Ba
 
-    def active_values(X, basis):
-        """The level's matrices and the (m, M, |active|) grid values of the active variables."""
+    def matrices(basis):
+        """The level's grid size M, weight w, affine L and f0, and active rows B_a."""
         mats = levels.get(basis.level)
         if mats is None:
             M = default_quadrature_size(poly.degree, basis.level)
@@ -374,24 +417,34 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
             L = 0.5 * (L + L.T)
             f0 = w * g0 @ B.sum(axis=0)
             mats = levels[basis.level] = (M, w, L, f0, Ba)
-        M, Ba = mats[0], mats[-1]
-        return mats, (X @ Ba.T).reshape(len(X), M, len(active))
+        return mats
+
+    def on_grid(X, M, Ba):
+        """The (m, M, |active|) grid values of the active variables of the loops X."""
+        return (X @ Ba.T).reshape(len(X), M, na)
 
     def nonlinearity(X, basis):
-        X = np.atleast_2d(X)
-        (M, w, L, f0, Ba), u = active_values(X, basis)
-        return X @ L + f0 + w * rest.gradient(u).reshape(len(X), -1) @ Ba
+        M, w, L, f0, Ba = matrices(basis)
+
+        def block(X):
+            return X @ L + f0 + w * rest.gradient(on_grid(X, M, Ba)).reshape(len(X), -1) @ Ba
+
+        return _row_blocks(block, np.atleast_2d(X), 8 * M * na)
 
     def jacobian(X, basis, idx):
-        X = np.atleast_2d(X)
-        (M, w, L, f0, Ba), u = active_values(X, basis)
-        m, na, k = len(X), len(active), len(idx)
-        Bi = Ba[:, idx]
-        # Hessian of R times B_a[:, idx], laid out (grid time, component, point,
-        # idx) so that one product with B_a[:, idx]^T sums over the grid
-        HB = rest.hessian(u).transpose(1, 2, 0, 3) @ Bi.reshape(M, 1, na, k)
-        J = (Bi.T @ HB.reshape(M * na, m * k)).reshape(k, m, k)
-        return L[np.ix_(idx, idx)] + w * J.transpose(1, 0, 2)
+        M, w, L, f0, Ba = matrices(basis)
+        k = len(idx)
+        Bi, Li = Ba[:, idx], L[np.ix_(idx, idx)]
+
+        def block(X):
+            m = len(X)
+            # Hessian of R times B_a[:, idx], laid out (grid time, component, point,
+            # idx) so that one product with B_a[:, idx]^T sums over the grid
+            HB = rest.hessian(on_grid(X, M, Ba)).transpose(1, 2, 0, 3) @ Bi.reshape(M, 1, na, k)
+            J = (Bi.T @ HB.reshape(M * na, m * k)).reshape(k, m, k)
+            return Li + w * J.transpose(1, 0, 2)
+
+        return _row_blocks(block, np.atleast_2d(X), 8 * M * na * (na + k))
 
     def tail(X, basis):
         X = np.atleast_2d(X)
@@ -399,15 +452,19 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
             return np.zeros(len(X))
         M = tail_quadrature_size(rest.degree, basis.level)
         Ba = rows[(basis.level, M)] if (basis.level, M) in rows else synthesis(basis.level, M)[1]
-        g = rest.gradient((X @ Ba.T).reshape(len(X), M, len(active))).reshape(len(X), -1)
         h = 2.0 * math.pi / M
-        total = h * np.einsum("ij,ij->i", g, g)
-        coeffs = g @ Ba
-        kept = h * h * np.einsum("ij,ij->i", coeffs, coeffs)
-        # each coefficient of P_n grad R is a K-term sum, K = g.shape[1], with
+        # each coefficient of P_n grad R is a K-term sum, K = M |active|, with
         # rounding below K eps |grad R|; this bounds the rounding of total - kept
-        rounding = 2.0 * (g.shape[1] + 2) * (math.sqrt(basis.dim) + 1.0) * np.finfo(float).eps
-        return spec.lam * np.sqrt(np.maximum(total - kept, 0.0) + rounding * total)
+        rounding = 2.0 * (M * na + 2) * (math.sqrt(basis.dim) + 1.0) * np.finfo(float).eps
+
+        def block(X):
+            g = rest.gradient(on_grid(X, M, Ba)).reshape(len(X), -1)
+            total = h * np.einsum("ij,ij->i", g, g)
+            coeffs = g @ Ba
+            kept = h * h * np.einsum("ij,ij->i", coeffs, coeffs)
+            return spec.lam * np.sqrt(np.maximum(total - kept, 0.0) + rounding * total)
+
+        return _row_blocks(block, X, 8 * M * na)
 
     def lipschitz(region):
         rho = _loop_sup_bound(region)

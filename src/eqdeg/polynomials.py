@@ -6,10 +6,24 @@ a polynomial is a list of (exponent multi-index, coefficient) terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+
+def _coefficient(coeff) -> float:
+    """A finite real number as a float, never coerced: anything else (str,
+    bool, None, inf, NaN, an int past the float range) is a ValueError."""
+    if isinstance(coeff, (int, float, np.integer, np.floating)) and not isinstance(coeff, bool):
+        try:
+            value = float(coeff)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"coefficients must be finite real numbers, got {coeff!r}")
 
 
 @dataclass(frozen=True)
@@ -31,7 +45,7 @@ class Polynomial:
             if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in exps):
                 raise ValueError(f"exponents must be integers, got {tuple(exps)}")
             key = tuple(int(e) for e in exps)
-            merged[key] = merged.get(key, 0.0) + float(coeff)
+            merged[key] = merged.get(key, 0.0) + _coefficient(coeff)
         cleaned = tuple((e, c) for e, c in sorted(merged.items()) if c != 0.0)
         return cls(nvars, cleaned)
 

@@ -84,8 +84,24 @@ def rep_to_json(rep: Rep) -> dict:
     return {"trivial": rep.trivial, "modes": [[k, n] for k, n in rep.modes]}
 
 
+def _json_count(raw, name: str, least: int) -> int:
+    """An integer >= least (numpy integers count, bool does not); anything else is a ValueError."""
+    if isinstance(raw, (int, np.integer)) and not isinstance(raw, bool) and raw >= least:
+        return int(raw)
+    raise ValueError(f"{name} must be an integer >= {least}, got {raw!r}")
+
+
 def rep_from_json(data: Mapping) -> Rep:
-    return Rep(int(data["trivial"]), tuple((int(k), int(n)) for k, n in data["modes"]))
+    """The Rep of ``rep_to_json``'s form; counts are never coerced: a count that
+    is not an integer, or a trivial count or multiplicity < 0 or a mode < 1,
+    is a ValueError."""
+    return Rep(
+        _json_count(data["trivial"], "trivial", 0),
+        tuple(
+            (_json_count(k, "mode", 1), _json_count(n, f"multiplicity of mode {k!r}", 0))
+            for k, n in data["modes"]
+        ),
+    )
 
 
 @dataclass(frozen=True)

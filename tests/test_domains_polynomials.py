@@ -446,3 +446,49 @@ def test_section_seeds_equal_the_former_seeds_on_the_axes():
                 got[:, fixed] = seeds
                 want = former_seed_points(domain, fixed, fraction)
                 assert got.tobytes() == want.tobytes(), (name, fixed, fraction)
+
+
+def _old_boundary_samples(ball, count, rng):
+    """The expression Ball.boundary_samples evaluated before it scaled in place."""
+    y = rng.standard_normal((count, ball.dim))
+    y /= np.sqrt(np.sum(ball.weights * y * y, axis=1))[:, None]
+    return ball.center + ball.radius * y
+
+
+def _old_interior_samples(ball, count, rng):
+    """The expression Ball.interior_samples evaluated before it scaled in place."""
+    y = rng.standard_normal((count, ball.dim))
+    y /= np.sqrt(np.sum(ball.weights * y * y, axis=1))[:, None]
+    radii = ball.radius * rng.random(count) ** (1.0 / ball.dim)
+    return ball.center + radii[:, None] * y
+
+
+@pytest.mark.parametrize("dim", [1, 3, 50])
+@pytest.mark.parametrize("kind", ["boundary", "interior"])
+def test_ball_samples_scaled_in_place_keep_every_bit(dim, kind):
+    center = np.linspace(-0.7, 0.4, dim)
+    ball = Ball(center, 1.3, weights=np.linspace(0.5, 3.0, dim))
+    new, old = (
+        (ball.boundary_samples, _old_boundary_samples)
+        if kind == "boundary"
+        else (ball.interior_samples, _old_interior_samples)
+    )
+    for seed in range(3):
+        got = new(97, np.random.default_rng(seed))
+        want = old(ball, 97, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["0.5", True, np.bool_(True), None, float("inf"), float("-inf"), float("nan"), np.float64("nan"), 10**400, 1j],
+)
+def test_a_coefficient_must_be_a_finite_real_number(coeff):
+    with pytest.raises(ValueError, match="coefficients must be finite real numbers"):
+        Polynomial.from_terms(1, [((2,), 0.5), ((4,), coeff)])
+
+
+def test_integer_and_numpy_coefficients_are_read_as_floats():
+    p = Polynomial.from_terms(2, [((2, 0), 3), ((0, 2), np.int64(-2)), ((1, 1), np.float32(0.5))])
+    assert p.terms == (((0, 2), -2.0), ((1, 1), 0.5), ((2, 0), 3.0))
+    assert all(type(c) is float for _, c in p.terms)

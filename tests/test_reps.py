@@ -271,3 +271,27 @@ def test_rep_serialization_round_trip():
     r = Rep(3, ((2, 1), (7, 4)))
     assert rep_from_json(rep_to_json(r)) == r
     assert rep_to_json(r) == {"trivial": 3, "modes": [[2, 1], [7, 4]]}
+
+
+def test_rep_from_json_reads_numpy_integers():
+    assert rep_from_json({"trivial": np.int64(2), "modes": [[np.int32(3), np.int64(1)]]}) == Rep(2, ((3, 1),))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"trivial": 3.5, "modes": [[1, 1]]}, "trivial must be an integer >= 0, got 3.5"),
+        ({"trivial": True, "modes": []}, "trivial must be an integer >= 0, got True"),
+        ({"trivial": -1, "modes": []}, "trivial must be an integer >= 0, got -1"),
+        ({"trivial": "2", "modes": []}, "trivial must be an integer >= 0, got '2'"),
+        ({"trivial": 3, "modes": [[1.9, 1]]}, "mode must be an integer >= 1, got 1.9"),
+        ({"trivial": 3, "modes": [[0, 1]]}, "mode must be an integer >= 1, got 0"),
+        ({"trivial": 3, "modes": [[1, True]]}, "multiplicity of mode 1 must be an integer >= 0, got True"),
+        ({"trivial": 3, "modes": [[2, -1]]}, "multiplicity of mode 2 must be an integer >= 0, got -1"),
+        ({"trivial": 3, "modes": [[2, 1.0]]}, "multiplicity of mode 2 must be an integer >= 0, got 1.0"),
+    ],
+)
+def test_rep_from_json_never_coerces_a_count(data, message):
+    with pytest.raises(ValueError) as info:
+        rep_from_json(data)
+    assert str(info.value) == message
