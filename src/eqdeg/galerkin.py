@@ -30,24 +30,26 @@ Each level's certified pass checks the declaration: f_n must equal Ax
 on W^perp there to rounding (SupportFailure otherwise).
 
 Without a support, a map on a RegionSpec searches its fixed space once per
-certificate too.  Where shells N+1 .. n add no trivial coordinate,
-Fix(V_n) = Fix(V_N) lies in V_N; there P_N P_n = P_N gives P_N f_n = f_N,
-and (P_n - P_N) F(x) is a fixed vector of those shells, 0, so f_n = f_N
-(Browder & Petryshyn, J. Funct. Anal. 1969).  Level n takes the zeros of
-the last level searched, padded with 0, checks that f_n vanishes there
-(StabilizationFailure otherwise) and takes their Hessians on V_n.  A loop
-map's fixed space, the constant loops, lies in shell 0; a callable region
-searches at every level, since its sections need not agree.
+certificate too.  Where shells N+1 .. n add no trivial coordinate
+(``SpectralOperator.adds_fixed``), Fix(V_n) = Fix(V_N) lies in V_N; there
+P_N P_n = P_N gives P_N f_n = f_N, and (P_n - P_N) F(x) is a fixed vector
+of those shells, 0, so f_n = f_N (Browder & Petryshyn, J. Funct. Anal.
+1969).  Level n takes the zeros of the last level searched, padded with 0,
+checks that f_n vanishes there (StabilizationFailure otherwise) and takes
+their Hessians on V_n.  A loop map's fixed space, the constant loops,
+lies in shell 0; a callable region searches at every level, since its
+sections need not agree.
 ``diagnostics["zeros_from"]`` records per level the level searched (N for a support).
 
 A zero of f_n off the fixed space lies on a whole orbit of zeros, which
 grad_degree rejects; a map that declares a bound L on |DF| over its region
 (``lipschitz``) proves there is none at a level n where L < mu_n, the
-least |eigenvalue| of A on the rotation planes of V_n.  Write x = x_F + x_N
-with x_F the fixed part of x in V_n.  Ball centers lie in the fixed space
-and the graph norm is diagonal, so x_F lies in every ball that x does, and
-so does the segment between them.  Equivariance maps the fixed space into
-itself, so the normal part P_N f_n(x_F) is 0, and along the segment
+least |eigenvalue| of A on the rotation planes of V_n (``SpectralOperator.gap``).
+Write x = x_F + x_N with x_F the fixed part of x in V_n.  Ball centers lie
+in the fixed space and the graph norm is diagonal, so x_F lies in every
+ball that x does, and so does the segment between them.  Equivariance
+maps the fixed space into itself, so the normal part P_N f_n(x_F) is 0,
+and along the segment
 
     |P_N f_n(x)| = |A x_N - P_N (F(x) - F(x_F))| >= (mu_n - L) |x_N|,
 
@@ -114,7 +116,7 @@ from .finite_degree import (
     restricted_field,
 )
 from .polynomials import Polynomial
-from .reps import Rep, ShellBasis, SpectralOperator, shell_operator
+from .reps import Rep, ShellBasis, SpectralOperator, _json_count, shell_operator
 
 MAX_LEVEL = 10  # the automatic level search stops here
 
@@ -177,7 +179,7 @@ _DECLARATIONS = {
     "tail": (None, callable, "a callable tail(X, basis), a bound of |(I - P_n) F| per row"),
     "jacobian": (None, lambda v: v is None or callable(v), "a callable jacobian(X, basis, idx) or None"),
     "affine": (False, lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
-    "support": (None, lambda v: v is None or _is_count(v, 0), "an integer >= 0 or None"),
+    "support": (None, lambda v: v is None or _json_count(v, "support", 0) == v, "an integer >= 0 or None"),
     "lipschitz": (None, lambda v: v is None or callable(v), "a callable lipschitz(region) or None"),
 }
 
@@ -229,7 +231,11 @@ class LocalMapSpec:
     def __post_init__(self):
         for attr, (default, valid, what) in _DECLARATIONS.items():
             value = getattr(self.nonlinearity, attr, default)
-            if not valid(value):
+            try:
+                ok = valid(value)
+            except ValueError:  # a count check (reps._json_count) raises for a non-count
+                ok = False
+            if not ok:
                 raise ValueError(f"{self.name}: {attr} must be {what}, got {value!r}")
             setattr(self, attr, value)
 
@@ -271,33 +277,25 @@ def shell_degrees(op: SpectralOperator, n: int) -> tuple[RingElement, ...]:
 
 def correction_factor(op: SpectralOperator, n: int) -> RingElement:
     """m_n: the product of the inverses of the shell degrees a_1 .. a_n."""
-    return _inverse_product(shell_degrees(op, n))
+    return _corrections(shell_degrees(op, n))[-1]
 
 
-def _inverse_product(degrees: Sequence[RingElement]) -> RingElement:
-    out = unit(CIRCLE)
+def _corrections(degrees: Sequence[RingElement]) -> list[RingElement]:
+    """m_0 = 1 .. m_n for the shell degrees a_1 .. a_n: m_i = m_{i-1} a_i^{-1}."""
+    out = [unit(CIRCLE)]
     for a in degrees:
         inv = a.invert()
         assert inv is not None  # unit coefficient of a linear degree is +-1
-        out = out * inv
+        out.append(out[-1] * inv)
     return out
 
 
-def _is_count(value, least: int) -> bool:
-    """Whether value is an integer (numpy integers included, bool not) >= least."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
-
-
 def _check_counts(**counts) -> None:
-    """ValueError naming the argument unless each count is an integer
-    (numpy integers included, bool not) of at least 0 for a level and 1
-    otherwise; a budget of None, the default, passes."""
+    """ValueError naming the argument unless each count is an integer >= 0
+    for a level and >= 1 otherwise (``reps._json_count``); a budget of None passes."""
     for name, value in counts.items():
-        least = 0 if name in ("n", "level") else 1
-        if value is None and name == "budget":
-            continue
-        if not _is_count(value, least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if value is not None or name != "budget":
+            _json_count(value, name, 0 if name in ("n", "level") else 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,13 +435,12 @@ def _levels(f: LocalMapSpec, level, depth: int) -> range:
     if level != "auto":
         _check_counts(level=level)
     first, last = (1, MAX_LEVEL) if level == "auto" else (int(level), int(level))
-    top = f.operator.max_level
-    levels = range(first, (last if top is None else min(last, top - depth)) + 1)
+    levels = f.operator.levels(first, last, depth)
     if not levels:
         what = "any truncation level" if level == "auto" else f"level {first} at depth {depth}"
         raise MarginFailure(
             f"{f.name}: the declared spectrum is too short to certify {what} (the levels "
-            f"N .. N+depth are needed; declared max level {top})"
+            f"N .. N+depth are needed; declared max level {f.operator.max_level})"
         )
     return levels
 
@@ -492,51 +489,41 @@ def _lipschitz_bound(f: LocalMapSpec) -> Optional[float]:
     return float(bound)
 
 
-def _off_space_proof(bound: Optional[float], basis: ShellBasis) -> dict:
-    """Whether the bound proves that no zero of f_n lies off the fixed space
-    of V_n (module docstring): {"proved": True, "bound": L, "gap": mu_n}
-    when L < mu_n, the least |eigenvalue| of A on the rotation planes of
-    V_n (inf without any), and {"proved": False} otherwise."""
-    normal = np.asarray(basis.layout.normal_indices(), dtype=int)
-    gap = float(np.abs(basis.eigenvalues[normal]).min(initial=np.inf))
-    if bound is None or not bound < gap:
-        return {"proved": False}
-    return {"proved": True, "bound": bound, "gap": gap}
-
-
 def _level_degrees(
     f: LocalMapSpec, N: int, margin: Margin, *, depth: int, seed: int, budget
 ) -> list[tuple[RingElement, np.ndarray, dict]]:
     """deg(f_n), the zeros of f_n in V_n and a record, the off-space proof
-    (``_off_space_proof``) and the level whose search gave the zeros, at
-    n = N .. N+depth, each level above N certified first.  Each level's
-    degree takes the field its margin certified (``Margin.field``) and the
-    boundary checks from that one pass, whatever the budget set its size
-    to; where the proof holds, it skips its off-space probes.  On a
-    RegionSpec, a level with the fixed space of the last level searched
-    takes its zeros (module docstring).  With a support, the zeros are
-    searched once, on level N's field restricted to W (``_search_width``),
-    with level N's proof; each level n checks the support on its pass
-    (f_n = Ax beyond W, SupportFailure otherwise) and multiplies that
-    degree by the linear degree of A beyond W in V_n, and its zeros are
-    those of W with 0 beyond."""
+    and the level whose search gave the zeros, at n = N .. N+depth, each
+    level above N certified first.  The proof is {"proved": True, "bound":
+    L, "gap": mu_n} where the map's bound L is below ``SpectralOperator.gap``
+    (module docstring), else {"proved": False}.  Each level's degree takes
+    the field its margin certified (``Margin.field``) and the boundary
+    checks from that one pass, whatever the budget set its size to; where
+    the proof holds, it skips its off-space probes.  On a RegionSpec, a
+    level with the fixed space of the last level searched takes its zeros
+    (module docstring).  With a support, the zeros are searched once, on
+    level N's field restricted to W (``_search_width``), with level N's
+    proof; each level n checks the support on its pass (f_n = Ax beyond W,
+    SupportFailure otherwise) and multiplies that degree by the linear
+    degree of A beyond W in V_n, and its zeros are those of W with 0 beyond."""
     w = _search_width(f, f.operator.basis(N))
     bound = _lipschitz_bound(f)
     search = None  # (degree, zeros) of f_N restricted to W, shared by the levels
-    found = None  # (level, fixed coordinates, zeros) of the last search of the fixed space
+    found = None  # (level, zeros) of the last search of the fixed space
     per_level = []
     for n in range(N, N + depth + 1):
         level = margin if n == N else certify_margin(f, n, seed=seed, budget=budget)
         basis = f.operator.basis(n)
-        proof = _off_space_proof(bound, basis)
+        gap = f.operator.gap(n)
+        proof = {"proved": True, "bound": bound, "gap": gap} if bound is not None and bound < gap else {"proved": False}
         if w is None:
-            reuse = found is not None and found[1] == basis.layout.trivial and not callable(f.region)
-            known = np.pad(found[2], ((0, 0), (0, basis.dim - found[2].shape[1]))) if reuse else None
+            reuse = found is not None and not f.operator.adds_fixed(found[0], n) and not callable(f.region)
+            known = np.pad(found[1], ((0, 0), (0, basis.dim - found[1].shape[1]))) if reuse else None
             degree, zeros = grad_degree(
                 level.field, seed=seed, return_zeros=True, _boundary=(level.samples, level.values),
                 _off_space_proved=proof["proved"], _fixed_zeros=known,
             )
-            found = found if reuse else (n, basis.layout.trivial, zeros)
+            found = found if reuse else (n, zeros)
             per_level.append((degree, zeros, {"off_space": proof, "zeros_from": found[0]}))
             continue
         claim = f"{f.name}: declared support {f.support}, but at level {n} |f_n - Ax| beyond coordinate {w}"
@@ -563,7 +550,7 @@ def _stabilized(
     per_level = _level_degrees(f, N, margin, depth=depth, seed=seed, budget=budget)
     degrees = [d for d, _, _ in per_level]
     shells = shell_degrees(f.operator, N + depth)
-    values = [_inverse_product(shells[: N + j]) * d for j, d in enumerate(degrees)]
+    values = [m * d for m, d in zip(_corrections(shells)[N:], degrees)]
     if any(v != values[0] for v in values[1:]):
         raise StabilizationFailure(
             f"{f.name}: corrected degree changed between levels {N} and {N + depth}: "

@@ -8,7 +8,8 @@ supplied blockwise per isotypic component, which makes equivariance
 structural rather than a runtime check.  A spectral operator is an indexed
 family of (eigenvalue, eigenspace) pairs binned into unit-width shells
 by ``shell_index``; it owns one eigencoordinate basis of each cumulative
-space V_n (shells 0 .. n), which every truncation at level n shares.
+space V_n (shells 0 .. n), which every truncation at level n shares, and
+answers from those bases how level n relates to the levels above it.
 """
 
 from __future__ import annotations
@@ -378,15 +379,25 @@ class SpectralOperator:
             self._bases[n] = ShellBasis(self, n)
         return self._bases[n]
 
+    def levels(self, first: int, last: int, depth: int) -> range:
+        """The levels N in first .. last whose levels N .. N+depth the
+        declared spectrum holds (all of them without a max level)."""
+        top = last if self.max_level is None else min(last, self.max_level - depth)
+        return range(first, top + 1)
+
+    def gap(self, n: int) -> float:
+        """mu_n: the least |eigenvalue| on the rotation planes of V_n, inf without any."""
+        basis = self.basis(n)
+        normal = np.asarray(basis.layout.normal_indices(), dtype=int)
+        return float(np.abs(basis.eigenvalues[normal]).min(initial=np.inf))
+
+    def adds_fixed(self, N: int, n: int) -> bool:
+        """Whether shells N+1 .. n add a fixed (trivial) coordinate to V_N."""
+        return self.basis(n).rep.trivial > self.basis(N).rep.trivial
+
     def direct_sum(self, other: "SpectralOperator") -> "SpectralOperator":
-        if self.max_level is None and other.max_level is None:
-            max_level = None
-        elif self.max_level is None:
-            max_level = other.max_level
-        elif other.max_level is None:
-            max_level = self.max_level
-        else:
-            max_level = min(self.max_level, other.max_level)
+        tops = [top for top in (self.max_level, other.max_level) if top is not None]
+        max_level = min(tops) if tops else None
 
         def shells(n: int):
             acc: dict[float, Rep] = {}

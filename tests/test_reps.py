@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from eqdeg.errors import NearSingular
+from eqdeg.euler_ring import RingElement
+from eqdeg.galerkin import deg_infinite
+from eqdeg.hamiltonian import loop_operator
 from eqdeg.reps import (
     EquivariantSymOp,
     Rep,
@@ -12,7 +17,13 @@ from eqdeg.reps import (
     shell_index,
     shell_operator,
 )
-from eqdeg.selftest import random_sym_op
+from eqdeg.selftest import (
+    corpus_local_maps,
+    random_sym_op,
+    synthetic_operator_a,
+    synthetic_operator_b,
+    synthetic_operator_c,
+)
 
 
 def test_dim_examples():
@@ -241,6 +252,113 @@ def test_direct_sum_of_operators_merges_shells():
     assert merged.shell(0) == ((0.0, Rep(1, ((1, 1),))),)
     assert dict(merged.shell(1))[1.0] == Rep(2)
     assert dict(merged.shell(1))[-0.5] == Rep(1)
+
+
+# ---------------------------------------------------------------------------
+# The spectral ladder: levels, gaps and fixed-coordinate growth, checked
+# against brute-force answers read from the shell tables
+
+
+def _random_rep(rng) -> Rep:
+    modes = rng.choice(np.arange(1, 5), size=int(rng.integers(0, 3)), replace=False)
+    rep = Rep(int(rng.integers(0, 3)), tuple((int(k), int(rng.integers(1, 3))) for k in modes))
+    return rep if not rep.is_zero else Rep(1)
+
+
+def _random_operator(seed: int, eigenvalues=None, max_level=None) -> SpectralOperator:
+    rng = np.random.default_rng(seed)
+    if eigenvalues is None:
+        eigenvalues = rng.uniform(-7.0, 7.0, size=10)
+    signs = rng.choice([-1.0, 1.0], size=len(eigenvalues))
+    pairs = [(sign * lam, _random_rep(rng)) for sign, lam in zip(signs, eigenvalues)]
+    return SpectralOperator.from_eigenvalues(pairs, max_level=max_level, label=f"random-{seed}")
+
+
+def _ladder_operators() -> dict[str, SpectralOperator]:
+    """Fresh operators, so that no test sees the bases another one built."""
+    squares = [0.0] + [float(k * k) for k in range(1, 13)]  # shells between the squares are empty
+    ops = {f"random seed={seed}": _random_operator(seed) for seed in range(4)}
+    ops |= {f"random seed={seed} max_level=4": _random_operator(seed, max_level=4) for seed in (4, 5)}
+    ops |= {f"squares seed={seed}": _random_operator(seed, squares) for seed in (6, 7)}
+    ops |= {f"loop dof={dof}": loop_operator(dof) for dof in (1, 2, 3)}
+    return ops | {
+        "synthetic-a": synthetic_operator_a(),
+        "synthetic-b": synthetic_operator_b(),
+        "synthetic-c": synthetic_operator_c(),
+        "loop dof=1 + synthetic-c": loop_operator(1).direct_sum(synthetic_operator_c()),
+        "synthetic-a + synthetic-b": synthetic_operator_a().direct_sum(synthetic_operator_b()),
+    }
+
+
+LADDER = list(_ladder_operators())
+
+
+def _top(op: SpectralOperator) -> int:
+    """The highest level the brute-force checks read: the declared max level, capped."""
+    return 12 if op.max_level is None else min(op.max_level, 150)
+
+
+def _holds(op: SpectralOperator, m: int) -> bool:
+    try:
+        op.shell(m)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_levels_are_those_whose_shells_the_spectrum_holds(name):
+    op = _ladder_operators()[name]
+    top = _top(op)
+    for first in (0, 1, 3):
+        for last in (first, first + 2, top - 1, top, top + 4):
+            for depth in (0, 1, 2, 3):
+                brute = [N for N in range(first, last + 1) if all(_holds(op, m) for m in range(N, N + depth + 1))]
+                assert list(op.levels(first, last, depth)) == brute, (first, last, depth)
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_gap_is_the_least_rotation_plane_eigenvalue(name):
+    op = _ladder_operators()[name]
+    least = math.inf
+    for n in range(_top(op) + 1):
+        least = min([least] + [abs(lam) for lam, rep in op.shell(n) if rep.modes])
+        assert op.gap(n) == least, n
+    assert any(math.isfinite(op.gap(n)) for n in range(_top(op) + 1))
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_adds_fixed_reads_the_trivial_parts_of_the_shells_between(name):
+    op = _ladder_operators()[name]
+    top = min(_top(op), 20)
+    for N in range(top + 1):
+        for n in range(N, top + 1):
+            brute = any(rep.trivial for m in range(N + 1, n + 1) for _, rep in op.shell(m))
+            assert op.adds_fixed(N, n) == brute, (N, n)
+
+
+def test_the_ladder_operators_cover_open_and_declared_spectra_and_both_answers():
+    ops = _ladder_operators().values()
+    assert {op.max_level is None for op in ops} == {True, False}
+    assert {op.adds_fixed(1, 3) for op in ops} == {True, False}
+    assert {math.isinf(op.gap(0)) for op in ops} == {True, False}
+
+
+@pytest.mark.parametrize(
+    "name, level, depth",
+    [("loop1-quartic", 12, 1), ("loop1-quartic", 4, 3), ("abstract-a", "auto", 2), ("abstract-b", "auto", 1)],
+)
+def test_a_certificate_inverts_each_shell_degree_once(monkeypatch, name, level, depth):
+    # m_n = m_{n-1} a_n^{-1}: N + depth inversions, not one per shell of every prefix
+    f = {inst.name: inst.build for inst in corpus_local_maps()}[name]()
+    calls = []
+    invert = RingElement.invert
+    monkeypatch.setattr(RingElement, "invert", lambda a: calls.append(a) or invert(a))
+    res = deg_infinite(f, level=level, stabilization_depth=depth)
+    assert len(calls) == res.level + depth
+    if level != "auto":
+        assert res.level == level
+
 
 
 # ---------------------------------------------------------------------------
