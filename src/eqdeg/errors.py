@@ -54,7 +54,9 @@ class NoncompactZeroSet(DegreeError):
 
 
 class UnresolvedZeroCluster(DegreeError):
-    """Grid refinement exhausted without separating candidate zeros."""
+    """Candidate zeros could not be separated: grid refinement was
+    exhausted, or two zeros with one Newton-corrected point classify
+    differently."""
 
 
 class DimensionLimit(DegreeError):

@@ -9,7 +9,10 @@ damped Newton, which evaluates each point once, on ``fixed_space_field``:
 the field restricted to its trivial coordinates and to its domain's
 section there, seeded by that section's deterministic grid.  A field's
 one derivative source, for Newton steps and Hessians at zeros alike, is
-its exact Jacobian or else central differences.
+its exact Jacobian; a field without one takes finite differences, forward
+ones against the values Newton holds for its steps (one evaluation per
+iteration) and central ones for the Hessians.  Two zeros whose
+Newton-corrected points z - J^-1 f agree are one zero found twice.
 Equivariance is spot-checked, and zeros off the fixed-point space are
 rejected, since slice linearization around free orbits is out of scope:
 a Galerkin level whose map declares a derivative bound L below the least
@@ -67,9 +70,11 @@ class GradientField:
     ``jacobian(X, idx)``, when given, returns the exact derivative of
     ``value`` at an (m, dim) batch X, restricted to the rows and columns
     idx, as an (m, |idx|, |idx|) array; Newton steps and the Hessians at
-    zeros then use it.  A field without one falls back to central
-    differences.  ``affine`` declares that ``value`` is x -> f(0) + Jx, which
-    grad_degree checks (AffinityFailure) and uses to solve from one start.
+    zeros then use it.  A field without one falls back to finite
+    differences: forward ones against the values Newton holds, for its
+    steps, and central ones for the Hessians.  ``affine`` declares that
+    ``value`` is x -> f(0) + Jx, which grad_degree checks (AffinityFailure)
+    and uses to solve from one start.
     """
 
     rep: Rep
@@ -168,26 +173,39 @@ def check_declared(error: type, claim: str, defects: np.ndarray, values: np.ndar
 # Newton machinery
 
 
-def _fd_jacobian(fld: GradientField, X: np.ndarray, idx, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian at an (m, dim) batch X, restricted to
-    idx x idx, from one evaluation of all the points shifted up and one of
-    all those shifted down; the step at a point x is step * (1 + max|x|)."""
+def _fd_jacobian(
+    fld: GradientField, X: np.ndarray, idx, step: float = 1e-6, values: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Finite-difference Jacobian at an (m, dim) batch X, restricted to
+    idx x idx; the step at a point x is step * (1 + max|x|).  Central
+    differences take one evaluation of all the points shifted up and one
+    of all those shifted down.  A caller that holds ``values``, fld's
+    values at X, gets forward differences against them instead, from the
+    one evaluation of the points shifted up."""
     idx = np.asarray(idx, dtype=int)
     k = len(idx)
     h = step * (1.0 + np.max(np.abs(X), axis=1))
-    Xp = np.repeat(X[None], k, axis=0)  # (k, m, dim): block j shifts coordinate idx[j]
-    Xm = Xp.copy()
-    Xp[np.arange(k), :, idx] += h
-    Xm[np.arange(k), :, idx] -= h
-    Fp = fld.evaluate(Xp.reshape(-1, X.shape[1]))[:, idx].reshape(k, len(X), k)
-    Fm = fld.evaluate(Xm.reshape(-1, X.shape[1]))[:, idx].reshape(k, len(X), k)
-    return ((Fp - Fm) / (2 * h)[:, None]).transpose(1, 2, 0)
+
+    def shifted(sign):
+        Y = np.repeat(X[None], k, axis=0)  # (k, m, dim): block j shifts coordinate idx[j]
+        Y[np.arange(k), :, idx] += sign * h
+        return fld.evaluate(Y.reshape(-1, X.shape[1]))[:, idx].reshape(k, len(X), k)
+
+    if values is not None:
+        return ((shifted(1.0) - values[:, idx]) / h[:, None]).transpose(1, 2, 0)
+    Fp = shifted(1.0)
+    return ((Fp - shifted(-1.0)) / (2 * h)[:, None]).transpose(1, 2, 0)
 
 
-def _full_jacobians(fld: GradientField, X: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """The (m, dim, dim) Jacobians at an (m, dim) batch, from one call."""
+def _full_jacobians(
+    fld: GradientField, X: np.ndarray, step: float = 1e-5, values: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The (m, dim, dim) Jacobians at an (m, dim) batch, from one call:
+    the exact ones, or else _fd_jacobian's with ``values`` passed on."""
     idx = list(range(X.shape[1]))
-    return fld.jacobian(X, idx) if fld.jacobian is not None else _fd_jacobian(fld, X, idx, step)
+    if fld.jacobian is not None:
+        return fld.jacobian(X, idx)
+    return _fd_jacobian(fld, X, idx, step, values=values)
 
 
 def _solve_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -215,69 +233,90 @@ def _newton_batch(
     *,
     max_iter: int = NEWTON_MAX_ITER,
     scale: float = 1.0,
-) -> np.ndarray:
-    """Damped Newton on all coordinates of fld; returns converged points.
-    Each point is evaluated once: the seeds up front (NonFiniteField if one
-    is not finite), every later point in the line search that accepts it."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on all coordinates of fld; returns the points that
+    converge within max_iter iterations, in seed order, and fld's values
+    there.  Each point is evaluated once: the seeds up front
+    (NonFiniteField if one is not finite), every later point in the line
+    search that accepts it.  The running rows live in contiguous arrays
+    that shrink as rows converge or die; a row dies on a non-finite step,
+    a line search with no descent, or a step beyond 50 * (scale + 1)."""
     X = np.array(np.atleast_2d(seeds), dtype=float)
-    # a copy, since it is updated in place and a field's value may return its input
-    values = np.array(finite_values(fld.evaluate, X, f"{fld.name}: field not finite at a Newton seed"))
-    status = np.zeros(len(X), dtype=np.int8)  # 0 running, 1 converged, 2 dead
+    F = finite_values(fld.evaluate, X, f"{fld.name}: field not finite at a Newton seed")
+    fn = np.linalg.norm(F, axis=1)
+    order = np.arange(len(X))  # the seed of each running row
+    found = []  # (seeds, points, values) of the rows converged at each iteration
     cutoff = 50.0 * (scale + 1.0)
     for _it in range(max_iter):
-        run = np.where(status == 0)[0]
-        if not len(run):
-            break
-        Xa, F = X[run], values[run]
-        fn = np.linalg.norm(F, axis=1)
         done = fn <= NEWTON_TOL
-        status[run[done]] = 1
-        run, Xa, F, fn = run[~done], Xa[~done], F[~done], fn[~done]
-        if not len(run):
+        found.append((order[done], X[done], F[done]))
+        X, F, fn, order = X[~done], F[~done], fn[~done], order[~done]
+        if not len(X):
             break
-        J = _full_jacobians(fld, Xa, step=1e-6)
-        steps = _solve_steps(J, F)
+        steps = _solve_steps(_full_jacobians(fld, X, step=1e-6, values=F), F)
         finite = np.isfinite(steps).all(axis=1)
-        status[run[~finite]] = 2
-        run, Xa, F, fn, steps = run[finite], Xa[finite], F[finite], fn[finite], steps[finite]
-        if not len(run):
-            continue
-        alpha = np.ones(len(run))
-        pending = np.ones(len(run), dtype=bool)
-        Xn, Fn = Xa.copy(), F.copy()
+        X, F, fn, order, steps = X[finite], F[finite], fn[finite], order[finite], steps[finite]
+        alpha = np.ones(len(X))
+        pending = np.ones(len(X), dtype=bool)
         for _bt in range(12):
-            act = np.where(pending)[0]
+            act = np.flatnonzero(pending)
             if not len(act):
                 break
-            Xtry = Xa[act] - alpha[act][:, None] * steps[act]
+            Xtry = X[act] - alpha[act][:, None] * steps[act]
             Ftry = fld.evaluate(Xtry)
             ft = np.linalg.norm(Ftry, axis=1)
             ok = ft <= fn[act] * (1.0 - 1e-4 * alpha[act]) + 1e-300
-            Xn[act[ok]] = Xtry[ok]
-            Fn[act[ok]] = Ftry[ok]
-            pending[act[ok]] = False
+            took = act[ok]
+            X[took], F[took], fn[took] = Xtry[ok], Ftry[ok], ft[ok]
+            pending[took] = False
             alpha[act[~ok]] *= 0.5
-        status[run[pending]] = 2  # no descent direction found
-        moved = ~pending
-        far = np.max(np.abs(Xn), axis=1) > cutoff
-        status[run[moved & far]] = 2
-        good = moved & ~far
-        X[run[good]] = Xn[good]
-        values[run[good]] = Fn[good]
-    return X[status == 1]
+        good = ~pending & (np.max(np.abs(X), axis=1) <= cutoff)
+        X, F, fn, order = X[good], F[good], fn[good], order[good]
+    seed, points, values = (np.concatenate(parts) for parts in zip(*found))
+    first = np.argsort(seed, kind="stable")
+    return points[first], values[first]
 
 
 def _dedupe(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
+    """The points _dedupe_rows keeps, in its order."""
+    return points[_dedupe_rows(points, tol)]
+
+
+def _dedupe_rows(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
     """Greedy merge in lexicographic order: keep the first remaining point,
-    drop every point within tol of it, repeat."""
-    if not len(points):
-        return points
-    rest = points[np.lexsort(points.T[::-1])]
-    kept: list[np.ndarray] = []
+    drop every point within tol of it, repeat; the rows kept."""
+    rest = np.lexsort(points.T[::-1])
+    kept: list[int] = []
     while len(rest):
         kept.append(rest[0])
-        rest = rest[np.linalg.norm(rest - rest[0], axis=1) > tol]
-    return np.array(kept)
+        rest = rest[np.linalg.norm(points[rest] - points[rest[0]], axis=1) > tol]
+    return np.array(kept, dtype=int)
+
+
+def _merged_copies(zeros: np.ndarray, corrected: np.ndarray, degrees: list, name: str) -> list[int]:
+    """The zeros that stand for all: Newton stops at |f| <= NEWTON_TOL, so
+    where J is nearly singular two copies of one zero can lie farther
+    apart than MERGE_TOL, while their Newton-corrected points z - J^-1 f,
+    ``corrected``, agree.  Two zeros whose corrected points lie within
+    MERGE_TOL are one zero found twice: the first in order absorbs the
+    later ones, which must classify alike, with the same ``degrees``
+    (UnresolvedZeroCluster otherwise)."""
+    kept = []
+    alive = np.ones(len(zeros), dtype=bool)
+    for i in range(len(zeros)):
+        if not alive[i]:
+            continue
+        kept.append(i)
+        gap = np.linalg.norm(corrected[i + 1 :] - corrected[i], axis=1)
+        copies = i + 1 + np.flatnonzero(alive[i + 1 :] & (gap <= MERGE_TOL))
+        for j in copies:
+            if degrees[j] != degrees[i]:
+                raise UnresolvedZeroCluster(
+                    f"{name}: zeros at {np.round(zeros[i], 8)} and {np.round(zeros[j], 8)} have one "
+                    f"Newton-corrected point but classify as {degrees[i]} and {degrees[j]}"
+                )
+        alive[copies] = False
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +379,22 @@ def fixed_space_field(fld: GradientField) -> GradientField:
     return restricted_field(fld, fld.layout.trivial)
 
 
-def _located_fixed_zeros(fld: GradientField, *, probe_scale: float, unique: bool) -> np.ndarray:
+def _located_fixed_zeros(
+    fld: GradientField, *, probe_scale: float, unique: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Newton on fixed_space_field(fld) from its domain's seeds (the origin
-    alone when ``unique``); fld's normal part, where it has rotation planes,
-    must vanish at each zero."""
+    alone when ``unique``): the zeros, and fld's values there on the fixed
+    coordinates; fld's normal part, where it has rotation planes, must
+    vanish at each zero."""
     sub = fixed_space_field(fld)
     seeds = np.zeros((1, sub.domain.dim)) if unique else sub.domain.seed_points(SEED_FRACTION)
     fixed = np.asarray(fld.layout.trivial, dtype=int)
-    pts = _embed(fld.layout.size, fixed, _newton_batch(sub, seeds, scale=probe_scale))
-    pts = _dedupe(pts[fld.domain.contains(pts)])
+    found, values = _newton_batch(sub, seeds, scale=probe_scale)
+    pts = _embed(fld.layout.size, fixed, found)
+    inside = fld.domain.contains(pts)
+    pts, values = pts[inside], values[inside]
+    kept = _dedupe_rows(pts)
+    pts, values = pts[kept], values[kept]
     if len(pts) and fld.layout.pairs:
         normals = fld.evaluate(pts)[:, fld.layout.normal_indices()]
         resid = np.max(np.linalg.norm(normals, axis=1))
@@ -357,13 +403,13 @@ def _located_fixed_zeros(fld: GradientField, *, probe_scale: float, unique: bool
                 f"{fld.name}: field does not map the fixed space to itself "
                 f"(normal residual {resid:.2e})"
             )
-    return pts
+    return pts, values
 
 
 def _scan_off_space_zeros(fld: GradientField, rng: np.random.Generator, *, probe_scale: float):
     count = 16 + 8 * min(fld.layout.size, 16)
     probes = fld.domain.interior_samples(count, rng)
-    pts = _newton_batch(fld, probes, scale=probe_scale, max_iter=30)
+    pts, _ = _newton_batch(fld, probes, scale=probe_scale, max_iter=30)
     pts = pts[fld.domain.contains(pts)]
     normal_idx = fld.layout.normal_indices()
     norms = np.linalg.norm(pts[:, normal_idx], axis=1)
@@ -438,8 +484,10 @@ def grad_degree(
     declared affine is not, NonFiniteField when it is not finite at a
     boundary sample, an equivariance sample or a Newton seed,
     BoundaryZero when the sampled boundary margin collapses,
-    DegenerateZero for near-singular Hessians, and ZeroOutsideFixedSpace
-    when a probe finds a zero orbit off the fixed space.
+    DegenerateZero for near-singular Hessians, UnresolvedZeroCluster when
+    two zeros with one Newton-corrected point classify differently, and
+    ZeroOutsideFixedSpace when a probe finds a zero orbit off the fixed
+    space.
 
     The boundary checks run on BOUNDARY_PER_DIM seeded samples per
     dimension and the field's values there.  ``_boundary`` is internal: the
@@ -484,22 +532,31 @@ def grad_degree(
     # finite-difference error) could flip
     floor = SINGULAR_RATIO * derivative_scale
     unique = fld.affine and _unique_zero(fld, bsamples, bvalues, floor)
+    fixed = np.asarray(fld.layout.trivial, dtype=int)
     if _fixed_zeros is None:
-        zeros = _located_fixed_zeros(fld, probe_scale=scale, unique=unique)
+        zeros, values = _located_fixed_zeros(fld, probe_scale=scale, unique=unique)
     else:
         zeros = _fixed_zeros
-        resid = np.linalg.norm(fld.evaluate(zeros), axis=1).max() if len(zeros) else 0.0
-        if not resid <= 1e-8 * (1.0 + scale):
+        values = fld.evaluate(zeros) if len(zeros) else np.zeros_like(zeros)
+        if not np.linalg.norm(values, axis=1).max(initial=0.0) <= 1e-8 * (1.0 + scale):
             raise StabilizationFailure(f"{fld.name}: a fixed-space zero of a lower level is not a zero here")
+        values = values[:, fixed]
     if fld.layout.pairs and not unique and not _off_space_proved:
         _scan_off_space_zeros(fld, rng, probe_scale=scale)
 
-    total = ring_zero(CIRCLE)
-    for z, J in zip(zeros, _full_jacobians(fld, zeros) if len(zeros) else ()):
+    jacobians = _full_jacobians(fld, zeros) if len(zeros) else ()
+    degrees = []
+    for z, J in zip(zeros, jacobians):
         try:
-            total = total + linear_degree(_hessian_op(J, fld.layout), singular_floor=floor)
+            degrees.append(linear_degree(_hessian_op(J, fld.layout), singular_floor=floor))
         except NearSingular as exc:
             raise DegenerateZero(f"{fld.name}: zero at {np.round(z, 8)}: {exc}") from exc
+    if len(zeros) > 1:
+        corrected = zeros.copy()
+        corrected[:, fixed] -= _solve_steps(jacobians[:, fixed[:, None], fixed], values)
+        kept = _merged_copies(zeros, corrected, degrees, fld.name)
+        zeros, degrees = zeros[kept], [degrees[i] for i in kept]
+    total = sum(degrees, ring_zero(CIRCLE))
     if return_zeros:
         return total, zeros
     return total

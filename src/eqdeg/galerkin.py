@@ -199,9 +199,10 @@ class LocalMapSpec:
     - ``tail(X, basis)``, required: per row x of X in V_{basis.level}, the
       norm |(I - P_n) F(x)| of the part of F that the truncation drops, or
       an upper bound of it, as a finite (m,) array >= 0;
-    - ``jacobian(X, basis, idx)``, or None, the default, for central
-      differences: the exact derivative of the projection on the rows and
-      columns idx, as an (m, |idx|, |idx|) array;
+    - ``jacobian(X, basis, idx)``, or None, the default, for finite
+      differences (see ``finite_degree.GradientField``): the exact
+      derivative of the projection on the rows and columns idx, as an
+      (m, |idx|, |idx|) array;
     - ``affine``, a bool, False by default: F is affine (grad_degree checks);
     - ``support``, an integer >= 0 (numpy integers count, bools do not), or
       None, the default, for all of V_n: F reads and writes only the leading

@@ -258,6 +258,6 @@ def test_newton_evaluates_each_point_once():
 
     fld.value = value
     seeds = np.random.default_rng(7).uniform(-0.5, 0.5, size=(6, 3))
-    zeros = _newton_batch(fld, seeds)
+    zeros, _ = _newton_batch(fld, seeds)
     assert len(zeros) == 6 and np.max(np.abs(zeros)) <= 1e-12
     assert sum(rows) == 2 * len(seeds)

@@ -504,3 +504,16 @@ def test_kernel_only_spectrum_is_a_margin_failure(tmp_path, capsys):
     problem = abstract_problem([(0.0, 1, [])], [{"exps": [2], "coeff": -0.5}], 1)
     assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_CERTIFICATION
     assert capsys.readouterr().err.startswith("certification failure (MarginFailure)")
+
+
+def test_a_kernel_zero_found_twice_counts_once(tmp_path, capsys):
+    # -x^4/4 + 5e-5 x^2 on the kernel line: f = x^3 - 1e-4 x there; Newton
+    # can find its zeros at +-0.01 twice each, which once gave 3*[S1/S1]
+    # with every check passing
+    spectrum = [(0.0, 1, []), (1.0, 0, [[1, 1]])] + [(float(n), 1, []) for n in range(2, 6)]
+    terms = [{"exps": [4], "coeff": -0.25}, {"exps": [2], "coeff": 5e-5}]
+    out = tmp_path / "report.json"
+    src = write(tmp_path, "p.json", abstract_problem(spectrum, terms, 1))
+    assert main(["compute", src, "--json", str(out)]) == EXIT_OK
+    assert "degree     : [S1/S1]\n" in capsys.readouterr().out
+    assert json.loads(out.read_text())["degree"]["value"] == [{"coeff": 1, "subgroup": "S1"}]

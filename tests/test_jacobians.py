@@ -395,12 +395,38 @@ def fd_steps(monkeypatch):
     return steps
 
 
-def test_field_without_jacobian_falls_back_to_central_differences(monkeypatch):
-    fld = random_fixed_space_field(np.random.default_rng(4), 2)
+def test_field_without_jacobian_takes_forward_differences_in_newton(monkeypatch):
+    # each Newton iteration evaluates its m running rows shifted along each
+    # of the dim coordinates in one call, against the values it holds; the
+    # Hessians at the z zeros take central differences, in two calls
+    dim = 2
+    fld = random_fixed_space_field(np.random.default_rng(4), dim)
     assert fld.jacobian is None
-    steps = fd_steps(monkeypatch)
-    value = grad_degree(fld)
-    assert set(steps) == {1e-6, 1e-5}  # Newton steps, then the Hessians at zeros
+    calls = []  # (step, forward, points, rows of each evaluation) per _fd_jacobian call
+    inside = []
+    original = finite_degree._fd_jacobian
+
+    def fd(fld, X, idx, step=1e-6, values=None):
+        calls.append((step, values is not None, len(X), []))
+        inside.append(calls[-1][3])
+        try:
+            return original(fld, X, idx, step=step, values=values)
+        finally:
+            inside.pop()
+
+    def value(X, inner=fld.value):
+        if inside:
+            inside[-1].append(len(X))
+        return inner(X)
+
+    fld.value = value
+    monkeypatch.setattr(finite_degree, "_fd_jacobian", fd)
+    value, zeros = grad_degree(fld, return_zeros=True)
+    *newton, hessians = calls
+    assert newton and all(
+        step == 1e-6 and forward and rows == [dim * m] for step, forward, m, rows in newton
+    )
+    assert hessians == (1e-5, False, len(zeros), [dim * len(zeros)] * 2)
     assert value.coeff(FULL) == brouwer_oracle(fld)
 
 
@@ -457,10 +483,10 @@ def test_hessians_at_27_zeros_take_two_evaluations(monkeypatch):
     inside = []
     original = finite_degree._fd_jacobian
 
-    def fd(fld, X, idx, step=1e-6):
+    def fd(fld, X, idx, step=1e-6, values=None):
         inside.append(step == 1e-5)
         try:
-            return original(fld, X, idx, step=step)
+            return original(fld, X, idx, step=step, values=values)
         finally:
             inside.pop()
 

@@ -24,46 +24,46 @@ from eqdeg.hamiltonian import local_map
 # is the float.hex of its coordinates, in the order grad_degree returns them
 FIXED_SPACE = (
     (2, 4, "[S1/S1]", (
-        "-0x1.051a3f13315acp+0 -0x1.5f7c0ed9b8992p+0",
-        "-0x1.024fd46673175p+0 0x1.05010e83df0e0p-7",
-        "-0x1.ff0ad3735a933p-1 0x1.63901313c83f9p+0",
-        "-0x1.6535565ba3540p-7 -0x1.618610f6ccb7ep+0",
-        "-0x1.b57f5d0000000p-50 -0x1.b0dbdb0000000p-43",
-        "0x1.6535565b96e0dp-7 0x1.618610f6c0659p+0",
-        "0x1.ff0ad3731dee6p-1 -0x1.63901313c845fp+0",
-        "0x1.024fd4664625bp+0 -0x1.05010e83b72d5p-7",
-        "0x1.051a3f12fd53ap+0 0x1.5f7c0ed9b9025p+0",
+        "-0x1.051a3f132906fp+0 -0x1.5f7c0ed9b8cedp+0",
+        "-0x1.024fd46661cfdp+0 0x1.05010e83cd989p-7",
+        "-0x1.ff0ad37338d9bp-1 0x1.63901313c9740p+0",
+        "-0x1.6535565b9a23ap-7 -0x1.618610f6c39fdp+0",
+        "-0x1.c104a30000000p-50 -0x1.bc42ff0000000p-43",
+        "0x1.6535565b96e11p-7 0x1.618610f6c065ep+0",
+        "0x1.ff0ad3731defbp-1 -0x1.63901313c7796p+0",
+        "0x1.024fd4664622fp+0 -0x1.05010e83b1a1cp-7",
+        "0x1.051a3f12fd53ap+0 0x1.5f7c0ed9b902ap+0",
     )),
     (3, 5, "[S1/S1]", (
-        "-0x1.25b13d081ad38p-1 0x1.f9dc5b8498e80p-5 0x1.2c9096582bb13p+0",
-        "-0x1.fccbb7c345bc7p-2 0x1.2bcd001277c91p-1 0x1.3ec18d08a1cfep-2",
-        "-0x1.ae34f5765271bp-2 0x1.1bfe1d3652034p+0 -0x1.1a5f9fa7b6a11p-1",
-        "-0x1.3a5b0933f8f39p-4 -0x1.0c2f3a5a61bfcp-1 0x1.b9c0662c5a7dfp-1",
-        "-0x1.e08f939000000p-36 0x1.1b29de6c00000p-35 0x1.2d114c7400000p-36",
-        "0x1.3a5b0933b8ad7p-4 0x1.0c2f3a5a2f453p-1 -0x1.b9c0662c05f2cp-1",
-        "0x1.ae34f57587eb9p-2 -0x1.1bfe1d363590bp+0 0x1.1a5f9fa848e33p-1",
-        "0x1.fccbb7c2864d9p-2 -0x1.2bcd001208defp-1 -0x1.3ec18d0824e46p-2",
-        "0x1.25b13d07bb042p-1 -0x1.f9dc5b7d8a5cfp-5 -0x1.2c9096580dae1p+0",
+        "-0x1.25b13d08176a3p-1 0x1.f9dc5b839c2c6p-5 0x1.2c909658326edp+0",
+        "-0x1.fccbb7c33bebfp-2 0x1.2bcd00127200cp-1 0x1.3ec18d089ba9fp-2",
+        "-0x1.ae34f5764c817p-2 0x1.1bfe1d3655f60p+0 -0x1.1a5f9fa7c79aap-1",
+        "-0x1.3a5b0933fd93cp-4 -0x1.0c2f3a5a5fbeep-1 0x1.b9c0662c591b4p-1",
+        "-0x1.e0776ee800000p-36 0x1.1b1ba55400000p-35 0x1.2d02281400000p-36",
+        "0x1.3a5b0933a59adp-4 0x1.0c2f3a5a1ab82p-1 -0x1.b9c0662be577cp-1",
+        "0x1.ae34f575835fdp-2 -0x1.1bfe1d362e220p+0 0x1.1a5f9fa83a25cp-1",
+        "0x1.fccbb7c2539f7p-2 -0x1.2bcd0011e8f13p-1 -0x1.3ec18d080a9e5p-2",
+        "0x1.25b13d07badb6p-1 -0x1.f9dc5b7d8f110p-5 -0x1.2c9096580d4f8p+0",
     )),
     (5, 1, "[S1/S1]", (
-        "-0x1.8c91324a2b1c4p-1 -0x1.2144574ab1487p-1 0x1.b402096c970aep-3 "
-        "0x1.82d45942007b1p-4 0x1.399db26b1a63ep+0",
-        "-0x1.651ee01dc0d1cp-1 -0x1.edbd3413bc2a2p-1 0x1.05d937d42829cp-3 "
-        "0x1.d4b9989a08f27p-4 0x1.88d30def7abb4p-2",
-        "-0x1.3dac8df14aa7dp-1 -0x1.5d1b086e5b86bp+0 0x1.5ec198eec15f0p-5 "
-        "0x1.134f6bf901063p-3 -0x1.d4d0adcd827ccp-2",
-        "-0x1.3b9291639ce26p-4 0x1.98f1b9926a9cap-2 0x1.5c51a3312973cp-4 "
-        "-0x1.4794fd60631e1p-6 0x1.aed1ddded3e78p-1",
-        "-0x1.c9b5c9b000000p-39 0x1.289200e000000p-36 0x1.f93526d000000p-39 "
-        "-0x1.db21cc6800000p-41 0x1.386f2c5800000p-35",
-        "0x1.3b92916262855p-4 -0x1.98f1b99268b00p-2 -0x1.5c51a330b1d4ep-4 "
-        "0x1.4794fd60bf35ep-6 -0x1.aed1ddde66f56p-1",
-        "0x1.3dac8df1330c9p-1 0x1.5d1b086e5e29ep+0 -0x1.5ec198ee2719ap-5 "
-        "-0x1.134f6bf8fb50ap-3 0x1.d4d0adce14392p-2",
-        "0x1.651ee01d9fe62p-1 0x1.edbd3413a52cbp-1 -0x1.05d937d403649p-3 "
-        "-0x1.d4b99899e95ccp-4 -0x1.88d30def0f5b4p-2",
-        "0x1.8c91324a0e17bp-1 0x1.2144574a892a1p-1 -0x1.b402096c81c40p-3 "
-        "-0x1.82d45941da64fp-4 -0x1.399db26b12690p+0",
+        "-0x1.8c91324a22f23p-1 -0x1.2144574aa40c1p-1 0x1.b402096c9225fp-3 0x1.82d45941f4c22p-4 "
+        "0x1.399db26b19aefp+0",
+        "-0x1.651ee01dc6ac6p-1 -0x1.edbd3413c4421p-1 0x1.05d937d42c74cp-3 0x1.d4b9989a10a18p-4 "
+        "0x1.88d30def812bdp-2",
+        "-0x1.3dac8df1537e7p-1 -0x1.5d1b086e629cdp+0 0x1.5ec198eed6e96p-5 0x1.134f6bf907541p-3 "
+        "-0x1.d4d0adcd7eef5p-2",
+        "-0x1.3b929163a466cp-4 0x1.98f1b992745adp-2 0x1.5c51a33131c04p-4 -0x1.4794fd606aebep-6 "
+        "0x1.aed1dddede2b2p-1",
+        "-0x1.c7d2466000000p-39 0x1.2758b1d800000p-36 0x1.f71f5ff000000p-39 -0x1.d92bdb2000000p-41 "
+        "0x1.372518b400000p-35",
+        "0x1.3b9291634d548p-4 -0x1.98f1b99203efap-2 -0x1.5c51a330d1df3p-4 0x1.4794fd6010faap-6 "
+        "-0x1.aed1ddde679ffp-1",
+        "0x1.3dac8df135afcp-1 0x1.5d1b086e601ebp+0 -0x1.5ec198ee2e3ccp-5 -0x1.134f6bf8fd1d7p-3 "
+        "0x1.d4d0adce122a1p-2",
+        "0x1.651ee01da21ddp-1 0x1.edbd341391b76p-1 -0x1.05d937d411a6bp-3 -0x1.d4b99899e0a65p-4 "
+        "-0x1.88d30def58f58p-2",
+        "0x1.8c91324a0c573p-1 0x1.2144574a86bc9p-1 -0x1.b402096c807c0p-3 -0x1.82d45941d8176p-4 "
+        "-0x1.399db26b11eeep+0",
     )),
 )
 
