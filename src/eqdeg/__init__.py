@@ -9,6 +9,7 @@ Hamiltonian systems.
 
 from .errors import (
     AffinityFailure,
+    BadNumber,
     BoundaryZero,
     DegenerateZero,
     DegreeError,

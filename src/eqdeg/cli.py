@@ -26,7 +26,7 @@ import sys
 import time
 from typing import Optional
 
-from .errors import DegreeError, InputError
+from .errors import BadNumber, DegreeError, InputError
 from .euler_ring import CIRCLE, unit
 from .galerkin import (
     LocalMapSpec,
@@ -37,7 +37,7 @@ from .galerkin import (
 )
 from .hamiltonian import HamiltonianSpec, local_map
 from .polynomials import Polynomial
-from .reps import Rep, SpectralOperator, shell_index
+from .reps import SpectralOperator, _json_count, _json_number, rep_from_json, shell_index
 from .selftest import run_suites
 
 EXIT_OK = 0
@@ -77,43 +77,13 @@ def _parse_group(data: dict):
     raise InputError(f"unrecognized group {group!r}")
 
 
-def _count(raw, name: str, least: int = 1) -> int:
-    """A JSON integer >= least; anything else, JSON true and false
-    included, is an InputError."""
-    if type(raw) is int and raw >= least:
-        return raw
-    raise InputError(f"{name} must be an integer >= {least}, got {raw!r}")
-
-
-def _number(raw, name: str, *, positive: bool = True):
-    """A finite JSON number, > 0 when ``positive``; anything else, JSON
-    true and false included, is an InputError."""
-    if type(raw) in (int, float) and (raw > 0 or not positive) and abs(raw) <= sys.float_info.max:
-        return raw
-    kind = "a finite number > 0" if positive else "a finite number"
-    raise InputError(f"{name} must be {kind}, got {raw!r}")
-
-
-def _polynomial(nvars: int, terms, name: str) -> Polynomial:
-    """The polynomial of a problem file's terms: each exponent an integer
-    >= 0 and each coefficient a finite number (InputError otherwise)."""
-    return Polynomial.from_terms(nvars, [
-        (
-            [_count(e, f"{name}[{i}].exps", least=0) for e in rec["exps"]],
-            _number(rec["coeff"], f"{name}[{i}].coeff", positive=False),
-        )
-        for i, rec in enumerate(terms)
-    ])
-
-
-def _rep(raw, name: str) -> Rep:
-    """A representation read from a problem file: the trivial count and each
-    mode's multiplicity integers >= 0, each mode an integer >= 1."""
-    modes = tuple(
-        (_count(k, f"{name}.modes[{j}] mode"), _count(m, f"{name}.modes[{j}] multiplicity", least=0))
-        for j, (k, m) in enumerate(raw["modes"])
-    )
-    return Rep(_count(raw["trivial"], f"{name}.trivial", least=0), modes)
+def _read(reader, *args, path: str = ""):
+    """reader(*args), where a BadNumber (a count or number that breaks its rule)
+    is an InputError naming the field with its ``path`` in the file in front."""
+    try:
+        return reader(*args)
+    except BadNumber as exc:
+        raise InputError(f"{path}{exc}") from exc
 
 
 def _parse_truncation(data: dict, override: Optional[str]):
@@ -122,12 +92,12 @@ def _parse_truncation(data: dict, override: Optional[str]):
         return "auto"
     if override is not None and override.isdecimal():
         raw = int(override)
-    return _count(raw, "truncation")
+    return _read(_json_count, raw, "truncation", 1)
 
 
 def _parse_budget(data: dict) -> Optional[int]:
     budget = data.get("sampling_budget")
-    return None if budget is None else _count(budget, "sampling_budget")
+    return None if budget is None else _read(_json_count, budget, "sampling_budget", 1)
 
 
 def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tuple[LocalMapSpec, dict]:
@@ -135,15 +105,15 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
     kind = _require(data, "kind")
     _parse_group(data)
     raw_radius = radius_override if radius_override is not None else data.get("radius", 1.0)
-    radius = float(_number(raw_radius, "radius"))
+    radius = _read(_json_number, raw_radius, "radius", True)
     meta = {"kind": kind, "group": "S1", "radius": radius}
 
     if kind == "hamiltonian":
-        dof = _count(_require(data, "dof"), "dof")
+        dof = _read(_json_count, _require(data, "dof"), "dof", 1)
         terms = _require(data, "terms")
-        lam = float(_number(_require(data, "lambda"), "lambda"))
+        lam = _read(_json_number, _require(data, "lambda"), "lambda", True)
         try:
-            spec = HamiltonianSpec(dof, _polynomial(2 * dof, terms, "terms"), lam)
+            spec = HamiltonianSpec(dof, _read(Polynomial.from_json, 2 * dof, terms), lam)
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad Hamiltonian description: {exc}") from exc
         meta.update({"dof": dof, "lambda": lam})
@@ -154,10 +124,10 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
         pairs = []
         try:
             for i, rec in enumerate(spectrum):
-                rep = _rep(rec["rep"], f"spectrum[{i}].rep")
-                lam = float(_number(rec["eigenvalue"], f"spectrum[{i}].eigenvalue", positive=False))
+                rep = _read(rep_from_json, rec["rep"], path=f"spectrum[{i}].rep.")
+                lam = _read(_json_number, rec["eigenvalue"], f"spectrum[{i}].eigenvalue")
                 if "shell" in rec:
-                    n = _count(rec["shell"], f"spectrum[{i}].shell", least=0)
+                    n = _read(_json_count, rec["shell"], f"spectrum[{i}].shell", 0)
                     expected = shell_index(lam)
                     if n != expected:
                         raise InputError(
@@ -165,14 +135,12 @@ def build_problem(data: dict, *, radius_override: Optional[float] = None) -> tup
                         )
                 pairs.append((lam, rep))
             op = SpectralOperator.from_eigenvalues(pairs, label="abstract")
-        except InputError:
-            raise
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad spectrum description: {exc}") from exc
         nl = _require(data, "nonlinearity")
         try:
-            nvars = _count(nl["variables"], "nonlinearity.variables", least=0)
-            poly = _polynomial(nvars, nl["terms"], "nonlinearity.terms")
+            nvars = _read(_json_count, nl["variables"], "nonlinearity.variables", 0)
+            poly = _read(Polynomial.from_json, nvars, nl["terms"], path="nonlinearity.")
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad nonlinearity description: {exc}") from exc
         try:

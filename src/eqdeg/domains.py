@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionLimit
+from .reps import _json_number
 
 _SEED_CAP = 20000
 _HALTON_COUNT = 4096
@@ -73,20 +74,21 @@ def _rejection_sample(draw, accept, count: int, tries: int) -> list[np.ndarray]:
 
 
 class Ball:
-    """{x : sum w_i (x_i - c_i)^2 <= R^2}; weights default to 1."""
+    """{x : sum w_i (x_i - c_i)^2 <= R^2}; weights default to 1.  A ValueError
+    names the radius, center or weights unless all are finite and R, w > 0."""
 
     def __init__(self, center, radius: float, weights=None):
         self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        self.radius = _json_number(radius, "radius", positive=True)
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be finite")
         if weights is None:
             weights = np.ones_like(self.center)
         self.weights = np.asarray(weights, dtype=float)
         if self.weights.shape != self.center.shape:
             raise ValueError("weights shape does not match center")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all((self.weights > 0) & (self.weights < np.inf)):
+            raise ValueError("weights must be finite and > 0")
 
     @property
     def dim(self) -> int:

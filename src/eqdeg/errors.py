@@ -55,8 +55,8 @@ class NoncompactZeroSet(DegreeError):
 
 class UnresolvedZeroCluster(DegreeError):
     """Candidate zeros could not be separated: grid refinement was
-    exhausted, or two zeros with one Newton-corrected point classify
-    differently."""
+    exhausted, Newton steps from the zeros found did not settle, or two
+    zeros that they bring to one point classify differently."""
 
 
 class DimensionLimit(DegreeError):
@@ -88,3 +88,7 @@ class NonFiniteField(DegreeError, ValueError):
 
 class InputError(DegreeError):
     """Malformed problem description."""
+
+
+class BadNumber(ValueError):
+    """A number read from outside breaks ``reps._json_count`` or ``_json_number``."""

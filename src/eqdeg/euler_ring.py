@@ -19,6 +19,7 @@ from math import gcd
 from typing import Iterable, Mapping, Optional
 
 from .errors import GroupMismatch, MultiplierMismatch
+from .reps import _json_count
 
 _CIRCLE = "circle"
 _CYCLIC = "cyclic"
@@ -364,13 +365,13 @@ def _class_to_json(cls: SubgroupClass):
     return {"divisor": cls.index}
 
 
-def _class_from_json(data) -> SubgroupClass:
+def _class_from_json(data, name: str) -> SubgroupClass:
     if data == "S1":
         return FULL
     if isinstance(data, dict) and "Zk" in data:
-        return SubgroupClass.finite(data["Zk"])
+        return SubgroupClass.finite(_json_count(data["Zk"], f"{name}.Zk", 1))
     if isinstance(data, dict) and "divisor" in data:
-        return SubgroupClass.divisor(data["divisor"])
+        return SubgroupClass.divisor(_json_count(data["divisor"], f"{name}.divisor", 1))
     raise ValueError(f"unrecognized subgroup encoding {data!r}")
 
 
@@ -379,8 +380,10 @@ def ring_element_to_json(a: RingElement) -> list:
 
 
 def ring_element_from_json(data: Iterable, group: GroupDescriptor) -> RingElement:
+    """The element of ``ring_element_to_json``'s form; a BadNumber names a
+    coefficient not an integer or a subgroup index not an integer >= 1."""
     coeffs: dict[SubgroupClass, int] = {}
-    for rec in data:
-        cls = _class_from_json(rec["subgroup"])
-        coeffs[cls] = coeffs.get(cls, 0) + int(rec["coeff"])
+    for i, rec in enumerate(data):
+        cls = _class_from_json(rec["subgroup"], f"terms[{i}].subgroup")
+        coeffs[cls] = coeffs.get(cls, 0) + _json_count(rec["coeff"], f"terms[{i}].coeff", None)
     return RingElement.make(group, coeffs)

@@ -11,8 +11,9 @@ section there, seeded by that section's deterministic grid.  A field's
 one derivative source, for Newton steps and Hessians at zeros alike, is
 its exact Jacobian; a field without one takes finite differences, forward
 ones against the values Newton holds for its steps (one evaluation per
-iteration) and central ones for the Hessians.  Two zeros whose
-Newton-corrected points z - J^-1 f agree are one zero found twice.
+iteration) and central ones for the Hessians.  Two zeros at which
+Newton steps on the fixed coordinates settle within MERGE_TOL of each
+other are one zero found twice.
 Equivariance is spot-checked, and zeros off the fixed-point space are
 rejected, since slice linearization around free orbits is out of scope:
 a Galerkin level whose map declares a derivative bound L below the least
@@ -293,14 +294,34 @@ def _dedupe_rows(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
+def _polished(sub: GradientField, Y: np.ndarray, J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Newton steps on ``sub`` from its zeros Y, with Jacobians J and values F
+    there, until each point's last step is <= MERGE_TOL / 2, evaluating only
+    the points still stepping; UnresolvedZeroCluster past NEWTON_MAX_ITER."""
+    Y = Y.copy()
+    rows = np.arange(len(Y))
+    for _ in range(NEWTON_MAX_ITER):
+        if not (np.isfinite(J).all() and np.isfinite(F).all()):
+            break
+        steps = _solve_steps(J, F)
+        Y[rows] -= steps
+        rows = rows[~(np.linalg.norm(steps, axis=1) <= 0.5 * MERGE_TOL)]
+        if not len(rows):
+            return Y
+        with np.errstate(all="ignore"):
+            F = sub.evaluate(Y[rows])
+            J = _full_jacobians(sub, Y[rows])
+    raise UnresolvedZeroCluster(f"{sub.name}: Newton from the zeros found does not settle in {NEWTON_MAX_ITER} steps")
+
+
 def _merged_copies(zeros: np.ndarray, corrected: np.ndarray, degrees: list, name: str) -> list[int]:
     """The zeros that stand for all: Newton stops at |f| <= NEWTON_TOL, so
     where J is nearly singular two copies of one zero can lie farther
-    apart than MERGE_TOL, while their Newton-corrected points z - J^-1 f,
-    ``corrected``, agree.  Two zeros whose corrected points lie within
-    MERGE_TOL are one zero found twice: the first in order absorbs the
-    later ones, which must classify alike, with the same ``degrees``
-    (UnresolvedZeroCluster otherwise)."""
+    apart than MERGE_TOL, while the points that Newton steps from them
+    settle at, ``corrected`` (``_polished``), agree.  Two zeros whose
+    corrected points lie within MERGE_TOL are one zero found twice: the
+    first in order absorbs the later ones, which must classify alike, with
+    the same ``degrees`` (UnresolvedZeroCluster otherwise)."""
     kept = []
     alive = np.ones(len(zeros), dtype=bool)
     for i in range(len(zeros)):
@@ -312,8 +333,8 @@ def _merged_copies(zeros: np.ndarray, corrected: np.ndarray, degrees: list, name
         for j in copies:
             if degrees[j] != degrees[i]:
                 raise UnresolvedZeroCluster(
-                    f"{name}: zeros at {np.round(zeros[i], 8)} and {np.round(zeros[j], 8)} have one "
-                    f"Newton-corrected point but classify as {degrees[i]} and {degrees[j]}"
+                    f"{name}: zeros at {np.round(zeros[i], 8)} and {np.round(zeros[j], 8)} settle at one "
+                    f"point under Newton but classify as {degrees[i]} and {degrees[j]}"
                 )
         alive[copies] = False
     return kept
@@ -485,7 +506,8 @@ def grad_degree(
     boundary sample, an equivariance sample or a Newton seed,
     BoundaryZero when the sampled boundary margin collapses,
     DegenerateZero for near-singular Hessians, UnresolvedZeroCluster when
-    two zeros with one Newton-corrected point classify differently, and
+    Newton steps from the zeros do not settle, or two zeros that they
+    bring to one point classify differently, and
     ZeroOutsideFixedSpace when a probe finds a zero orbit off the fixed
     space.
 
@@ -553,7 +575,8 @@ def grad_degree(
             raise DegenerateZero(f"{fld.name}: zero at {np.round(z, 8)}: {exc}") from exc
     if len(zeros) > 1:
         corrected = zeros.copy()
-        corrected[:, fixed] -= _solve_steps(jacobians[:, fixed[:, None], fixed], values)
+        J = jacobians[:, fixed[:, None], fixed]
+        corrected[:, fixed] = _polished(fixed_space_field(fld), zeros[:, fixed], J, values)
         kept = _merged_copies(zeros, corrected, degrees, fld.name)
         zeros, degrees = zeros[kept], [degrees[i] for i in kept]
     total = sum(degrees, ring_zero(CIRCLE))

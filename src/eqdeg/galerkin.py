@@ -116,7 +116,7 @@ from .finite_degree import (
     restricted_field,
 )
 from .polynomials import Polynomial
-from .reps import Rep, ShellBasis, SpectralOperator, _json_count, shell_operator
+from .reps import Rep, ShellBasis, SpectralOperator, _json_count, _json_number, shell_operator
 
 MAX_LEVEL = 10  # the automatic level search stops here
 
@@ -291,14 +291,6 @@ def _corrections(degrees: Sequence[RingElement]) -> list[RingElement]:
     return out
 
 
-def _check_counts(**counts) -> None:
-    """ValueError naming the argument unless each count is an integer >= 0
-    for a level and >= 1 otherwise (``reps._json_count``); a budget of None passes."""
-    for name, value in counts.items():
-        if value is not None or name != "budget":
-            _json_count(value, name, 0 if name in ("n", "level") else 1)
-
-
 @dataclass(frozen=True, eq=False)
 class Margin:
     """The certified boundary margin at one level, with the pass behind it.
@@ -342,7 +334,9 @@ def certify_margin(
     tail is not finite at a sample, and ValueError for a tail not one value
     >= 0 per sample, an n not an integer >= 0 or a budget not an integer >= 1.
     """
-    _check_counts(n=n, budget=budget)
+    _json_count(n, "n", 0)
+    if budget is not None:
+        _json_count(budget, "budget", 1)
     basis = f.operator.basis(n)
     if basis.dim == 0:
         raise MarginFailure(f"{f.name}: V_{n} is zero-dimensional; raise the level")
@@ -413,15 +407,16 @@ class DegreeResult:
 
 
 def degree_result_from_json(data: Mapping, group=CIRCLE) -> dict:
-    """Decode the JSON form back into ring elements (round-trip helper)."""
+    """Decode the JSON form back into ring elements (round-trip helper); a
+    BadNumber names a level not an integer >= 0 or a bound not finite."""
     return {
         "value": ring_element_from_json(data["value"], group),
-        "level": int(data["level"]),
-        "epsilon": float(data["epsilon"]),
-        "tail_bound": float(data["tail_bound"]),
+        "level": _json_count(data["level"], "level", 0),
+        "epsilon": _json_number(data["epsilon"], "epsilon"),
+        "tail_bound": _json_number(data["tail_bound"], "tail_bound"),
         "stabilization": [ring_element_from_json(v, group) for v in data["stabilization"]],
         "limit_class": {
-            "level": int(data["limit_class"]["level"]),
+            "level": _json_count(data["limit_class"]["level"], "limit_class.level", 0),
             "value": ring_element_from_json(data["limit_class"]["value"], group),
         },
     }
@@ -433,9 +428,7 @@ def _levels(f: LocalMapSpec, level, depth: int) -> range:
     N .. N+depth the declared spectrum holds.  MarginFailure, before any
     certificate runs, when none is left; ValueError for an explicit level
     not an integer >= 0."""
-    if level != "auto":
-        _check_counts(level=level)
-    first, last = (1, MAX_LEVEL) if level == "auto" else (int(level), int(level))
+    first, last = (1, MAX_LEVEL) if level == "auto" else (_json_count(level, "level", 0),) * 2
     levels = f.operator.levels(first, last, depth)
     if not levels:
         what = "any truncation level" if level == "auto" else f"level {first} at depth {depth}"
@@ -484,10 +477,10 @@ def _lipschitz_bound(f: LocalMapSpec) -> Optional[float]:
     bound = f.lipschitz(f.region)
     if bound is None:
         return None
-    number = isinstance(bound, (int, float, np.integer, np.floating)) and not isinstance(bound, (bool, np.bool_))
-    if not (number and 0 <= bound < np.inf):
-        raise ValueError(f"{f.name}: lipschitz(region) must be a finite number >= 0 or None, got {bound!r}")
-    return float(bound)
+    bound = _json_number(bound, f"{f.name}: lipschitz(region)")
+    if bound < 0:
+        raise ValueError(f"{f.name}: lipschitz(region) must be >= 0 or None, got {bound!r}")
+    return bound
 
 
 def _level_degrees(
@@ -597,7 +590,9 @@ def deg_infinite(
     ValueError unless an explicit level is an integer >= 0 and the depth
     and budget integers >= 1 (numpy integers count, bools do not).
     """
-    _check_counts(stabilization_depth=stabilization_depth, budget=budget)
+    _json_count(stabilization_depth, "stabilization_depth", 1)
+    if budget is not None:
+        _json_count(budget, "budget", 1)
     levels = _levels(f, level, stabilization_depth)
     last: Optional[DegreeError] = None
     for n in levels:

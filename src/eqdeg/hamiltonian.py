@@ -46,30 +46,30 @@ from .errors import BoundaryZero, DegreeError, NearSingular, NoncompactZeroSet
 from .euler_ring import CIRCLE, FULL, RingElement, SubgroupClass, unit
 from .galerkin import DegreeResult, LocalMapSpec, RegionSpec, deg_infinite
 from .polynomials import Polynomial
-from .reps import Rep, ShellBasis, SpectralOperator
+from .reps import Rep, ShellBasis, SpectralOperator, _json_count, _json_number
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """A polynomial Hamiltonian on R^{2 dof} with a period parameter lambda > 0."""
+    """A polynomial Hamiltonian on R^{2 dof} with a period parameter lambda > 0;
+    a BadNumber names dof unless an integer >= 1, lambda unless finite > 0."""
 
     dof: int
     potential: Polynomial
     lam: float
 
     def __post_init__(self):
-        if self.dof < 1:
-            raise ValueError("dof must be >= 1")
+        object.__setattr__(self, "dof", _json_count(self.dof, "dof", 1))
+        object.__setattr__(self, "lam", _json_number(self.lam, "lambda", positive=True))
         if self.potential.nvars != 2 * self.dof:
             raise ValueError(
                 f"Hamiltonian must use {2 * self.dof} variables, got {self.potential.nvars}"
             )
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
 
     @classmethod
     def from_terms(cls, dof: int, terms, lam: float) -> "HamiltonianSpec":
-        return cls(dof, Polynomial.from_terms(2 * dof, terms), float(lam))
+        dof = _json_count(dof, "dof", 1)
+        return cls(dof, Polynomial.from_terms(2 * dof, terms), lam)
 
 
 def symplectic_matrix(dof: int) -> np.ndarray:
@@ -86,8 +86,7 @@ def loop_operator(dof: int) -> SpectralOperator:
     Each eigenvalue +-k carries a mode-k eigenspace of complex multiplicity
     dof (real dimension 2*dof), so shell k is 4*dof dimensional.
     """
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
+    dof = _json_count(dof, "dof", 1)
 
     def shells(n: int):
         if n == 0:

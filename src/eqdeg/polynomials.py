@@ -6,24 +6,12 @@ a polynomial is a list of (exponent multi-index, coefficient) terms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-
-def _coefficient(coeff) -> float:
-    """A finite real number as a float, never coerced: anything else (str,
-    bool, None, inf, NaN, an int past the float range) is a ValueError."""
-    if isinstance(coeff, (int, float, np.integer, np.floating)) and not isinstance(coeff, bool):
-        try:
-            value = float(coeff)
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return value
-    raise ValueError(f"coefficients must be finite real numbers, got {coeff!r}")
+from .reps import _json_count, _json_number
 
 
 @dataclass(frozen=True)
@@ -35,17 +23,15 @@ class Polynomial:
         for exps, _ in self.terms:
             if len(exps) != self.nvars:
                 raise ValueError(f"term {exps} has {len(exps)} exponents, expected {self.nvars}")
-            if any(e < 0 for e in exps):
-                raise ValueError("exponents must be >= 0")
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Sequence[tuple[Sequence[int], float]]) -> "Polynomial":
+        """The sum of the terms c * x^e, (e, c) in ``terms``; a BadNumber names
+        an exponent not an integer >= 0 or a coefficient not finite."""
         merged: dict[tuple[int, ...], float] = {}
-        for exps, coeff in terms:
-            if any(isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in exps):
-                raise ValueError(f"exponents must be integers, got {tuple(exps)}")
-            key = tuple(int(e) for e in exps)
-            merged[key] = merged.get(key, 0.0) + _coefficient(coeff)
+        for i, (exps, coeff) in enumerate(terms):
+            key = tuple(_json_count(e, f"terms[{i}].exps", 0) for e in exps)
+            merged[key] = merged.get(key, 0.0) + _json_number(coeff, f"terms[{i}].coeff")
         cleaned = tuple((e, c) for e, c in sorted(merged.items()) if c != 0.0)
         return cls(nvars, cleaned)
 

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NearSingular
+from .errors import BadNumber, NearSingular
 
 SYMMETRY_RTOL = 1e-12
 SINGULAR_RTOL = 1e-9
@@ -85,22 +85,37 @@ def rep_to_json(rep: Rep) -> dict:
     return {"trivial": rep.trivial, "modes": [[k, n] for k, n in rep.modes]}
 
 
-def _json_count(raw, name: str, least: int) -> int:
-    """An integer >= least (numpy integers count, bool does not); anything else is a ValueError."""
-    if isinstance(raw, (int, np.integer)) and not isinstance(raw, bool) and raw >= least:
+def _json_count(raw, name: str, least: int | None) -> int:
+    """An integer >= least, any integer when least is None, as an int (numpy
+    integers count, bools do not); anything else is a BadNumber naming it."""
+    if isinstance(raw, (int, np.integer)) and not isinstance(raw, bool) and (least is None or raw >= least):
         return int(raw)
-    raise ValueError(f"{name} must be an integer >= {least}, got {raw!r}")
+    bound = "" if least is None else f" >= {least}"
+    raise BadNumber(f"{name} must be an integer{bound}, got {raw!r}")
+
+
+def _json_number(raw, name: str, positive: bool = False) -> float:
+    """A finite real number, > 0 when ``positive``, as a float (numpy scalars
+    count, bools do not); anything else is a BadNumber naming it."""
+    if isinstance(raw, (int, float, np.integer, np.floating)) and not isinstance(raw, bool):
+        try:
+            if math.isfinite(raw) and (raw > 0 or not positive):
+                return float(raw)
+        except OverflowError:  # an integer past the float range
+            pass
+    kind = "a finite number > 0" if positive else "a finite number"
+    raise BadNumber(f"{name} must be {kind}, got {raw!r}")
 
 
 def rep_from_json(data: Mapping) -> Rep:
     """The Rep of ``rep_to_json``'s form; counts are never coerced: a count that
     is not an integer, or a trivial count or multiplicity < 0 or a mode < 1,
-    is a ValueError."""
+    is a BadNumber naming it (``trivial``, ``modes[j] mode`` or ``multiplicity``)."""
     return Rep(
         _json_count(data["trivial"], "trivial", 0),
         tuple(
-            (_json_count(k, "mode", 1), _json_count(n, f"multiplicity of mode {k!r}", 0))
-            for k, n in data["modes"]
+            (_json_count(k, f"modes[{j}] mode", 1), _json_count(n, f"modes[{j}] multiplicity", 0))
+            for j, (k, n) in enumerate(data["modes"])
         ),
     )
 
@@ -305,12 +320,13 @@ class SpectralOperator:
     callable producing the list for any requested level.  Shell 0 holds the
     kernel; shell n >= 1 holds the eigenvalues whose ``shell_index`` is n.
     An explicit table has a finite ``max_level``; requesting shells beyond
-    it is an error, which bounds how far a truncation can be pushed.
+    it is an error, which bounds how far a truncation can be pushed.  Levels
+    and eigenvalues are read by the rules of ``_json_count`` and ``_json_number``.
     """
 
     def __init__(self, shells, *, max_level: int | None = None, label: str = "operator"):
         if isinstance(shells, Mapping):
-            table = {int(n): tuple(v) for n, v in shells.items()}
+            table = {_json_count(n, f"{label}: shell level", 0): tuple(v) for n, v in shells.items()}
             if max_level is None:
                 max_level = max(table) if table else 0
             self._fn = lambda n: table.get(n, ())
@@ -329,7 +345,7 @@ class SpectralOperator:
                 f"{self.label}: shell {n} beyond declared max level {self.max_level}"
             )
         if n not in self._cache:
-            entries = [(float(lam), rep) for lam, rep in self._fn(n)]
+            entries = [(_json_number(lam, f"{self.label}: eigenvalue"), rep) for lam, rep in self._fn(n)]
             entries = [(lam, rep) for lam, rep in entries if not rep.is_zero]
             seen = set()
             for lam, _ in entries:
@@ -353,11 +369,11 @@ class SpectralOperator:
     def from_eigenvalues(
         cls, pairs: Sequence[tuple[float, Rep]], *, max_level: int | None = None, label: str = "operator"
     ) -> "SpectralOperator":
-        """Bin an eigenvalue list into unit-width shells."""
+        """Bin an eigenvalue list, of finite numbers, into unit-width shells."""
         table: dict[int, dict[float, Rep]] = {}
         top = 0
-        for lam, rep in pairs:
-            lam = float(lam)
+        for i, (lam, rep) in enumerate(pairs):
+            lam = _json_number(lam, f"{label}: pairs[{i}] eigenvalue")
             n = shell_index(lam)
             top = max(top, n)
             slot = table.setdefault(n, {})

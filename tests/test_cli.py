@@ -238,9 +238,9 @@ def test_bad_number_in_a_problem_file_is_input_error(tmp_path, capsys, build, pa
 
 
 def test_a_hamiltonian_exponent_must_be_an_integer():
-    with pytest.raises(ValueError, match="exponents must be integers"):
+    with pytest.raises(ValueError, match=r"terms\[0\]\.exps must be an integer >= 0, got 2\.5"):
         HamiltonianSpec.from_terms(1, [((2.5, 0), 0.5)], 0.5)
-    with pytest.raises(ValueError, match="exponents must be integers"):
+    with pytest.raises(ValueError, match=r"terms\[0\]\.exps must be an integer >= 0, got True"):
         Polynomial.from_terms(2, [((True, 1), 0.5)])
     assert Polynomial.from_terms(2, [((np.int64(2), 0), 0.5)]).terms == (((2, 0), 0.5),)
 
@@ -507,13 +507,14 @@ def test_kernel_only_spectrum_is_a_margin_failure(tmp_path, capsys):
 
 
 def test_a_kernel_zero_found_twice_counts_once(tmp_path, capsys):
-    # -x^4/4 + 5e-5 x^2 on the kernel line: f = x^3 - 1e-4 x there; Newton
-    # can find its zeros at +-0.01 twice each, which once gave 3*[S1/S1]
-    # with every check passing
+    # -x^4/4 + c x^2 on the kernel line: f = x^3 - 2c x there; Newton can
+    # find its zeros at +-sqrt(2c) twice each, which once gave 3*[S1/S1] at
+    # c = 5e-5, and 11*[S1/S1] at c = 5e-8, with every check passing
     spectrum = [(0.0, 1, []), (1.0, 0, [[1, 1]])] + [(float(n), 1, []) for n in range(2, 6)]
-    terms = [{"exps": [4], "coeff": -0.25}, {"exps": [2], "coeff": 5e-5}]
-    out = tmp_path / "report.json"
-    src = write(tmp_path, "p.json", abstract_problem(spectrum, terms, 1))
-    assert main(["compute", src, "--json", str(out)]) == EXIT_OK
-    assert "degree     : [S1/S1]\n" in capsys.readouterr().out
-    assert json.loads(out.read_text())["degree"]["value"] == [{"coeff": 1, "subgroup": "S1"}]
+    for c in (5e-5, 5e-8):
+        terms = [{"exps": [4], "coeff": -0.25}, {"exps": [2], "coeff": c}]
+        out = tmp_path / "report.json"
+        src = write(tmp_path, "p.json", abstract_problem(spectrum, terms, 1))
+        assert main(["compute", src, "--json", str(out)]) == EXIT_OK
+        assert "degree     : [S1/S1]\n" in capsys.readouterr().out
+        assert json.loads(out.read_text())["degree"]["value"] == [{"coeff": 1, "subgroup": "S1"}]

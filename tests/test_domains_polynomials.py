@@ -484,8 +484,25 @@ def test_ball_samples_scaled_in_place_keep_every_bit(dim, kind):
     ["0.5", True, np.bool_(True), None, float("inf"), float("-inf"), float("nan"), np.float64("nan"), 10**400, 1j],
 )
 def test_a_coefficient_must_be_a_finite_real_number(coeff):
-    with pytest.raises(ValueError, match="coefficients must be finite real numbers"):
+    with pytest.raises(ValueError, match=r"terms\[1\]\.coeff must be a finite number, got "):
         Polynomial.from_terms(1, [((2,), 0.5), ((4,), coeff)])
+
+
+@pytest.mark.parametrize(
+    "center, radius, weights, message",
+    [
+        ([0.0, 0.0], float("nan"), None, "radius must be a finite number > 0, got nan"),
+        ([0.0, 0.0], float("inf"), None, "radius must be a finite number > 0, got inf"),
+        ([0.0, 0.0], "1.0", None, "radius must be a finite number > 0, got '1.0'"),
+        ([float("nan"), 0.0], 1.0, None, "center must be finite"),
+        ([0.0, 0.0], 1.0, [1.0, float("nan")], "weights must be finite and > 0"),
+        ([0.0, 0.0], 1.0, [1.0, float("inf")], "weights must be finite and > 0"),
+    ],
+)
+def test_a_ball_is_finite(center, radius, weights, message):
+    # each of these was once a ball, whose samples then blamed the field
+    with pytest.raises(ValueError, match=message):
+        Ball(center, radius, weights)
 
 
 def test_integer_and_numpy_coefficients_are_read_as_floats():

@@ -244,6 +244,27 @@ def test_serialization_round_trip_cyclic():
             assert ring_element_from_json(ring_element_to_json(a), group) == a
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"subgroup": "S1", "coeff": 2.7}, "terms[0].coeff must be an integer, got 2.7"),
+        ({"subgroup": "S1", "coeff": True}, "terms[0].coeff must be an integer, got True"),
+        ({"subgroup": "S1", "coeff": "3"}, "terms[0].coeff must be an integer, got '3'"),
+        ({"subgroup": {"Zk": 2.5}, "coeff": 1}, "terms[0].subgroup.Zk must be an integer >= 1, got 2.5"),
+    ],
+)
+def test_ring_element_from_json_never_coerces_a_number(record, message):
+    # 2.7 was once read as 2, and {"Zk": 2.5} as Z2
+    with pytest.raises(ValueError) as info:
+        ring_element_from_json([record], CIRCLE)
+    assert str(info.value) == message
+
+
+def test_ring_element_from_json_reads_numpy_integers():
+    data = [{"subgroup": {"Zk": np.int64(3)}, "coeff": np.int32(-2)}]
+    assert ring_element_from_json(data, CIRCLE) == -2 * e(3)
+
+
 def test_serialization_sorted_and_stable():
     a = RingElement.make(
         CIRCLE, {SubgroupClass.finite(5): 2, FULL: -1, SubgroupClass.finite(1): 3}

@@ -589,6 +589,28 @@ def test_degree_result_json_round_trip():
     assert back["limit_class"]["value"] == res.limit_class.value
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("level", 1.9, "level must be an integer >= 0, got 1.9"),
+        ("epsilon", "0.5", "epsilon must be a finite number, got '0.5'"),
+        ("tail_bound", float("nan"), "tail_bound must be a finite number, got nan"),
+    ],
+)
+def test_degree_result_from_json_never_coerces_a_number(field, value, message):
+    data = dict(deg_infinite(half_shift_map()).to_json(), **{field: value})
+    with pytest.raises(ValueError) as info:
+        degree_result_from_json(data)
+    assert str(info.value) == message
+
+
+def test_a_region_with_a_radius_that_is_not_finite_is_refused():
+    # a NaN radius once reached the boundary samples and was blamed on the field (NonFiniteField)
+    f = half_shift_map().with_region(RegionSpec.ball(float("nan")))
+    with pytest.raises(ValueError, match="radius must be a finite number > 0, got nan"):
+        deg_infinite(f)
+
+
 def test_region_spec_checks_its_mode_and_its_balls():
     # one ball never reaches the mode in realize_region, so the spec checks it
     with pytest.raises(ValueError, match="uniom"):

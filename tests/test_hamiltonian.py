@@ -280,6 +280,31 @@ def test_spec_validation():
         HamiltonianSpec(1, Polynomial.from_terms(3, [((2, 0, 0), 1.0)]), 1.0)
 
 
+@pytest.mark.parametrize(
+    "dof, lam, message",
+    [
+        (True, 0.5, "dof must be an integer >= 1, got True"),
+        (1.5, 0.5, "dof must be an integer >= 1, got 1.5"),
+        (1, float("inf"), "lambda must be a finite number > 0, got inf"),
+        (1, float("nan"), "lambda must be a finite number > 0, got nan"),
+    ],
+)
+def test_a_spec_never_coerces_dof_or_lambda(dof, lam, message):
+    with pytest.raises(ValueError) as info:
+        HamiltonianSpec.from_terms(dof, [((2, 0), 0.5), ((0, 2), 0.5)], lam)
+    assert str(info.value) == message
+
+
+def test_a_spec_keeps_numpy_scalars_as_python_numbers():
+    spec = HamiltonianSpec.from_terms(np.int64(1), [((2, 0), 0.5), ((0, 2), 0.5)], np.float32(0.5))
+    assert (type(spec.dof), type(spec.lam), spec.lam) == (int, float, 0.5)
+
+
+def test_loop_operator_dof_must_be_an_integer():
+    with pytest.raises(ValueError, match="dof must be an integer >= 1, got 1.5"):
+        loop_operator(1.5)
+
+
 def test_state_to_coords_rejects_active_high_modes():
     basis = ShellBasis(loop_operator(1), 1)
     st = LoopState(1, np.zeros(2), np.ones((3, 2)), np.zeros((3, 2)))

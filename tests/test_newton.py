@@ -6,7 +6,7 @@ import pytest
 
 import eqdeg.finite_degree as finite_degree
 from eqdeg.domains import Ball
-from eqdeg.errors import UnresolvedZeroCluster
+from eqdeg.errors import DegenerateZero, UnresolvedZeroCluster
 from eqdeg.euler_ring import CIRCLE, FULL, basis_element
 from eqdeg.finite_degree import (
     NEWTON_MAX_ITER,
@@ -112,14 +112,31 @@ def flat_cubic_field(dim, eps):
     return GradientField(Rep(dim), lambda X: X**3 - eps * X, Ball(np.zeros(dim), 1.0), name="flat cubic")
 
 
-@pytest.mark.parametrize("eps", [1e-4, 1e-5])
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_a_zero_found_twice_counts_once(dim, eps):
     # Newton stops at |f| <= 1e-10, which leaves copies of the zeros at
-    # +-sqrt(eps) farther apart than MERGE_TOL: 3 * [S1/S1] at d = 1 before
+    # +-sqrt(eps) farther apart than MERGE_TOL: 3 * [S1/S1] at d = 1 before.
+    # From eps = 1e-6 on, one Newton correction of each copy no longer
+    # brings the copies within MERGE_TOL (51 * [S1/S1] at d = 3 before)
     value, zeros = grad_degree(flat_cubic_field(dim, eps), return_zeros=True)
     assert value == S1_S1
     assert len(zeros) == 3**dim
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_flatter_zero_is_still_degenerate(dim):
+    # at eps = 1e-9 the Hessian at the origin falls below the singular floor
+    with pytest.raises(DegenerateZero):
+        grad_degree(flat_cubic_field(dim, 1e-9))
+
+
+def test_newton_from_zeros_that_do_not_settle_is_an_unresolved_cluster():
+    # x^2 + 1 has no zero, so Newton steps from the points handed in never settle
+    sub = GradientField(Rep(1), lambda X: X**2 + 1.0, Ball(np.zeros(1), 1.0), name="no zero")
+    Y = np.array([[0.5], [-0.5]])
+    with pytest.raises(UnresolvedZeroCluster, match="no zero: Newton from the zeros found does not settle"):
+        finite_degree._polished(sub, Y, 2.0 * Y[:, :, None], Y**2 + 1.0)
 
 
 def test_copies_that_classify_differently_are_an_unresolved_cluster():

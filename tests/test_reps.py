@@ -182,6 +182,21 @@ def test_from_eigenvalues_merges_duplicates():
     assert op.shell(1) == ((1.0, Rep(1, ((1, 1),))),)
 
 
+@pytest.mark.parametrize("lam", ["0.5", True, float("nan"), float("inf")])
+def test_from_eigenvalues_never_coerces_an_eigenvalue(lam):
+    # "0.5" and True were once read as numbers, nan and inf failed in shell_index
+    with pytest.raises(ValueError) as info:
+        SpectralOperator.from_eigenvalues([(0.0, Rep(1)), (lam, Rep(1))], label="op")
+    assert str(info.value) == f"op: pairs[1] eigenvalue must be a finite number, got {lam!r}"
+
+
+def test_a_shell_table_never_coerces_an_eigenvalue_or_a_level():
+    with pytest.raises(ValueError, match="op: eigenvalue must be a finite number, got '1.0'"):
+        SpectralOperator({1: [("1.0", Rep(1))]}, label="op").shell(1)
+    with pytest.raises(ValueError, match="op: shell level must be an integer >= 0, got 1.5"):
+        SpectralOperator({1.5: [(1.0, Rep(1))]}, label="op")
+
+
 def test_max_level_enforced():
     op = _toy_operator()
     with pytest.raises(ValueError):
@@ -402,11 +417,11 @@ def test_rep_from_json_reads_numpy_integers():
         ({"trivial": True, "modes": []}, "trivial must be an integer >= 0, got True"),
         ({"trivial": -1, "modes": []}, "trivial must be an integer >= 0, got -1"),
         ({"trivial": "2", "modes": []}, "trivial must be an integer >= 0, got '2'"),
-        ({"trivial": 3, "modes": [[1.9, 1]]}, "mode must be an integer >= 1, got 1.9"),
-        ({"trivial": 3, "modes": [[0, 1]]}, "mode must be an integer >= 1, got 0"),
-        ({"trivial": 3, "modes": [[1, True]]}, "multiplicity of mode 1 must be an integer >= 0, got True"),
-        ({"trivial": 3, "modes": [[2, -1]]}, "multiplicity of mode 2 must be an integer >= 0, got -1"),
-        ({"trivial": 3, "modes": [[2, 1.0]]}, "multiplicity of mode 2 must be an integer >= 0, got 1.0"),
+        ({"trivial": 3, "modes": [[1.9, 1]]}, "modes[0] mode must be an integer >= 1, got 1.9"),
+        ({"trivial": 3, "modes": [[0, 1]]}, "modes[0] mode must be an integer >= 1, got 0"),
+        ({"trivial": 3, "modes": [[1, True]]}, "modes[0] multiplicity must be an integer >= 0, got True"),
+        ({"trivial": 3, "modes": [[2, -1]]}, "modes[0] multiplicity must be an integer >= 0, got -1"),
+        ({"trivial": 3, "modes": [[2, 1.0]]}, "modes[0] multiplicity must be an integer >= 0, got 1.0"),
     ],
 )
 def test_rep_from_json_never_coerces_a_count(data, message):
