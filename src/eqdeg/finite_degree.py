@@ -13,7 +13,11 @@ its exact Jacobian; a field without one takes finite differences, forward
 ones against the values Newton holds for its steps (one evaluation per
 iteration) and central ones for the Hessians.  Two zeros at which
 Newton steps on the fixed coordinates settle within MERGE_TOL of each
-other are one zero found twice.
+other are one zero found twice.  The search runs on f / V, V the largest
+|f| sampled on the boundary, whose zeros and degree are f's: Newton's
+NEWTON_TOL and every check read a field of boundary size 1, so c f gives
+f's answer for every c > 0.  Only the boundary-zero floor BOUNDARY_MARGIN
+stays absolute, since a uniformly small boundary has no size to compare to.
 Equivariance is spot-checked, and zeros off the fixed-point space are
 rejected, since slice linearization around free orbits is out of scope:
 a Galerkin level whose map declares a derivative bound L below the least
@@ -30,7 +34,7 @@ provides the verification channel for the fixed-space coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,13 +56,13 @@ from .reps import EquivariantSymOp, Layout, Rep, canonical_layout, concat_layout
 
 SEED_FRACTION = 0.125          # Newton seed grid spacing, as a fraction of the radius
 NEWTON_MAX_ITER = 50
-NEWTON_TOL = 1e-10
+NEWTON_TOL = 1e-10             # |f| at a zero, as a share of the largest sampled boundary |f|
 MERGE_TOL = 1e-7
 SINGULAR_LOG_RATIO = np.log(1e-12)  # Newton solves below this |det J| / Hadamard bound use pinv
 BOUNDARY_PER_DIM = 64
-EQUIV_TOL = 1e-8
 BOUNDARY_MARGIN = 1e-8         # sampled boundary |f| at or below this is a boundary zero
 SINGULAR_RATIO = 1e-9  # share of the field's scale: singular floor, affinity bound
+RESIDUAL_RATIO = 1e-8  # share of the boundary |f|: equivariance, normal-residual and reuse checks
 
 
 @dataclass
@@ -229,11 +233,7 @@ def _solve_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _newton_batch(
-    fld: GradientField,
-    seeds: np.ndarray,
-    *,
-    max_iter: int = NEWTON_MAX_ITER,
-    scale: float = 1.0,
+    fld: GradientField, seeds: np.ndarray, *, max_iter: int = NEWTON_MAX_ITER
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on all coordinates of fld; returns the points that
     converge within max_iter iterations, in seed order, and fld's values
@@ -241,13 +241,16 @@ def _newton_batch(
     (NonFiniteField if one is not finite), every later point in the line
     search that accepts it.  The running rows live in contiguous arrays
     that shrink as rows converge or die; a row dies on a non-finite step,
-    a line search with no descent, or a step beyond 50 * (scale + 1)."""
+    a line search with no descent, or a step beyond 50 * (scale + 1), with
+    the scale of fld's domain.  A row converges at |f| <= NEWTON_TOL; the
+    fields grad_degree passes are divided by their largest boundary |f|, so
+    that there the tolerance is a share of it."""
     X = np.array(np.atleast_2d(seeds), dtype=float)
     F = finite_values(fld.evaluate, X, f"{fld.name}: field not finite at a Newton seed")
     fn = np.linalg.norm(F, axis=1)
     order = np.arange(len(X))  # the seed of each running row
     found = []  # (seeds, points, values) of the rows converged at each iteration
-    cutoff = 50.0 * (scale + 1.0)
+    cutoff = 50.0 * (fld.domain.scale + 1.0)
     for _it in range(max_iter):
         done = fn <= NEWTON_TOL
         found.append((order[done], X[done], F[done]))
@@ -356,7 +359,7 @@ def _spot_check_equivariance(fld: GradientField, rng: np.random.Generator):
     vals, *rotated = np.split(finite_values(fld.evaluate, batch, message), 1 + len(thetas))
     for theta, rhs in zip(thetas, rotated):
         err = np.max(np.linalg.norm(fld.layout.rotate(theta, vals) - rhs, axis=1))
-        if err > EQUIV_TOL:
+        if err > RESIDUAL_RATIO:
             raise EquivarianceFailure(
                 f"{fld.name}: equivariance spot-check failed (|g f(x) - f(g x)| = {err:.2e})"
             )
@@ -400,9 +403,7 @@ def fixed_space_field(fld: GradientField) -> GradientField:
     return restricted_field(fld, fld.layout.trivial)
 
 
-def _located_fixed_zeros(
-    fld: GradientField, *, probe_scale: float, unique: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _located_fixed_zeros(fld: GradientField, *, unique: bool) -> tuple[np.ndarray, np.ndarray]:
     """Newton on fixed_space_field(fld) from its domain's seeds (the origin
     alone when ``unique``): the zeros, and fld's values there on the fixed
     coordinates; fld's normal part, where it has rotation planes, must
@@ -410,7 +411,7 @@ def _located_fixed_zeros(
     sub = fixed_space_field(fld)
     seeds = np.zeros((1, sub.domain.dim)) if unique else sub.domain.seed_points(SEED_FRACTION)
     fixed = np.asarray(fld.layout.trivial, dtype=int)
-    found, values = _newton_batch(sub, seeds, scale=probe_scale)
+    found, values = _newton_batch(sub, seeds)
     pts = _embed(fld.layout.size, fixed, found)
     inside = fld.domain.contains(pts)
     pts, values = pts[inside], values[inside]
@@ -419,7 +420,7 @@ def _located_fixed_zeros(
     if len(pts) and fld.layout.pairs:
         normals = fld.evaluate(pts)[:, fld.layout.normal_indices()]
         resid = np.max(np.linalg.norm(normals, axis=1))
-        if resid > 1e-8 * (1.0 + probe_scale):
+        if resid > RESIDUAL_RATIO:
             raise EquivarianceFailure(
                 f"{fld.name}: field does not map the fixed space to itself "
                 f"(normal residual {resid:.2e})"
@@ -427,10 +428,10 @@ def _located_fixed_zeros(
     return pts, values
 
 
-def _scan_off_space_zeros(fld: GradientField, rng: np.random.Generator, *, probe_scale: float):
+def _scan_off_space_zeros(fld: GradientField, rng: np.random.Generator):
     count = 16 + 8 * min(fld.layout.size, 16)
     probes = fld.domain.interior_samples(count, rng)
-    pts, _ = _newton_batch(fld, probes, scale=probe_scale, max_iter=30)
+    pts, _ = _newton_batch(fld, probes, max_iter=30)
     pts = pts[fld.domain.contains(pts)]
     normal_idx = fld.layout.normal_indices()
     norms = np.linalg.norm(pts[:, normal_idx], axis=1)
@@ -512,7 +513,9 @@ def grad_degree(
     space.
 
     The boundary checks run on BOUNDARY_PER_DIM seeded samples per
-    dimension and the field's values there.  ``_boundary`` is internal: the
+    dimension and the field's values there; past the boundary-zero check,
+    all else runs on the field divided by the largest |f| among them, which
+    has the field's zeros and degree.  ``_boundary`` is internal: the
     Galerkin level step passes the (samples, values) of the pass its margin
     certificate made on this field, in place of a second pass, with as
     many samples as its budget set.  ``_off_space_proved`` is internal
@@ -527,44 +530,40 @@ def grad_degree(
         total = basis_element(CIRCLE, FULL) if len(zeros) else ring_zero(CIRCLE)
         return (total, zeros) if return_zeros else total
     rng = np.random.default_rng(seed)
-    scale = fld.domain.scale
-    if fld.layout.pairs:
-        _spot_check_equivariance(fld, rng)
-
     message = f"{fld.name}: field not finite on the boundary"
     if _boundary is None:
         bsamples = fld.domain.boundary_samples(BOUNDARY_PER_DIM * max(fld.domain.dim, 1), rng)
-        bvalues = np.zeros_like(bsamples)
-        if len(bsamples):
-            bvalues = finite_values(fld.evaluate, bsamples, message)
+        bvalues = finite_values(fld.evaluate, bsamples, message)
     else:
         bsamples, bvalues = _boundary
-    derivative_scale = 0.0
-    if len(bsamples):
-        # finite values can still overflow their norms
-        bvals = finite_values(lambda V: np.linalg.norm(V, axis=1), bvalues, message)
-        if bvals.min() <= BOUNDARY_MARGIN:
-            raise BoundaryZero(
-                f"{fld.name}: sampled |f| = {bvals.min():.3e} <= {BOUNDARY_MARGIN:g} on the boundary"
-            )
-        derivative_scale = float(bvals.max()) / max(scale, 1e-300)
+    # finite values can still overflow their norms
+    bvals = finite_values(lambda V: np.linalg.norm(V, axis=1), bvalues, message)
+    if bvals.min() <= BOUNDARY_MARGIN:
+        raise BoundaryZero(f"{fld.name}: sampled |f| = {bvals.min():.3e} <= {BOUNDARY_MARGIN:g} on the boundary")
+    # f / size has f's zeros and degree, and the boundary size 1 that every
+    # tolerance below reads
+    size = float(bvals.max())
+    jacobian = None if fld.jacobian is None else lambda X, idx, J=fld.jacobian: J(X, idx) / size
+    fld = replace(fld, value=lambda X, f=fld.value: np.asarray(f(X), dtype=float) / size, jacobian=jacobian)
+    if fld.layout.pairs:
+        _spot_check_equivariance(fld, rng)
 
-    # a Hessian eigenvalue far below the field's own derivative scale marks
-    # a degenerate zero whose sign rounding (or, without an exact Jacobian,
-    # finite-difference error) could flip
-    floor = SINGULAR_RATIO * derivative_scale
-    unique = fld.affine and _unique_zero(fld, bsamples, bvalues, floor)
+    # a Hessian eigenvalue far below the field's derivative scale, 1 / domain
+    # scale, marks a degenerate zero whose sign rounding (or, without an
+    # exact Jacobian, finite-difference error) could flip
+    floor = SINGULAR_RATIO / fld.domain.scale
+    unique = fld.affine and _unique_zero(fld, bsamples, bvalues / size, floor)
     fixed = np.asarray(fld.layout.trivial, dtype=int)
     if _fixed_zeros is None:
-        zeros, values = _located_fixed_zeros(fld, probe_scale=scale, unique=unique)
+        zeros, values = _located_fixed_zeros(fld, unique=unique)
     else:
         zeros = _fixed_zeros
         values = fld.evaluate(zeros) if len(zeros) else np.zeros_like(zeros)
-        if not np.linalg.norm(values, axis=1).max(initial=0.0) <= 1e-8 * (1.0 + scale):
+        if not np.linalg.norm(values, axis=1).max(initial=0.0) <= RESIDUAL_RATIO:
             raise StabilizationFailure(f"{fld.name}: a fixed-space zero of a lower level is not a zero here")
         values = values[:, fixed]
     if fld.layout.pairs and not unique and not _off_space_proved:
-        _scan_off_space_zeros(fld, rng, probe_scale=scale)
+        _scan_off_space_zeros(fld, rng)
 
     jacobians = _full_jacobians(fld, zeros) if len(zeros) else ()
     degrees = []

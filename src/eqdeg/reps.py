@@ -86,11 +86,14 @@ def rep_to_json(rep: Rep) -> dict:
 
 
 def _json_count(raw, name: str, least: int | None) -> int:
-    """An integer >= least, any integer when least is None, as an int (numpy
-    integers count, bools do not); anything else is a BadNumber naming it."""
-    if isinstance(raw, (int, np.integer)) and not isinstance(raw, bool) and (least is None or raw >= least):
+    """An integer >= least and <= the largest np.intp, any integer when least
+    is None, as an int (numpy integers count, bools do not); anything else
+    is a BadNumber naming it."""
+    integer = isinstance(raw, (int, np.integer)) and not isinstance(raw, bool)
+    top = np.iinfo(np.intp).max  # counts size arrays and loops
+    if integer and (least is None or least <= raw <= top):
         return int(raw)
-    bound = "" if least is None else f" >= {least}"
+    bound = "" if least is None else f" >= {least}" + (f" and <= {top}" if integer and raw > top else "")
     raise BadNumber(f"{name} must be an integer{bound}, got {raw!r}")
 
 

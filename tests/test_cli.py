@@ -167,6 +167,12 @@ def test_bad_sampling_budget_is_input_error(tmp_path, capsys, budget):
     assert "input error: sampling_budget must be an integer >= 1" in capsys.readouterr().err
 
 
+# a count past the machine integers once ran past any timeout as a
+# truncation, an exponent or a multiplicity, and ended in an OverflowError
+# as a trivial count or a mode
+HUGE, TOP = 10**400, np.iinfo(np.intp).max
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -184,6 +190,7 @@ def test_bad_sampling_budget_is_input_error(tmp_path, capsys, budget):
         ("truncation", 2.9, "truncation must be an integer >= 1, got 2.9"),
         ("truncation", True, "truncation must be an integer >= 1, got True"),
         ("truncation", "3", "truncation must be an integer >= 1, got '3'"),
+        ("truncation", HUGE, f"truncation must be an integer >= 1 and <= {TOP}, got {HUGE}"),
     ],
 )
 def test_bad_scalar_field_is_input_error(tmp_path, capsys, field, value, message):
@@ -229,6 +236,13 @@ def set_at(problem, path, value):
          "nonlinearity.terms[0].exps must be an integer >= 0, got 1.9"),
         (normalization_problem, ("nonlinearity", "terms", 0, "coeff"), float("-inf"),
          "nonlinearity.terms[0].coeff must be a finite number, got -inf"),
+        (quadratic_problem, ("terms", 0, "exps", 0), HUGE, f"terms[0].exps must be an integer >= 0 and <= {TOP}, got {HUGE}"),
+        (normalization_problem, ("spectrum", 0, "rep", "trivial"), HUGE,
+         f"spectrum[0].rep.trivial must be an integer >= 0 and <= {TOP}, got {HUGE}"),
+        (normalization_problem, ("spectrum", 1, "rep", "modes", 0, 0), HUGE,
+         f"spectrum[1].rep.modes[0] mode must be an integer >= 1 and <= {TOP}, got {HUGE}"),
+        (normalization_problem, ("spectrum", 1, "rep", "modes", 0, 1), HUGE,
+         f"spectrum[1].rep.modes[0] multiplicity must be an integer >= 0 and <= {TOP}, got {HUGE}"),
     ],
 )
 def test_bad_number_in_a_problem_file_is_input_error(tmp_path, capsys, build, path, value, message):
@@ -518,3 +532,36 @@ def test_a_kernel_zero_found_twice_counts_once(tmp_path, capsys):
         assert main(["compute", src, "--json", str(out)]) == EXIT_OK
         assert "degree     : [S1/S1]\n" in capsys.readouterr().out
         assert json.loads(out.read_text())["degree"]["value"] == [{"coeff": 1, "subgroup": "S1"}]
+
+
+def kernel_well(a):
+    """-x^4/4 + a^2 x^2 / 2 on one kernel line: f = x^3 - a^2 x there, with
+    zeros at 0 and +-a; radius 1."""
+    spectrum = [(0.0, 1, []), (1.0, 0, [[1, 1]])] + [(float(n), 1, []) for n in range(2, 6)]
+    terms = [{"exps": [4], "coeff": -0.25}, {"exps": [2], "coeff": 0.5 * a * a}]
+    return abstract_problem(spectrum, terms, 1)
+
+
+@pytest.mark.parametrize(
+    "a, line",
+    [
+        (0.9, "check restriction_consistency: skipped (BoundaryZero)"),  # zeros on the shrunk sphere
+        (0.95, "check restriction_consistency: fail"),  # zeros between the shrunk sphere and the sphere
+    ],
+)
+def test_the_restriction_check_prints_what_the_shrunk_ball_gave(tmp_path, capsys, a, line):
+    assert main(["compute", write(tmp_path, "p.json", kernel_well(a))]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "degree     : [S1/S1]\n" in out and f"\n{line}\n" in out
+
+
+def test_scaling_the_double_wells_keeps_their_degree(tmp_path, capsys):
+    # c f has the degree of f; with every coefficient x1e6 the zero search
+    # once read -[S1/S1] here, and every check passed
+    problem = json.loads((DEMO_PROBLEMS / "double_wells.json").read_text())
+    for term in problem["nonlinearity"]["terms"]:
+        term["coeff"] *= 1e6
+    assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "degree     : [S1/S1]\n" in out
+    assert out.count(": pass\n") == 3

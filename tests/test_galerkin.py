@@ -47,6 +47,7 @@ from eqdeg.reps import Rep, SpectralOperator
 from eqdeg.selftest import (
     corpus_local_maps,
     normalization_operators,
+    quadratic_hamiltonian,
     quartic_hamiltonian,
     synthetic_operator_a,
 )
@@ -565,6 +566,31 @@ def test_otopy_crossing_raises_slice_failure():
     with pytest.raises(SliceMarginFailure) as err:
         deg_along_otopy(OtopyPath.uniform(family, steps=10))
     assert abs(err.value.t - 0.5) < 1e-12  # the slice with shift exactly 1
+
+
+def test_otopy_across_a_degree_jump_names_the_slice_that_deviates():
+    # H = |z|^2 / 2 with lambda = 0.5 + t: both ends certify, but lambda
+    # passes 1, where the degree of the loop map changes
+    def family(t):
+        return hamiltonian_local_map(quadratic_hamiltonian(1, [1.0, 1.0], 0.5 + t), radius=1.0)
+
+    with pytest.raises(SliceMarginFailure, match="degree deviates along the path") as err:
+        deg_along_otopy(OtopyPath.uniform(family, steps=1))
+    assert err.value.t == 1.0
+
+
+def test_an_empty_otopy_grid_is_a_value_error():
+    with pytest.raises(ValueError, match="empty otopy grid"):
+        deg_along_otopy(OtopyPath(lambda t: None, ()))
+
+
+def test_an_otopy_with_no_common_level_names_the_last_slice_that_failed():
+    # a tail of 10 fails the margin at every level the table holds
+    f = LocalMapSpec(short_table(), declared(halve, tail=lambda X, basis: np.full(len(X), 10.0)),
+                     RegionSpec.ball(1.0), name="short")
+    with pytest.raises(SliceMarginFailure, match=r"no common level certified \(short: tail bound") as err:
+        deg_along_otopy(OtopyPath.uniform(lambda t: f, steps=1))
+    assert err.value.t == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,13 @@ def test_existence_rejected_at_crossing():
         periodic_existence(quadratic_hamiltonian(1, [1.0, 1.0], 1.0), 1.0)
 
 
+def test_existence_with_a_vanishing_field_is_a_noncompact_zero_set():
+    # H = 0 with no kernel potential at level 0: f vanishes everywhere, the
+    # boundary included, and the certificate names the noncompact zero set
+    with pytest.raises(NoncompactZeroSet, match=r"sampled \|f\| = 0\.000e\+00 on the boundary at level 0"):
+        periodic_existence(HamiltonianSpec.from_terms(1, [], 0.5), 1.0, level=0)
+
+
 def test_existence_no_zero_in_small_ball():
     # grad H(0) != 0: the only constant zero sits outside a small ball
     spec = HamiltonianSpec.from_terms(

@@ -97,12 +97,12 @@ def test_compacted_newton_is_the_loop_it_replaced_bit_for_bit(name, max_iter):
     seeds = np.vstack([fld.domain.seed_points(SEED_FRACTION), fld.domain.interior_samples(40, rng)])
     scale = fld.domain.scale
     want = newton_batch_as_it_was(fld, seeds, max_iter=max_iter, scale=scale)
-    got, values = _newton_batch(fld, seeds, max_iter=max_iter, scale=scale)
+    got, values = _newton_batch(fld, seeds, max_iter=max_iter)
     assert len(want) and got.shape == want.shape and got.tobytes() == want.tobytes()
     assert np.all(np.linalg.norm(values, axis=1) <= NEWTON_TOL)
     assert np.allclose(values, fld.evaluate(got), rtol=0.0, atol=NEWTON_TOL)
     if max_iter == 2 and not fld.affine:  # rows still running at the cutoff are dropped
-        assert len(got) < len(_newton_batch(fld, seeds, scale=scale)[0])
+        assert len(got) < len(_newton_batch(fld, seeds)[0])
 
 
 def flat_cubic_field(dim, eps):

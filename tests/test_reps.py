@@ -11,6 +11,7 @@ from eqdeg.reps import (
     EquivariantSymOp,
     Rep,
     SpectralOperator,
+    _json_count,
     canonical_layout,
     rep_from_json,
     rep_to_json,
@@ -428,3 +429,13 @@ def test_rep_from_json_never_coerces_a_count(data, message):
     with pytest.raises(ValueError) as info:
         rep_from_json(data)
     assert str(info.value) == message
+
+
+def test_a_bounded_count_is_a_machine_integer_and_a_ring_coefficient_is_not():
+    top = int(np.iinfo(np.intp).max)
+    assert _json_count(top, "n", 0) == top and _json_count(np.intp(top), "n", 1) == top
+    for raw in (top + 1, 10**400, np.uint64(top + 1)):
+        with pytest.raises(ValueError) as info:
+            _json_count(raw, "n", 0)
+        assert str(info.value) == f"n must be an integer >= 0 and <= {top}, got {raw!r}"
+    assert _json_count(-(10**400), "coeff", None) == -(10**400)  # least=None: any integer

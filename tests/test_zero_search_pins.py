@@ -24,45 +24,45 @@ from eqdeg.hamiltonian import local_map
 # is the float.hex of its coordinates, in the order grad_degree returns them
 FIXED_SPACE = (
     (2, 4, "[S1/S1]", (
-        "-0x1.051a3f132906fp+0 -0x1.5f7c0ed9b8cedp+0",
-        "-0x1.024fd46661cfdp+0 0x1.05010e83cd989p-7",
-        "-0x1.ff0ad37338d9bp-1 0x1.63901313c9740p+0",
-        "-0x1.6535565b9a23ap-7 -0x1.618610f6c39fdp+0",
-        "-0x1.c104a30000000p-50 -0x1.bc42ff0000000p-43",
+        "-0x1.051a3f1531f82p+0 -0x1.5f7c0ed9b4fdcp+0",
+        "-0x1.024fd46866272p+0 0x1.05010e85d7b2ap-7",
+        "-0x1.ff0ad3740b600p-1 0x1.63901313c9401p+0",
+        "-0x1.6535565d0685bp-7 -0x1.618610f82c3fap+0",
+        "-0x1.c104a50000000p-50 -0x1.bc42560000000p-43",
         "0x1.6535565b96e11p-7 0x1.618610f6c065ep+0",
-        "0x1.ff0ad3731defbp-1 -0x1.63901313c7796p+0",
-        "0x1.024fd4664622fp+0 -0x1.05010e83b1a1cp-7",
+        "0x1.ff0ad37318125p-1 -0x1.63901314f7aa8p+0",
+        "0x1.024fd46646230p+0 -0x1.05010e83b1a1dp-7",
         "0x1.051a3f12fd53ap+0 0x1.5f7c0ed9b902ap+0",
     )),
     (3, 5, "[S1/S1]", (
-        "-0x1.25b13d08176a3p-1 0x1.f9dc5b839c2c6p-5 0x1.2c909658326edp+0",
-        "-0x1.fccbb7c33bebfp-2 0x1.2bcd00127200cp-1 0x1.3ec18d089ba9fp-2",
-        "-0x1.ae34f5764c817p-2 0x1.1bfe1d3655f60p+0 -0x1.1a5f9fa7c79aap-1",
-        "-0x1.3a5b0933fd93cp-4 -0x1.0c2f3a5a5fbeep-1 0x1.b9c0662c591b4p-1",
-        "-0x1.e0776ee800000p-36 0x1.1b1ba55400000p-35 0x1.2d02281400000p-36",
-        "0x1.3a5b0933a59adp-4 0x1.0c2f3a5a1ab82p-1 -0x1.b9c0662be577cp-1",
-        "0x1.ae34f575835fdp-2 -0x1.1bfe1d362e220p+0 0x1.1a5f9fa83a25cp-1",
-        "0x1.fccbb7c2539f7p-2 -0x1.2bcd0011e8f13p-1 -0x1.3ec18d080a9e5p-2",
-        "0x1.25b13d07badb6p-1 -0x1.f9dc5b7d8f110p-5 -0x1.2c9096580d4f8p+0",
+        "-0x1.25b13d0c96518p-1 0x1.f9dc5bd655706p-5 0x1.2c909659b0a7ep+0",
+        "-0x1.fccbb7cc65e35p-2 0x1.2bcd0017d854ap-1 0x1.3ec18d0e5963dp-2",
+        "-0x1.ae34f57e895c9p-2 0x1.1bfe1d3950d92p+0 -0x1.1a5f9fa6aa980p-1",
+        "-0x1.3a5b093cd9a06p-4 -0x1.0c2f3a55d0c05p-1 0x1.b9c06628b9ff2p-1",
+        "-0x1.ecc85fd500000p-32 0x1.225d8fd680000p-31 0x1.34b940c400000p-32",
+        "0x1.3a5b093360ae7p-4 0x1.0c2f3a59e4232p-1 -0x1.b9c0662b8a35cp-1",
+        "0x1.ae34f574b8f56p-2 -0x1.1bfe1d3756ed0p+0 0x1.1a5f9fac2b115p-1",
+        "0x1.fccbb7c03a30fp-2 -0x1.2bcd000eda681p-1 -0x1.3ec18d0b8dba4p-2",
+        "0x1.25b13d07badb6p-1 -0x1.f9dc5b7d8f113p-5 -0x1.2c9096580d4f8p+0",
     )),
     (5, 1, "[S1/S1]", (
-        "-0x1.8c91324a22f23p-1 -0x1.2144574aa40c1p-1 0x1.b402096c9225fp-3 0x1.82d45941f4c22p-4 "
-        "0x1.399db26b19aefp+0",
-        "-0x1.651ee01dc6ac6p-1 -0x1.edbd3413c4421p-1 0x1.05d937d42c74cp-3 0x1.d4b9989a10a18p-4 "
-        "0x1.88d30def812bdp-2",
-        "-0x1.3dac8df1537e7p-1 -0x1.5d1b086e629cdp+0 0x1.5ec198eed6e96p-5 0x1.134f6bf907541p-3 "
-        "-0x1.d4d0adcd7eef5p-2",
-        "-0x1.3b929163a466cp-4 0x1.98f1b992745adp-2 0x1.5c51a33131c04p-4 -0x1.4794fd606aebep-6 "
-        "0x1.aed1dddede2b2p-1",
-        "-0x1.c7d2466000000p-39 0x1.2758b1d800000p-36 0x1.f71f5ff000000p-39 -0x1.d92bdb2000000p-41 "
-        "0x1.372518b400000p-35",
-        "0x1.3b9291634d548p-4 -0x1.98f1b99203efap-2 -0x1.5c51a330d1df3p-4 0x1.4794fd6010faap-6 "
-        "-0x1.aed1ddde679ffp-1",
-        "0x1.3dac8df135afcp-1 0x1.5d1b086e601ebp+0 -0x1.5ec198ee2e3ccp-5 -0x1.134f6bf8fd1d7p-3 "
-        "0x1.d4d0adce122a1p-2",
-        "0x1.651ee01da21ddp-1 0x1.edbd341391b76p-1 -0x1.05d937d411a6bp-3 -0x1.d4b99899e0a65p-4 "
-        "-0x1.88d30def58f58p-2",
-        "0x1.8c91324a0c573p-1 0x1.2144574a86bc9p-1 -0x1.b402096c807c0p-3 -0x1.82d45941d8176p-4 "
+        "-0x1.8c91324b247acp-1 -0x1.2144574c03bbdp-1 0x1.b402096d516cfp-3 0x1.82d459434484fp-4 "
+        "0x1.399db26b63f3dp+0",
+        "-0x1.651ee01f747eap-1 -0x1.edbd341616828p-1 0x1.05d937d5679c9p-3 0x1.d4b9989c44c6ap-4 "
+        "0x1.88d30df159f71p-2",
+        "-0x1.3dac8df296496p-1 -0x1.5d1b086f44533p+0 0x1.5ec198f27e153p-5 0x1.134f6bf9dc7d9p-3 "
+        "-0x1.d4d0adcc2c20dp-2",
+        "-0x1.3b929167daabdp-4 0x1.98f1b98f2aebfp-2 0x1.5c51a330f089bp-4 -0x1.4794fd5bc383dp-6 "
+        "0x1.aed1ddddb6114p-1",
+        "-0x1.2cc7b9c100000p-32 -0x1.9fd88b4400000p-32 0x1.b913c8ac00000p-35 0x1.8ac726a000000p-35 "
+        "0x1.4ad9853400000p-33",
+        "0x1.3b92915ffbf53p-4 -0x1.98f1b99228f0ap-2 -0x1.5c51a32fa639fp-4 0x1.4794fd61358f2p-6 "
+        "-0x1.aed1dddd62910p-1",
+        "0x1.3dac8df0f028fp-1 0x1.5d1b086f40f5bp+0 -0x1.5ec198e89a1bfp-5 -0x1.134f6bf95c53bp-3 "
+        "0x1.d4d0add51aeb8p-2",
+        "0x1.651ee01cf0290p-1 0x1.edbd3412b1f45p-1 -0x1.05d937d382abep-3 -0x1.d4b9989902970p-4 "
+        "-0x1.88d30dee4ed6ap-2",
+        "0x1.8c91324a0c574p-1 0x1.2144574a86bc8p-1 -0x1.b402096c807bfp-3 -0x1.82d45941d8177p-4 "
         "-0x1.399db26b11eeep+0",
     )),
 )
