@@ -11,25 +11,26 @@ section there, seeded by that section's deterministic grid.  A field's
 one derivative source, for Newton steps and Hessians at zeros alike, is
 its exact Jacobian; a field without one takes finite differences, forward
 ones against the values Newton holds for its steps (one evaluation per
-iteration) and central ones for the Hessians.  Two zeros at which
-Newton steps on the fixed coordinates settle within MERGE_TOL of each
-other are one zero found twice.  The search runs on f / V, V the largest
-|f| sampled on the boundary, whose zeros and degree are f's: Newton's
-NEWTON_TOL and every check read a field of boundary size 1, so c f gives
-f's answer for every c > 0.  Only the boundary-zero floor BOUNDARY_MARGIN
-stays absolute, since a uniformly small boundary has no size to compare to.
-Equivariance is spot-checked, and zeros off the fixed-point space are
-rejected, since slice linearization around free orbits is out of scope:
-a Galerkin level whose map declares a derivative bound L below the least
-|eigenvalue| of A on its rotation planes excludes them by proof (see
-``galerkin``), and every other field is searched for them by randomized
-full-space probes.  A field declared affine with a
-nonsingular Jacobian has one zero, in the fixed space, which Newton finds
-from the origin with no seed grid or probe (AffinityFailure if it is not).
+iteration) and central ones for the Hessians.  The search runs on f / V, V
+the largest |f| sampled on the boundary, which has f's zeros and degree, and
+reads every length as a share of R, the scale of the field's domain:
+NEWTON_TOL and every check read a field of boundary size 1, while the
+difference steps, the merge distance MERGE_TOL R that tells one zero found
+twice, the off-space threshold and Newton's cutoff read R.  So y -> c f(s y)
+on the domain shrunk by s gives f's answer for every c, s > 0.  Only the
+boundary-zero floor BOUNDARY_MARGIN stays absolute: a uniformly small
+boundary has no size to compare to.  Equivariance is spot-checked, and
+zeros off the fixed-point space are rejected, since slice linearization
+around free orbits is out of scope: a Galerkin level whose map declares a
+derivative bound L below the least |eigenvalue| of A on its rotation planes
+excludes them by proof (see ``galerkin``), and every other field is
+searched for them by randomized full-space probes.  A field declared affine
+with a nonsingular Jacobian has one zero, in the fixed space, found by
+Newton from the origin with no seed grid or probe (AffinityFailure if not).
 
 An independent Brouwer-degree oracle (zero enumeration plus the sign of
-the finite-difference Jacobian determinant) on the same fixed_space_field
-provides the verification channel for the fixed-space coefficient.
+the finite-difference Jacobian determinant, with absolute tolerances of its
+own) on the same fixed_space_field checks the fixed-space coefficient.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .reps import EquivariantSymOp, Layout, Rep, canonical_layout, concat_layout
 SEED_FRACTION = 0.125          # Newton seed grid spacing, as a fraction of the radius
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-10             # |f| at a zero, as a share of the largest sampled boundary |f|
-MERGE_TOL = 1e-7
+MERGE_TOL = 1e-7               # merge distance, as a share of the domain scale
 SINGULAR_LOG_RATIO = np.log(1e-12)  # Newton solves below this |det J| / Hadamard bound use pinv
 BOUNDARY_PER_DIM = 64
 BOUNDARY_MARGIN = 1e-8         # sampled boundary |f| at or below this is a boundary zero
@@ -182,14 +183,14 @@ def _fd_jacobian(
     fld: GradientField, X: np.ndarray, idx, step: float = 1e-6, values: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Finite-difference Jacobian at an (m, dim) batch X, restricted to
-    idx x idx; the step at a point x is step * (1 + max|x|).  Central
-    differences take one evaluation of all the points shifted up and one
-    of all those shifted down.  A caller that holds ``values``, fld's
-    values at X, gets forward differences against them instead, from the
-    one evaluation of the points shifted up."""
+    idx x idx; the step at a point x is step * (R + max|x|), R the scale of
+    fld's domain.  Central differences take one evaluation of all the points
+    shifted up and one of all those shifted down.  A caller that holds
+    ``values``, fld's values at X, gets forward differences against them
+    instead, from the one evaluation of the points shifted up."""
     idx = np.asarray(idx, dtype=int)
     k = len(idx)
-    h = step * (1.0 + np.max(np.abs(X), axis=1))
+    h = step * (fld.domain.scale + np.max(np.abs(X), axis=1))
 
     def shifted(sign):
         Y = np.repeat(X[None], k, axis=0)  # (k, m, dim): block j shifts coordinate idx[j]
@@ -241,8 +242,8 @@ def _newton_batch(
     (NonFiniteField if one is not finite), every later point in the line
     search that accepts it.  The running rows live in contiguous arrays
     that shrink as rows converge or die; a row dies on a non-finite step,
-    a line search with no descent, or a step beyond 50 * (scale + 1), with
-    the scale of fld's domain.  A row converges at |f| <= NEWTON_TOL; the
+    a line search with no descent, or a step beyond 100 R, R the scale of
+    fld's domain.  A row converges at |f| <= NEWTON_TOL; the
     fields grad_degree passes are divided by their largest boundary |f|, so
     that there the tolerance is a share of it."""
     X = np.array(np.atleast_2d(seeds), dtype=float)
@@ -250,7 +251,7 @@ def _newton_batch(
     fn = np.linalg.norm(F, axis=1)
     order = np.arange(len(X))  # the seed of each running row
     found = []  # (seeds, points, values) of the rows converged at each iteration
-    cutoff = 50.0 * (fld.domain.scale + 1.0)
+    cutoff = 100.0 * fld.domain.scale
     for _it in range(max_iter):
         done = fn <= NEWTON_TOL
         found.append((order[done], X[done], F[done]))
@@ -286,7 +287,7 @@ def _dedupe(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
     return points[_dedupe_rows(points, tol)]
 
 
-def _dedupe_rows(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
+def _dedupe_rows(points: np.ndarray, tol: float) -> np.ndarray:
     """Greedy merge in lexicographic order: keep the first remaining point,
     drop every point within tol of it, repeat; the rows kept."""
     rest = np.lexsort(points.T[::-1])
@@ -299,16 +300,17 @@ def _dedupe_rows(points: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
 
 def _polished(sub: GradientField, Y: np.ndarray, J: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Newton steps on ``sub`` from its zeros Y, with Jacobians J and values F
-    there, until each point's last step is <= MERGE_TOL / 2, evaluating only
-    the points still stepping; UnresolvedZeroCluster past NEWTON_MAX_ITER."""
+    there, evaluating only the points still stepping, until each one's last
+    step is <= MERGE_TOL R / 2; UnresolvedZeroCluster past NEWTON_MAX_ITER."""
     Y = Y.copy()
     rows = np.arange(len(Y))
+    settled = 0.5 * MERGE_TOL * sub.domain.scale
     for _ in range(NEWTON_MAX_ITER):
         if not (np.isfinite(J).all() and np.isfinite(F).all()):
             break
         steps = _solve_steps(J, F)
         Y[rows] -= steps
-        rows = rows[~(np.linalg.norm(steps, axis=1) <= 0.5 * MERGE_TOL)]
+        rows = rows[~(np.linalg.norm(steps, axis=1) <= settled)]
         if not len(rows):
             return Y
         with np.errstate(all="ignore"):
@@ -317,12 +319,12 @@ def _polished(sub: GradientField, Y: np.ndarray, J: np.ndarray, F: np.ndarray) -
     raise UnresolvedZeroCluster(f"{sub.name}: Newton from the zeros found does not settle in {NEWTON_MAX_ITER} steps")
 
 
-def _merged_copies(zeros: np.ndarray, corrected: np.ndarray, degrees: list, name: str) -> list[int]:
+def _merged_copies(zeros: np.ndarray, corrected: np.ndarray, degrees: list, name: str, tol: float) -> list[int]:
     """The zeros that stand for all: Newton stops at |f| <= NEWTON_TOL, so
     where J is nearly singular two copies of one zero can lie farther
-    apart than MERGE_TOL, while the points that Newton steps from them
-    settle at, ``corrected`` (``_polished``), agree.  Two zeros whose
-    corrected points lie within MERGE_TOL are one zero found twice: the
+    apart than the merge distance ``tol``, while the points that Newton
+    steps from them settle at, ``corrected`` (``_polished``), agree.  Two
+    zeros whose corrected points lie within tol are one zero found twice: the
     first in order absorbs the later ones, which must classify alike, with
     the same ``degrees`` (UnresolvedZeroCluster otherwise)."""
     kept = []
@@ -332,7 +334,7 @@ def _merged_copies(zeros: np.ndarray, corrected: np.ndarray, degrees: list, name
             continue
         kept.append(i)
         gap = np.linalg.norm(corrected[i + 1 :] - corrected[i], axis=1)
-        copies = i + 1 + np.flatnonzero(alive[i + 1 :] & (gap <= MERGE_TOL))
+        copies = i + 1 + np.flatnonzero(alive[i + 1 :] & (gap <= tol))
         for j in copies:
             if degrees[j] != degrees[i]:
                 raise UnresolvedZeroCluster(
@@ -415,7 +417,7 @@ def _located_fixed_zeros(fld: GradientField, *, unique: bool) -> tuple[np.ndarra
     pts = _embed(fld.layout.size, fixed, found)
     inside = fld.domain.contains(pts)
     pts, values = pts[inside], values[inside]
-    kept = _dedupe_rows(pts)
+    kept = _dedupe_rows(pts, MERGE_TOL * fld.domain.scale)
     pts, values = pts[kept], values[kept]
     if len(pts) and fld.layout.pairs:
         normals = fld.evaluate(pts)[:, fld.layout.normal_indices()]
@@ -435,7 +437,7 @@ def _scan_off_space_zeros(fld: GradientField, rng: np.random.Generator):
     pts = pts[fld.domain.contains(pts)]
     normal_idx = fld.layout.normal_indices()
     norms = np.linalg.norm(pts[:, normal_idx], axis=1)
-    off = norms > 1e-6 * (1.0 + np.max(np.abs(pts), axis=1))
+    off = norms > 1e-6 * (fld.domain.scale + np.max(np.abs(pts), axis=1))
     if off.any():
         where = pts[off][0]
         raise ZeroOutsideFixedSpace(
@@ -576,12 +578,10 @@ def grad_degree(
         corrected = zeros.copy()
         J = jacobians[:, fixed[:, None], fixed]
         corrected[:, fixed] = _polished(fixed_space_field(fld), zeros[:, fixed], J, values)
-        kept = _merged_copies(zeros, corrected, degrees, fld.name)
+        kept = _merged_copies(zeros, corrected, degrees, fld.name, MERGE_TOL * fld.domain.scale)
         zeros, degrees = zeros[kept], [degrees[i] for i in kept]
     total = sum(degrees, ring_zero(CIRCLE))
-    if return_zeros:
-        return total, zeros
-    return total
+    return (total, zeros) if return_zeros else total
 
 
 # ---------------------------------------------------------------------------

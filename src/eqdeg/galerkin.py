@@ -119,6 +119,7 @@ from .polynomials import Polynomial
 from .reps import Rep, ShellBasis, SpectralOperator, _json_count, _json_number, shell_operator
 
 MAX_LEVEL = 10  # the automatic level search stops here
+MAX_SAMPLE_VALUES = 2**27  # float64 values one boundary pass may hold: 1 GiB
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,8 @@ def certify_margin(
     narrower than the map's declared support, BoundaryZero when a sample
     sits numerically on the zero set, NonFiniteField when the field or the
     tail is not finite at a sample, and ValueError for a tail not one value
-    >= 0 per sample, an n not an integer >= 0 or a budget not an integer >= 1.
+    >= 0 per sample, an n not an integer >= 0, a budget not an integer >= 1
+    or, before drawing, more than MAX_SAMPLE_VALUES sampled coordinates.
     """
     _json_count(n, "n", 0)
     if budget is not None:
@@ -342,9 +344,12 @@ def certify_margin(
         raise MarginFailure(f"{f.name}: V_{n} is zero-dimensional; raise the level")
     if f.support is not None and f.support > basis.dim:
         raise MarginFailure(f"{f.name}: potential uses {f.support} coordinates, V_{n} has {basis.dim}; raise the level")
+    count = budget if budget is not None else BOUNDARY_PER_DIM * basis.dim
+    if count * basis.dim > MAX_SAMPLE_VALUES:
+        held = f"{count} samples at level {n} hold {count * basis.dim} values"
+        raise ValueError(f"{f.name}: a budget of {held}, more than MAX_SAMPLE_VALUES = {MAX_SAMPLE_VALUES}")
     fld = shell_field(f, n)
     rng = np.random.default_rng(seed)
-    count = budget if budget is not None else BOUNDARY_PER_DIM * basis.dim
     samples = fld.domain.boundary_samples(count, rng)
     message = f"{f.name}: nonlinearity not finite on boundary samples"
     values = finite_values(fld.value, samples, message)

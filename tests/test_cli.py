@@ -251,6 +251,61 @@ def test_bad_number_in_a_problem_file_is_input_error(tmp_path, capsys, build, pa
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+def wells_in(variables):
+    """double_wells.json with its potential written over ``variables`` coordinates."""
+    problem = json.loads((DEMO_PROBLEMS / "double_wells.json").read_text())
+    nl = problem["nonlinearity"]
+    nl["variables"] = variables
+    for term in nl["terms"]:
+        term["exps"] += [0] * (variables - len(term["exps"]))
+    return problem
+
+
+def without(problem, path):
+    """problem with the entry at ``path``, a sequence of keys and indices, removed."""
+    *parents, last = path
+    node = problem
+    for key in parents:
+        node = node[key]
+    del node[last]
+    return problem
+
+
+@pytest.mark.parametrize(
+    "problem_path, message",
+    [
+        (str, "cannot read problem file"),  # the directory tmp_path
+        (lambda tmp: write(tmp, "p.json", [quadratic_problem()]), "problem file must contain a JSON object"),
+        (lambda tmp: write(tmp, "p.json", dict(quadratic_problem(), group="SO3")), "unrecognized group 'SO3'"),
+        (lambda tmp: write(tmp, "p.json", without(quadratic_problem(), ("terms", 0, "coeff"))),
+         "bad Hamiltonian description: 'coeff'"),
+        (lambda tmp: write(tmp, "p.json", without(normalization_problem(), ("spectrum", 1, "rep"))),
+         "bad spectrum description: 'rep'"),
+        (lambda tmp: write(tmp, "p.json", without(normalization_problem(), ("nonlinearity", "terms"))),
+         "bad nonlinearity description: 'terms'"),
+        (lambda tmp: write(tmp, "p.json", wells_in(40)),
+         "nonlinearity uses 40 coordinates but the declared spectrum spans only 24"),
+        (lambda tmp: write(tmp, "p.json", dict(quadratic_problem(), kind="newtonian")),
+         "unknown problem kind 'newtonian'"),
+    ],
+    ids=["directory", "array", "group", "coeff", "rep", "terms", "variables", "kind"],
+)
+def test_a_malformed_problem_is_input_error(tmp_path, capsys, problem_path, message):
+    assert main(["compute", problem_path(tmp_path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+def test_a_sampling_budget_past_the_sample_bound_is_input_error(tmp_path, capsys, monkeypatch):
+    # 10**12 samples once asked numpy for 43.7 TiB and exited 1
+    def no_shell_field(f, n):
+        raise AssertionError(f"a boundary pass at level {n} was built")
+
+    monkeypatch.setattr(eqdeg.galerkin, "shell_field", no_shell_field)
+    problem = dict(quadratic_problem(), sampling_budget=10**12)
+    assert main(["compute", write(tmp_path, "p.json", problem)]) == EXIT_INPUT
+    assert "more than MAX_SAMPLE_VALUES = 134217728" in capsys.readouterr().err
+
+
 def test_a_hamiltonian_exponent_must_be_an_integer():
     with pytest.raises(ValueError, match=r"terms\[0\]\.exps must be an integer >= 0, got 2\.5"):
         HamiltonianSpec.from_terms(1, [((2.5, 0), 0.5)], 0.5)

@@ -390,6 +390,28 @@ def test_a_budget_below_one_is_a_value_error():
     assert certify_margin(f, 1, budget=1).tail == 0.0
 
 
+def no_shell_field(f, n):
+    raise AssertionError(f"a boundary pass at level {n} was built")
+
+
+def test_a_budget_past_the_sample_bound_is_a_value_error_before_any_draw(monkeypatch):
+    # 10**12 samples once asked numpy for 43.7 TiB of boundary samples
+    monkeypatch.setattr(eqdeg.galerkin, "shell_field", no_shell_field)
+    f = half_shift_map()
+    with pytest.raises(ValueError, match="a budget of 1000000000000 samples at level 1 hold .* MAX_SAMPLE_VALUES"):
+        certify_margin(f, 1, budget=10**12)
+    with pytest.raises(ValueError, match="more than MAX_SAMPLE_VALUES = 134217728"):
+        deg_infinite(f, budget=10**12)
+
+
+def test_the_sample_bound_counts_samples_times_the_dimension(monkeypatch):
+    f = half_shift_map()
+    monkeypatch.setattr(eqdeg.galerkin, "MAX_SAMPLE_VALUES", 10 * f.operator.basis(1).dim)
+    assert certify_margin(f, 1, budget=10).tail == 0.0
+    with pytest.raises(ValueError, match="a budget of 11 samples at level 1"):
+        certify_margin(f, 1, budget=11)
+
+
 @pytest.mark.parametrize(
     "name, value",
     [

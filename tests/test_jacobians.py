@@ -123,8 +123,9 @@ def test_exact_jacobian_matches_central_differences(name, level):
 
 
 def fd_jacobian_loop(fld, X, idx, step=1e-6):
-    """_fd_jacobian as it was: two evaluations per column of idx."""
-    h = step * (1.0 + np.max(np.abs(X), axis=1))
+    """_fd_jacobian as it was: two evaluations per column of idx, with its
+    step rule, step * (domain scale + max|x|)."""
+    h = step * (fld.domain.scale + np.max(np.abs(X), axis=1))
     J = np.empty((len(X), len(idx), len(idx)))
     for jc, c in enumerate(idx):
         Xp = X.copy()

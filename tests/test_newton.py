@@ -143,9 +143,10 @@ def test_copies_that_classify_differently_are_an_unresolved_cluster():
     zeros = np.array([[0.0], [1e-6], [1.0]])
     corrected = np.array([[5e-7], [5e-7 + 1e-8], [1.0]])
     plus, minus = S1_S1, -S1_S1
-    assert finite_degree._merged_copies(zeros, corrected, [plus, plus, minus], "f") == [0, 2]
+    tol = finite_degree.MERGE_TOL  # the merge distance on a domain of scale 1
+    assert finite_degree._merged_copies(zeros, corrected, [plus, plus, minus], "f", tol) == [0, 2]
     with pytest.raises(UnresolvedZeroCluster):
-        finite_degree._merged_copies(zeros, corrected, [plus, minus, minus], "f")
+        finite_degree._merged_copies(zeros, corrected, [plus, minus, minus], "f", tol)
 
 
 def test_zeros_whose_corrected_points_differ_stay_apart():
@@ -153,4 +154,5 @@ def test_zeros_whose_corrected_points_differ_stay_apart():
     # gap but point away from each other: their corrected points differ
     zeros = np.array([[0.0], [1e-6]])
     corrected = np.array([[-1e-6], [2e-6]])
-    assert finite_degree._merged_copies(zeros, corrected, [S1_S1, S1_S1], "f") == [0, 1]
+    tol = finite_degree.MERGE_TOL  # the merge distance on a domain of scale 1
+    assert finite_degree._merged_copies(zeros, corrected, [S1_S1, S1_S1], "f", tol) == [0, 1]

@@ -24,46 +24,46 @@ from eqdeg.hamiltonian import local_map
 # is the float.hex of its coordinates, in the order grad_degree returns them
 FIXED_SPACE = (
     (2, 4, "[S1/S1]", (
-        "-0x1.051a3f1531f82p+0 -0x1.5f7c0ed9b4fdcp+0",
-        "-0x1.024fd46866272p+0 0x1.05010e85d7b2ap-7",
-        "-0x1.ff0ad3740b600p-1 0x1.63901313c9401p+0",
-        "-0x1.6535565d0685bp-7 -0x1.618610f82c3fap+0",
-        "-0x1.c104a50000000p-50 -0x1.bc42560000000p-43",
-        "0x1.6535565b96e11p-7 0x1.618610f6c065ep+0",
-        "0x1.ff0ad37318125p-1 -0x1.63901314f7aa8p+0",
-        "0x1.024fd46646230p+0 -0x1.05010e83b1a1dp-7",
-        "0x1.051a3f12fd53ap+0 0x1.5f7c0ed9b902ap+0",
+        "-0x1.051a3f1500d5fp+0 -0x1.5f7c0ed9b5a80p+0",
+        "-0x1.024fd46835945p+0 0x1.05010e85a68e1p-7",
+        "-0x1.ff0ad373dafbbp-1 0x1.63901313c9627p+0",
+        "-0x1.6535565cf9c8fp-7 -0x1.618610f81fa4bp+0",
+        "-0x1.d34fe30000000p-50 -0x1.cdb5070000000p-43",
+        "0x1.6535565b96e15p-7 0x1.618610f6c0661p+0",
+        "0x1.ff0ad37317e40p-1 -0x1.63901314d8985p+0",
+        "0x1.024fd46646223p+0 -0x1.05010e83b1a0ep-7",
+        "0x1.051a3f12fd53ap+0 0x1.5f7c0ed9b902fp+0",
     )),
     (3, 5, "[S1/S1]", (
-        "-0x1.25b13d0c96518p-1 0x1.f9dc5bd655706p-5 0x1.2c909659b0a7ep+0",
-        "-0x1.fccbb7cc65e35p-2 0x1.2bcd0017d854ap-1 0x1.3ec18d0e5963dp-2",
-        "-0x1.ae34f57e895c9p-2 0x1.1bfe1d3950d92p+0 -0x1.1a5f9fa6aa980p-1",
-        "-0x1.3a5b093cd9a06p-4 -0x1.0c2f3a55d0c05p-1 0x1.b9c06628b9ff2p-1",
-        "-0x1.ecc85fd500000p-32 0x1.225d8fd680000p-31 0x1.34b940c400000p-32",
-        "0x1.3a5b093360ae7p-4 0x1.0c2f3a59e4232p-1 -0x1.b9c0662b8a35cp-1",
-        "0x1.ae34f574b8f56p-2 -0x1.1bfe1d3756ed0p+0 0x1.1a5f9fac2b115p-1",
-        "0x1.fccbb7c03a30fp-2 -0x1.2bcd000eda681p-1 -0x1.3ec18d0b8dba4p-2",
-        "0x1.25b13d07badb6p-1 -0x1.f9dc5b7d8f113p-5 -0x1.2c9096580d4f8p+0",
+        "-0x1.25b13d0caa4a2p-1 0x1.f9dc5bd5e21e1p-5 0x1.2c909659cb4c4p+0",
+        "-0x1.fccbb7cc858b8p-2 0x1.2bcd0017eafbep-1 0x1.3ec18d0e6d390p-2",
+        "-0x1.ae34f57eb2b2ap-2 0x1.1bfe1d39638e8p+0 -0x1.1a5f9fa6aef79p-1",
+        "-0x1.3a5b09371fd61p-4 -0x1.0c2f3a5d121f5p-1 0x1.b9c06630c8602p-1",
+        "-0x1.ec167b1900000p-32 0x1.21f4c3c200000p-31 0x1.3449b7c180000p-32",
+        "0x1.3a5b093319dfcp-4 0x1.0c2f3a59a7aeap-1 -0x1.b9c0662b26a47p-1",
+        "0x1.ae34f5749b5f4p-2 -0x1.1bfe1d375c080p+0 0x1.1a5f9fac59008p-1",
+        "0x1.fccbb7bd9f97fp-2 -0x1.2bcd000d50c78p-1 -0x1.3ec18d09ee563p-2",
+        "0x1.25b13d07ba8fcp-1 -0x1.f9dc5b7d979b5p-5 -0x1.2c9096580ca22p+0",
     )),
     (5, 1, "[S1/S1]", (
-        "-0x1.8c91324b247acp-1 -0x1.2144574c03bbdp-1 0x1.b402096d516cfp-3 0x1.82d459434484fp-4 "
-        "0x1.399db26b63f3dp+0",
-        "-0x1.651ee01f747eap-1 -0x1.edbd341616828p-1 0x1.05d937d5679c9p-3 0x1.d4b9989c44c6ap-4 "
-        "0x1.88d30df159f71p-2",
-        "-0x1.3dac8df296496p-1 -0x1.5d1b086f44533p+0 0x1.5ec198f27e153p-5 0x1.134f6bf9dc7d9p-3 "
-        "-0x1.d4d0adcc2c20dp-2",
-        "-0x1.3b929167daabdp-4 0x1.98f1b98f2aebfp-2 0x1.5c51a330f089bp-4 -0x1.4794fd5bc383dp-6 "
-        "0x1.aed1ddddb6114p-1",
-        "-0x1.2cc7b9c100000p-32 -0x1.9fd88b4400000p-32 0x1.b913c8ac00000p-35 0x1.8ac726a000000p-35 "
-        "0x1.4ad9853400000p-33",
-        "0x1.3b92915ffbf53p-4 -0x1.98f1b99228f0ap-2 -0x1.5c51a32fa639fp-4 0x1.4794fd61358f2p-6 "
-        "-0x1.aed1dddd62910p-1",
-        "0x1.3dac8df0f028fp-1 0x1.5d1b086f40f5bp+0 -0x1.5ec198e89a1bfp-5 -0x1.134f6bf95c53bp-3 "
-        "0x1.d4d0add51aeb8p-2",
-        "0x1.651ee01cf0290p-1 0x1.edbd3412b1f45p-1 -0x1.05d937d382abep-3 -0x1.d4b9989902970p-4 "
-        "-0x1.88d30dee4ed6ap-2",
-        "0x1.8c91324a0c574p-1 0x1.2144574a86bc8p-1 -0x1.b402096c807bfp-3 -0x1.82d45941d8177p-4 "
-        "-0x1.399db26b11eeep+0",
+        "-0x1.8c91324b128f3p-1 -0x1.2144574be6b35p-1 0x1.b402096d46ac8p-3 0x1.82d459432acdcp-4 "
+        "0x1.399db26b62632p+0",
+        "-0x1.651ee01f6802ap-1 -0x1.edbd3416053fdp-1 0x1.05d937d55e74dp-3 0x1.d4b9989c3463cp-4 "
+        "0x1.88d30df14c3b5p-2",
+        "-0x1.3dac8df280465p-1 -0x1.5d1b086f377c9p+0 0x1.5ec198f232db6p-5 0x1.134f6bf9cf45fp-3 "
+        "-0x1.d4d0adcc535e0p-2",
+        "-0x1.3b92916734e21p-4 0x1.98f1b98e4a5e9p-2 0x1.5c51a3303415fp-4 -0x1.4794fd5b0d8f7p-6 "
+        "0x1.aed1dddccc15ap-1",
+        "-0x1.2d4f5a2b00000p-32 -0x1.a09475dc00000p-32 0x1.b9da029400000p-35 0x1.8b79565800000p-35 "
+        "0x1.4b6d652200000p-33",
+        "0x1.3b92915f6fa8ep-4 -0x1.98f1b9917823ep-2 -0x1.5c51a32f0e452p-4 0x1.4794fd60a92afp-6 "
+        "-0x1.aed1dddca7012p-1",
+        "0x1.3dac8df0f5702p-1 0x1.5d1b086f57af9p+0 -0x1.5ec198e85403fp-5 -0x1.134f6bf969a2ep-3 "
+        "0x1.d4d0add58da5bp-2",
+        "0x1.651ee01c6a07dp-1 0x1.edbd3411f850cp-1 -0x1.05d937d320710p-3 -0x1.d4b99898526d5p-4 "
+        "-0x1.88d30dedbbee3p-2",
+        "0x1.8c91324a08a51p-1 0x1.2144574a74574p-1 -0x1.b402096c85397p-3 -0x1.82d45941cc626p-4 "
+        "-0x1.399db26b1b68ep+0",
     )),
 )
 
