@@ -22,6 +22,7 @@ from .errors import (
     NearSingular,
     NoncompactZeroSet,
     NonFiniteField,
+    NotAGradient,
     SliceMarginFailure,
     StabilizationFailure,
     SupportFailure,

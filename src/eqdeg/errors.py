@@ -76,9 +76,13 @@ class AffinityFailure(DegreeError, ValueError):
 
 
 class SupportFailure(DegreeError, ValueError):
-    """A local map declared that its nonlinearity writes only its leading
-    ``support`` coordinates, but f_n differs from Ax beyond them by more
+    """A local map declared ``blocks`` of its leading coordinates, but f_n
+    differs from Ax beyond them, or its Jacobian couples two blocks, by more
     than rounding at a boundary sample."""
+
+
+class NotAGradient(DegreeError):
+    """The Jacobian at a zero is not symmetric and equivariant: no gradient."""
 
 
 class NonFiniteField(DegreeError, ValueError):

@@ -48,6 +48,7 @@ from .errors import (
     EquivarianceFailure,
     NearSingular,
     NonFiniteField,
+    NotAGradient,
     StabilizationFailure,
     UnresolvedZeroCluster,
     ZeroOutsideFixedSpace,
@@ -64,6 +65,7 @@ BOUNDARY_PER_DIM = 64
 BOUNDARY_MARGIN = 1e-8         # sampled boundary |f| at or below this is a boundary zero
 SINGULAR_RATIO = 1e-9  # share of the field's scale: singular floor, affinity bound
 RESIDUAL_RATIO = 1e-8  # share of the boundary |f|: equivariance, normal-residual and reuse checks
+GRADIENT_RATIO = 1e-6  # share of |J| at a zero: the part of J that is not symmetric equivariant
 
 
 @dataclass
@@ -508,8 +510,10 @@ def grad_degree(
     declared affine is not, NonFiniteField when it is not finite at a
     boundary sample, an equivariance sample or a Newton seed,
     BoundaryZero when the sampled boundary margin collapses,
-    DegenerateZero for near-singular Hessians, UnresolvedZeroCluster when
-    Newton steps from the zeros do not settle, or two zeros that they
+    DegenerateZero for near-singular Hessians, NotAGradient when J at a
+    zero departs from its symmetric equivariant part, which the Hessian's
+    degree reads, by more than GRADIENT_RATIO |J|, UnresolvedZeroCluster
+    when Newton steps from the zeros do not settle, or two zeros that they
     bring to one point classify differently, and
     ZeroOutsideFixedSpace when a probe finds a zero orbit off the fixed
     space.
@@ -531,16 +535,28 @@ def grad_degree(
         zeros = np.zeros((1, 0))[fld.domain.contains(np.zeros((1, 0)))]
         total = basis_element(CIRCLE, FULL) if len(zeros) else ring_zero(CIRCLE)
         return (total, zeros) if return_zeros else total
+    zeros, degrees = classify_zeros(*search_zeros(fld, seed, _boundary, _off_space_proved, _fixed_zeros))
+    total = sum(degrees, ring_zero(CIRCLE))
+    return (total, zeros) if return_zeros else total
+
+
+def search_zeros(fld, seed=0, boundary=None, off_space_proved=False, fixed_zeros=None, on_boundary_ok=False):
+    """grad_degree up to its Hessians, on a domain of dimension >= 1: the field
+    over its boundary scale, its zeros, its values there on the fixed
+    coordinates and the singular floor, for ``classify_zeros`` to read.
+    ``on_boundary_ok``, set for the blocks of a split W, accepts boundary
+    samples on zeros, which the open domain leaves out and no tuple of the
+    region holds, as long as one sample gives the scale."""
     rng = np.random.default_rng(seed)
     message = f"{fld.name}: field not finite on the boundary"
-    if _boundary is None:
+    if boundary is None:
         bsamples = fld.domain.boundary_samples(BOUNDARY_PER_DIM * max(fld.domain.dim, 1), rng)
         bvalues = finite_values(fld.evaluate, bsamples, message)
     else:
-        bsamples, bvalues = _boundary
+        bsamples, bvalues = boundary
     # finite values can still overflow their norms
     bvals = finite_values(lambda V: np.linalg.norm(V, axis=1), bvalues, message)
-    if bvals.min() <= BOUNDARY_MARGIN:
+    if bvals.min() <= BOUNDARY_MARGIN and not (on_boundary_ok and bvals.max() > BOUNDARY_MARGIN):
         raise BoundaryZero(f"{fld.name}: sampled |f| = {bvals.min():.3e} <= {BOUNDARY_MARGIN:g} on the boundary")
     # f / size has f's zeros and degree, and the boundary size 1 that every
     # tolerance below reads
@@ -555,23 +571,34 @@ def grad_degree(
     # exact Jacobian, finite-difference error) could flip
     floor = SINGULAR_RATIO / fld.domain.scale
     unique = fld.affine and _unique_zero(fld, bsamples, bvalues / size, floor)
-    fixed = np.asarray(fld.layout.trivial, dtype=int)
-    if _fixed_zeros is None:
+    if fixed_zeros is None:
         zeros, values = _located_fixed_zeros(fld, unique=unique)
     else:
-        zeros = _fixed_zeros
+        zeros = fixed_zeros
         values = fld.evaluate(zeros) if len(zeros) else np.zeros_like(zeros)
         if not np.linalg.norm(values, axis=1).max(initial=0.0) <= RESIDUAL_RATIO:
             raise StabilizationFailure(f"{fld.name}: a fixed-space zero of a lower level is not a zero here")
-        values = values[:, fixed]
-    if fld.layout.pairs and not unique and not _off_space_proved:
+        values = values[:, np.asarray(fld.layout.trivial, dtype=int)]
+    if fld.layout.pairs and not unique and not off_space_proved:
         _scan_off_space_zeros(fld, rng)
+    return fld, zeros, values, floor
 
+
+def classify_zeros(fld: GradientField, zeros: np.ndarray, values: np.ndarray, floor: float) -> tuple[np.ndarray, list]:
+    """The zeros of a ``search_zeros`` that stand for all and their degrees."""
+    fixed = np.asarray(fld.layout.trivial, dtype=int)
     jacobians = _full_jacobians(fld, zeros) if len(zeros) else ()
     degrees = []
     for z, J in zip(zeros, jacobians):
+        hessian = _hessian_op(J, fld.layout)
+        # |J - H|, H the matrix of hessian: H is J's orthogonal projection, so |J|^2 - |H|^2
+        held = np.sum(hessian.trivial_block**2) + 2 * sum(np.sum(np.abs(b) ** 2) for b in hessian.mode_blocks.values())
+        drop = np.sqrt(max(np.sum(J**2) - held, 0.0))
+        if not drop <= GRADIENT_RATIO * np.linalg.norm(J):
+            what = f"J less its symmetric equivariant part reaches {drop / np.linalg.norm(J):.2e} |J|"
+            raise NotAGradient(f"{fld.name}: zero at {np.round(z, 8)}: {what}, past GRADIENT_RATIO = {GRADIENT_RATIO:g}")
         try:
-            degrees.append(linear_degree(_hessian_op(J, fld.layout), singular_floor=floor))
+            degrees.append(linear_degree(hessian, singular_floor=floor))
         except NearSingular as exc:
             raise DegenerateZero(f"{fld.name}: zero at {np.round(z, 8)}: {exc}") from exc
     if len(zeros) > 1:
@@ -580,8 +607,7 @@ def grad_degree(
         corrected[:, fixed] = _polished(fixed_space_field(fld), zeros[:, fixed], J, values)
         kept = _merged_copies(zeros, corrected, degrees, fld.name, MERGE_TOL * fld.domain.scale)
         zeros, degrees = zeros[kept], [degrees[i] for i in kept]
-    total = sum(degrees, ring_zero(CIRCLE))
-    return (total, zeros) if return_zeros else total
+    return zeros, degrees
 
 
 # ---------------------------------------------------------------------------

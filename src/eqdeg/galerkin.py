@@ -19,17 +19,18 @@ below min |f_n| / sqrt(3).  The finite-dimensional degree at the level
 reuses the same pass for its boundary checks.  Diagnostics always
 record the sample budget and the margin ratio.
 
-A map whose nonlinearity declares a ``support`` s reads and writes only
-the leading s eigencoordinates, so f_n = g_W + Ax on V_n = W + W^perp,
-with W those coordinates (widened to whole rotation planes and over the
-region's ball centers) and g_W the same field at every level n >= N.
-The zeros are then searched once per certificate, on g_W over the
-domain's section by W, and deg f_n is deg g_W times the linear degree of
-A on W^perp at each level: linear degrees multiply over block sums.
-Each level's certified pass checks the declaration: f_n must equal Ax
-on W^perp there to rounding (SupportFailure otherwise).
+A map whose nonlinearity declares ``blocks`` of the leading s
+eigencoordinates reads and writes only those, and each block only itself,
+so f_n = g_1 x .. x g_k + Ax on V_n = W + W^perp, with W those coordinates
+(blocks that share a rotation plane merged, one more block per ball center
+coordinate beyond them) and the same g_i at every level n >= N.  Each g_i
+is searched once per certificate over its block's section of the ball (W
+whole where a split cannot pay or hold), and deg f_n is the sum over the
+zero tuples in the region of the products of their blocks' degrees, times
+the linear degree of A on W^perp: degrees multiply over products (Geba,
+1997).  Each level's pass checks the blocks (SupportFailure otherwise).
 
-Without a support, a map on a RegionSpec searches its fixed space once per
+Without blocks, a map on a RegionSpec searches its fixed space once per
 certificate too.  Where shells N+1 .. n add no trivial coordinate
 (``SpectralOperator.adds_fixed``), Fix(V_n) = Fix(V_N) lies in V_N; there
 P_N P_n = P_N gives P_N f_n = f_N, and (P_n - P_N) F(x) is a fixed vector
@@ -39,7 +40,7 @@ checks that f_n vanishes there (StabilizationFailure otherwise) and takes
 their Hessians on V_n.  A loop map's fixed space, the constant loops,
 lies in shell 0; a callable region searches at every level, since its
 sections need not agree.
-``diagnostics["zeros_from"]`` records per level the level searched (N for a support).
+``diagnostics["zeros_from"]`` records per level the level searched (N for blocks).
 
 A zero of f_n off the fixed space lies on a whole orbit of zeros, which
 grad_degree rejects; a map that declares a bound L on |DF| over its region
@@ -78,6 +79,7 @@ above V_n does, so the search moves on to the next level.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -88,6 +90,7 @@ from .errors import (
     BoundaryZero,
     DegenerateZero,
     DegreeError,
+    DimensionLimit,
     MarginFailure,
     NearSingular,
     SliceMarginFailure,
@@ -102,6 +105,7 @@ from .euler_ring import (
     ring_element_from_json,
     ring_element_to_json,
     unit,
+    zero as ring_zero,
 )
 from .finite_degree import (
     BOUNDARY_MARGIN,
@@ -110,16 +114,21 @@ from .finite_degree import (
     block_diagonal_jacobian,
     blocks_from_matrix,
     check_declared,
+    classify_zeros,
     finite_values,
     grad_degree,
     linear_degree,
     restricted_field,
+    search_zeros,
 )
 from .polynomials import Polynomial
 from .reps import Rep, ShellBasis, SpectralOperator, _json_count, _json_number, shell_operator
 
 MAX_LEVEL = 10  # the automatic level search stops here
 MAX_SAMPLE_VALUES = 2**27  # float64 values one boundary pass may hold: 1 GiB
+MAX_ZERO_TUPLES = 2**24  # zero tuples one block search may combine
+TUPLE_CHUNK = 2**14  # zero tuples built at once
+SPLIT_WIDTH = 3  # the least number of coordinates W splits into its blocks from
 
 
 @dataclass(frozen=True)
@@ -174,13 +183,20 @@ def realize_region(region, basis: ShellBasis):
     return (UnionDomain if region.mode == "union" else IntersectionDomain)(balls)
 
 
+def _is_partition(blocks) -> bool:
+    """Whether ``blocks`` is a tuple of nonempty tuples of integers >= 0 (a
+    ValueError for one that is not) that partition 0 .. s-1 for some s."""
+    tuples = isinstance(blocks, tuple) and all(isinstance(b, tuple) and b for b in blocks)
+    return tuples and sorted(_json_count(i, "blocks", 0) for b in blocks for i in b) == list(range(sum(map(len, blocks))))
+
+
 # What a nonlinearity declares as attributes: name -> (default, check, what
 # the check asks).  LocalMapSpec reads and checks each of them.
 _DECLARATIONS = {
     "tail": (None, callable, "a callable tail(X, basis), a bound of |(I - P_n) F| per row"),
     "jacobian": (None, lambda v: v is None or callable(v), "a callable jacobian(X, basis, idx) or None"),
     "affine": (False, lambda v: isinstance(v, (bool, np.bool_)), "a bool"),
-    "support": (None, lambda v: v is None or _json_count(v, "support", 0) == v, "an integer >= 0 or None"),
+    "blocks": (None, lambda v: v is None or _is_partition(v), "None or a tuple of nonempty tuples that partition 0 .. s-1"),
     "lipschitz": (None, lambda v: v is None or callable(v), "a callable lipschitz(region) or None"),
 }
 
@@ -205,10 +221,11 @@ class LocalMapSpec:
       derivative of the projection on the rows and columns idx, as an
       (m, |idx|, |idx|) array;
     - ``affine``, a bool, False by default: F is affine (grad_degree checks);
-    - ``support``, an integer >= 0 (numpy integers count, bools do not), or
-      None, the default, for all of V_n: F reads and writes only the leading
-      ``support`` eigencoordinates, where the degree then searches its zeros
-      (see the module docstring); each level checks it on its boundary;
+    - ``blocks``, a tuple of nonempty tuples of coordinates (numpy integers
+      count, bools do not) that partition the leading s eigencoordinates, or
+      None, the default, for all of V_n: F reads and writes only those s, and
+      each block only itself (see the module docstring); each level checks
+      them on its boundary, so two or more blocks need ``jacobian``;
     - ``lipschitz(region)``, or None, the default: a bound L >= 0 on the
       operator norm of DF(x) in eigencoordinates, for x in the region (a
       RegionSpec) and at every level, or None for no bound.  Where L is
@@ -227,7 +244,7 @@ class LocalMapSpec:
     jacobian: Optional[Callable] = field(init=False, repr=False)
     affine: bool = field(init=False)
     tail: Callable = field(init=False, repr=False)
-    support: Optional[int] = field(init=False)
+    blocks: Optional[tuple[tuple[int, ...], ...]] = field(init=False)
     lipschitz: Optional[Callable] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -240,6 +257,8 @@ class LocalMapSpec:
             if not ok:
                 raise ValueError(f"{self.name}: {attr} must be {what}, got {value!r}")
             setattr(self, attr, value)
+        if self.blocks is not None and len(self.blocks) > 1 and self.jacobian is None:
+            raise ValueError(f"{self.name}: {len(self.blocks)} blocks need a jacobian to check them, got None")
 
     def with_region(self, region) -> "LocalMapSpec":
         return dataclasses.replace(self, region=region)
@@ -330,7 +349,7 @@ def certify_margin(
     is half its smallest sampled value and the level certifies when the
     largest sampled tail stays below epsilon.  Raises MarginFailure when it
     does not (raise n), and before drawing a sample when V_n is empty or
-    narrower than the map's declared support, BoundaryZero when a sample
+    narrower than the map's declared blocks, BoundaryZero when a sample
     sits numerically on the zero set, NonFiniteField when the field or the
     tail is not finite at a sample, and ValueError for a tail not one value
     >= 0 per sample, an n not an integer >= 0, a budget not an integer >= 1
@@ -342,8 +361,9 @@ def certify_margin(
     basis = f.operator.basis(n)
     if basis.dim == 0:
         raise MarginFailure(f"{f.name}: V_{n} is zero-dimensional; raise the level")
-    if f.support is not None and f.support > basis.dim:
-        raise MarginFailure(f"{f.name}: potential uses {f.support} coordinates, V_{n} has {basis.dim}; raise the level")
+    held = 0 if f.blocks is None else sum(map(len, f.blocks))
+    if held > basis.dim:
+        raise MarginFailure(f"{f.name}: potential uses {held} coordinates, V_{n} has {basis.dim}; raise the level")
     count = budget if budget is not None else BOUNDARY_PER_DIM * basis.dim
     if count * basis.dim > MAX_SAMPLE_VALUES:
         held = f"{count} samples at level {n} hold {count * basis.dim} values"
@@ -444,20 +464,68 @@ def _levels(f: LocalMapSpec, level, depth: int) -> range:
     return levels
 
 
-def _search_width(f: LocalMapSpec, basis: ShellBasis) -> Optional[int]:
-    """The number w of leading coordinates of V_n, the space W, that hold
-    the map's declared support, widened to a whole rotation plane and over
-    the region's ball centers, so that the domain's section by W is its
-    slice where the other coordinates vanish, and fits in V_n, since the
-    margin refuses a wider support and the region a center above V_n.
-    None, for all of V_n, without a support or with a callable region."""
-    if f.support is None or callable(f.region):
+def _search_blocks(f: LocalMapSpec, basis: ShellBasis) -> Optional[np.ndarray]:
+    """Each coordinate's block, named by one of its coordinates, in W, the
+    leading coordinates of V_n that hold the declared blocks, merged where
+    they share a rotation plane, and one block per coordinate beyond them
+    up to the last ball center (W fits in V_n: the margin refuses wider
+    blocks, the region a center above V_n).  W is one block where a split
+    cannot pay or hold: an affine W is one solve, one under SPLIT_WIDTH
+    seeds fewer points than a second search costs, and disjoint balls may
+    overlap in a block.  None, for all of V_n, without blocks or with a
+    callable region."""
+    if f.blocks is None or callable(f.region):
         return None
     centers = [int(np.flatnonzero(b.center).max(initial=-1)) + 1 for b in f.region.balls]
-    w = max([int(f.support)] + centers)
-    if any(base == w - 1 for _, base in basis.layout.pairs):
-        w += 1
-    return w
+    label = np.arange(max([sum(map(len, f.blocks))] + centers))
+    for block in f.blocks:
+        label[list(block)] = block[0]
+    for _, base in basis.layout.pairs:
+        if base == len(label) - 1:
+            label = np.append(label, label[base])
+        elif base < len(label) - 1:
+            label[label == label[base + 1]] = label[base]
+    split = not f.affine and len(label) >= SPLIT_WIDTH and len(f.region.balls) == 1
+    return label if split else np.zeros_like(label)
+
+
+def _zero_tuples(domain, blocks: list[np.ndarray], searches) -> tuple[RingElement, int]:
+    """The degree and number of zeros of a field on W that splits into
+    ``blocks``, from each block's ``search_zeros``: the zero tuples in
+    ``domain``, TUPLE_CHUNK at a time, DimensionLimit past MAX_ZERO_TUPLES.
+    Only zeros in such a tuple are classified, and each tuple weighs the
+    product of its blocks' degrees, looked up in one table per block from
+    the distinct products of the blocks before it."""
+
+    def chunks(zeros):  # which tuples of these zeros lie in the domain, and each one's rows
+        counts = [len(z) for z in zeros]
+        total = math.prod(counts)
+        if total > MAX_ZERO_TUPLES:
+            raise DimensionLimit(f"{total} zero tuples of {len(blocks)} blocks, more than MAX_ZERO_TUPLES = {MAX_ZERO_TUPLES}")
+        for start in range(0, total, TUPLE_CHUNK):
+            rows = np.arange(start, min(start + TUPLE_CHUNK, total))
+            picks, points = np.unravel_index(rows, counts) if counts else (), np.empty((len(rows), domain.dim))
+            for block, z, pick in zip(blocks, zeros, picks):
+                points[:, block] = z[pick]
+            yield domain.contains(points), picks
+
+    used = [np.zeros(len(zeros), dtype=bool) for _, zeros, _, _ in searches]
+    for inside, picks in chunks([zeros for _, zeros, _, _ in searches]):
+        for u, pick in zip(used, picks):
+            u[pick[inside]] = True
+    kept = [classify_zeros(fld, zeros[u], values[u], floor) for (fld, zeros, values, floor), u in zip(searches, used)]
+    values, tables = [unit(CIRCLE)], []
+    for _, degrees in kept:
+        index: dict = {}
+        tables.append(np.array([[index.setdefault(v * d, len(index)) for d in degrees] for v in values], dtype=int))
+        values = list(index)
+    tally = np.zeros(len(values), dtype=np.int64)
+    for inside, picks in chunks([zeros for zeros, _ in kept]):
+        code = np.zeros(len(inside), dtype=int)
+        for table, pick in zip(tables, picks):
+            code = table[code, pick]
+        tally += np.bincount(code[inside], minlength=len(values))
+    return sum((int(k) * v for k, v in zip(tally, values)), ring_zero(CIRCLE)), int(tally.sum())
 
 
 def _outside_degree(f: LocalMapSpec, basis: ShellBasis, w: int) -> RingElement:
@@ -469,7 +537,7 @@ def _outside_degree(f: LocalMapSpec, basis: ShellBasis, w: int) -> RingElement:
         return linear_degree(blocks_from_matrix(np.diag(basis.eigenvalues[w:]), rest))
     except NearSingular as exc:
         raise DegenerateZero(
-            f"{f.name}: A is singular beyond the support at level {basis.level}: {exc}"
+            f"{f.name}: A is singular beyond the blocks at level {basis.level}: {exc}"
         ) from exc
 
 
@@ -490,24 +558,26 @@ def _lipschitz_bound(f: LocalMapSpec) -> Optional[float]:
 
 def _level_degrees(
     f: LocalMapSpec, N: int, margin: Margin, *, depth: int, seed: int, budget
-) -> list[tuple[RingElement, np.ndarray, dict]]:
-    """deg(f_n), the zeros of f_n in V_n and a record, the off-space proof
-    and the level whose search gave the zeros, at n = N .. N+depth, each
-    level above N certified first.  The proof is {"proved": True, "bound":
-    L, "gap": mu_n} where the map's bound L is below ``SpectralOperator.gap``
-    (module docstring), else {"proved": False}.  Each level's degree takes
-    the field its margin certified (``Margin.field``) and the boundary
-    checks from that one pass, whatever the budget set its size to; where
-    the proof holds, it skips its off-space probes.  On a RegionSpec, a
-    level with the fixed space of the last level searched takes its zeros
-    (module docstring).  With a support, the zeros are searched once, on
-    level N's field restricted to W (``_search_width``), with level N's
-    proof; each level n checks the support on its pass (f_n = Ax beyond W,
-    SupportFailure otherwise) and multiplies that degree by the linear
-    degree of A beyond W in V_n, and its zeros are those of W with 0 beyond."""
-    w = _search_width(f, f.operator.basis(N))
+) -> list[tuple[RingElement, int, dict]]:
+    """deg(f_n), the number of zeros of f_n in V_n and a record, the
+    off-space proof and the level whose search gave the zeros, at
+    n = N .. N+depth, each level above N certified first.  The proof is
+    {"proved": True, "bound": L, "gap": mu_n} where the map's bound L is
+    below ``SpectralOperator.gap`` (module docstring), else {"proved": False}.
+    Each level's degree takes the field its margin certified
+    (``Margin.field``) and the boundary checks from that one pass, whatever
+    the budget set its size to; where the proof holds, it skips its
+    off-space probes.  On a RegionSpec, a level with the fixed space of the
+    last level searched takes its zeros (module docstring).  With blocks,
+    each block of W (``_search_blocks``) is searched once, on level N's
+    field restricted to it, with level N's proof, and each level n checks
+    them (f_n = Ax beyond them; where W splits, J is 0 between its blocks;
+    SupportFailure otherwise; without a Jacobian there is one declared block)
+    and multiplies the degree of the zero tuples in the region
+    (``_zero_tuples``) by the linear degree of A beyond W in V_n."""
+    label = _search_blocks(f, f.operator.basis(N))
     bound = _lipschitz_bound(f)
-    search = None  # (degree, zeros) of f_N restricted to W, shared by the levels
+    tuples = None  # (degree, count) of the zero tuples of f_N on W, shared by the levels
     found = None  # (level, zeros) of the last search of the fixed space
     per_level = []
     for n in range(N, N + depth + 1):
@@ -515,7 +585,7 @@ def _level_degrees(
         basis = f.operator.basis(n)
         gap = f.operator.gap(n)
         proof = {"proved": True, "bound": bound, "gap": gap} if bound is not None and bound < gap else {"proved": False}
-        if w is None:
+        if label is None:
             reuse = found is not None and not f.operator.adds_fixed(found[0], n) and not callable(f.region)
             known = np.pad(found[1], ((0, 0), (0, basis.dim - found[1].shape[1]))) if reuse else None
             degree, zeros = grad_degree(
@@ -523,20 +593,24 @@ def _level_degrees(
                 _off_space_proved=proof["proved"], _fixed_zeros=known,
             )
             found = found if reuse else (n, zeros)
-            per_level.append((degree, zeros, {"off_space": proof, "zeros_from": found[0]}))
+            per_level.append((degree, len(zeros), {"off_space": proof, "zeros_from": found[0]}))
             continue
-        claim = f"{f.name}: declared support {f.support}, but at level {n} |f_n - Ax| beyond coordinate {w}"
-        outside = level.values[:, w:] - level.samples[:, w:] * basis.eigenvalues[w:]
-        check_declared(SupportFailure, claim, outside, level.values)
-        if search is None:
-            search = grad_degree(
-                restricted_field(level.field, range(w)), seed=seed, return_zeros=True,
-                _off_space_proved=proof["proved"],
-            )
-        degree, zeros = search
-        if len(zeros):
-            degree = degree * _outside_degree(f, basis, w)
-        per_level.append((degree, np.pad(zeros, ((0, 0), (0, basis.dim - w))), {"off_space": proof, "zeros_from": N}))
+        s = sum(map(len, f.blocks))
+        claim = f"{f.name}: declared blocks {f.blocks}, but at level {n}"
+        outside = level.values[:, s:] - level.samples[:, s:] * basis.eigenvalues[s:]
+        check_declared(SupportFailure, f"{claim} |f_n - Ax| beyond coordinate {s}", outside, level.values)
+        if f.jacobian is not None and (label != label[:1]).any():  # W splits: J must be 0 between its blocks
+            J = level.field.jacobian(level.samples, np.arange(len(label))).reshape(len(level.samples), -1)
+            check_declared(SupportFailure, f"{claim} the Jacobian between blocks", J * (label[:, None] != label).ravel(), J)
+        if tuples is None:
+            blocks = [np.flatnonzero(label == k) for k in dict.fromkeys(label.tolist())]
+            how = dict(off_space_proved=proof["proved"], on_boundary_ok=len(blocks) > 1)
+            searches = [search_zeros(restricted_field(level.field, b), seed, **how) for b in blocks]
+            tuples = _zero_tuples(level.field.domain.section(range(len(label))), blocks, searches)
+        degree, count = tuples
+        if count:
+            degree = degree * _outside_degree(f, basis, len(label))
+        per_level.append((degree, count, {"off_space": proof, "zeros_from": N}))
     return per_level
 
 
@@ -565,7 +639,7 @@ def _stabilized(
         limit_class=DirectLimitClass(N, degrees[0], shells[:N]),
         diagnostics={
             "levels_checked": list(range(N, N + depth + 1)),
-            "zero_counts": [len(zeros) for _, zeros, _ in per_level],
+            "zero_counts": [count for _, count, _ in per_level],
             "sample_budget": budget or BOUNDARY_PER_DIM * f.operator.basis(N).dim,
             "margin_ratio": (tail / epsilon) if epsilon > 0 else float("inf"),
             "off_space": [record["off_space"] for _, _, record in per_level],
@@ -685,7 +759,7 @@ def zero_nonlinearity(X, basis):
 zero_nonlinearity.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.zeros(len(idx)))
 zero_nonlinearity.affine = True
 zero_nonlinearity.tail = _no_tail
-zero_nonlinearity.support = 0
+zero_nonlinearity.blocks = ()
 zero_nonlinearity.lipschitz = lambda region: 0.0
 
 
@@ -725,8 +799,9 @@ def kernel_projection_nonlinearity():
 def potential_nonlinearity(poly: Polynomial):
     """F = grad of a polynomial potential in the leading eigencoordinates
     (affine for degree <= 2); F stays in every V_n that holds those
-    coordinates, so its tail is 0, and its support is their number.  On a
-    V_n too small to hold them it raises MarginFailure ("raise the level")."""
+    coordinates, so its tail is 0, and its blocks are the connected
+    components of the variables that its terms share.  On a V_n too small
+    to hold them it raises MarginFailure ("raise the level")."""
 
     def check(basis):
         if basis.dim < poly.nvars:
@@ -756,14 +831,18 @@ def potential_nonlinearity(poly: Polynomial):
     F.jacobian = jacobian
     F.affine = poly.degree <= 2
     F.tail = _no_tail
-    F.support = poly.nvars
+    label = list(range(poly.nvars))  # each variable's block, named by its least variable
+    for exps, _ in poly.terms:
+        shared = {label[i] for i, e in enumerate(exps) if e}
+        label = [min(shared) if k in shared else k for k in label]
+    F.blocks = tuple(tuple(i for i, k in enumerate(label) if k == j) for j in dict.fromkeys(label))
     return F
 
 
 def normalization_map(op: SpectralOperator) -> LocalMapSpec:
     """The map Ax + P_0 x on the unit ball, whose degree is the ring unit.
 
-    Its nonlinearity declares no support, so its degree takes the zero
+    Its nonlinearity declares no blocks, so its degree takes the zero
     search over all of V_n, and the CLI's normalization check keeps
     exercising that unrestricted search."""
     return LocalMapSpec(

@@ -5,7 +5,7 @@ import functools
 
 def declared(nonlinearity, **declarations):
     """A nonlinearity that computes as ``nonlinearity`` does and carries its
-    attributes (``jacobian``, ``affine``, ``tail``, ``support``), with the
+    attributes (``jacobian``, ``affine``, ``tail``, ``blocks``), with the
     given ones set or replaced; the original is left as it is."""
 
     @functools.wraps(nonlinearity)

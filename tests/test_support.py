@@ -1,6 +1,6 @@
-"""Maps that declare a support: the zero search on the leading
-eigencoordinates their nonlinearity reads and writes, against the search
-over all of V_n, and the rules of the declaration."""
+"""Maps that declare blocks: the zero search, one block at a time, on the
+leading eigencoordinates their nonlinearity reads and writes, against the
+search over all of V_n, and the rules of the declaration."""
 
 import dataclasses
 import itertools
@@ -20,6 +20,7 @@ from eqdeg.galerkin import (
     LocalMapSpec,
     RegionSpec,
     _level_degrees,
+    _search_blocks,
     certify_margin,
     deg_infinite,
     direct_sum_local_maps,
@@ -136,7 +137,7 @@ def test_the_double_wells_demo_certifies_its_27_zeros(truncation):
 
 
 # ---------------------------------------------------------------------------
-# The search on the support against the search over all of V_n
+# The search by blocks against the search over all of V_n
 
 
 def equivalence_cases():
@@ -146,37 +147,52 @@ def equivalence_cases():
         json.loads((DEMO_PROBLEMS / "normalization.json").read_text())
     )[0]
     rng = np.random.default_rng(11)
-    for kernel in ("w", "lw"):
+    for kernel in ("w", "lw", "ww"):
         cases[f"kernel {kernel}"] = build_problem(kernel_problem(rng, kernel)[0])[0]
+    # a center on the trivial line of shell 1: W splits into three blocks
+    ww = cases["kernel ww"]
+    ball = ww.region.balls[0]
+    cases["kernel ww off center"] = ww.with_region(RegionSpec.ball(ball.radius, center=(0, 0, 0.1, 0, 0), center_level=1))
     return cases
 
 
 @pytest.mark.parametrize("name", sorted(equivalence_cases()))
 def test_each_level_equals_the_search_over_all_of_v_n(name):
     f = equivalence_cases()[name]
-    assert f.support is not None
+    assert f.blocks is not None
     # levels 1 and 2 while the fixed space of V_n has at most 3 dimensions,
     # where the full search seeds a full grid
     levels = [n for n in (1, 2) if len(f.operator.basis(n).layout.trivial) <= 3]
     N = levels[0]
     per_level = _level_degrees(f, N, certify_margin(f, N), depth=len(levels) - 1, seed=0, budget=None)
-    for n, (degree, zeros, _) in zip(levels, per_level):
+    # the zeros of W: the tuples in the region of each block's zeros
+    label = _search_blocks(f, f.operator.basis(N))
+    blocks = [np.flatnonzero(label == k) for k in dict.fromkeys(label.tolist())]
+    field = shell_field(f, N)
+    found = [grad_degree(restricted_field(field, b), seed=0, return_zeros=True)[1] for b in blocks]
+    zeros = np.zeros((math.prod(map(len, found)), len(label)))
+    for row, combo in enumerate(itertools.product(*found)):
+        for b, z in zip(blocks, combo):
+            zeros[row, b] = z
+    zeros = zeros[field.domain.section(range(len(label))).contains(zeros)]
+    for n, (degree, count, _) in zip(levels, per_level):
         full, full_zeros = grad_degree(shell_field(f, n), seed=0, return_zeros=True)
-        assert degree == full and len(zeros) == len(full_zeros), (name, n)
-        assert zeros.shape[1] == f.operator.basis(n).dim
+        assert degree == full and count == len(zeros) == len(full_zeros), (name, n)
+        padded = np.pad(zeros, ((0, 0), (0, f.operator.basis(n).dim - len(label))))
         order = lambda Z: Z[np.lexsort(np.round(Z, 6).T[::-1])]
-        assert np.abs(order(zeros) - order(full_zeros)).max(initial=0.0) < 1e-8, (name, n)
+        assert np.abs(order(padded) - order(full_zeros)).max(initial=0.0) < 1e-8, (name, n)
 
 
 def count_searches(monkeypatch):
+    """The dimension of each zero search the Galerkin level step runs: a
+    grad_degree over all of V_n, or a search of one block of W."""
     dims = []
-    original = eqdeg.galerkin.grad_degree
+    for name in ("grad_degree", "search_zeros"):
+        def counting(fld, *args, original=getattr(eqdeg.galerkin, name), **kwargs):
+            dims.append(fld.rep.dim)
+            return original(fld, *args, **kwargs)
 
-    def counting(fld, **kwargs):
-        dims.append(fld.rep.dim)
-        return original(fld, **kwargs)
-
-    monkeypatch.setattr(eqdeg.galerkin, "grad_degree", counting)
+        monkeypatch.setattr(eqdeg.galerkin, name, counting)
     return dims
 
 
@@ -209,9 +225,9 @@ def leaky_potential():
 
 def test_a_nonlinearity_that_writes_beyond_its_support_is_a_support_failure():
     f = LocalMapSpec(synthetic_operator_a(), leaky_potential(), RegionSpec.ball(1.5), name="leaky")
-    assert f.support is None and deg_infinite(f).value == unit_multiple(1)
-    with_support = dataclasses.replace(f, nonlinearity=declared(f.nonlinearity, support=2))
-    with pytest.raises(SupportFailure, match="leaky: declared support 2") as err:
+    assert f.blocks is None and deg_infinite(f).value == unit_multiple(1)
+    with_support = dataclasses.replace(f, nonlinearity=declared(f.nonlinearity, blocks=((0, 1),)))
+    with pytest.raises(SupportFailure, match=r"leaky: declared blocks \(\(0, 1\),\)") as err:
         deg_infinite(with_support)
     assert isinstance(err.value, DegreeError)
 
@@ -222,9 +238,31 @@ def test_a_nonlinearity_that_writes_beyond_its_support_is_a_support_failure():
 
 @pytest.mark.parametrize("support", [-1, 1.5, True, "2", np.float64(2.0)])
 def test_a_support_must_be_an_integer_at_least_zero(support):
-    with pytest.raises(ValueError, match="odd support: support must be an integer >= 0"):
-        F = declared(zero_nonlinearity, support=support)
-        LocalMapSpec(synthetic_operator_a(), F, RegionSpec.ball(1.0), name="odd support")
+    # blocks replace the support: neither a bare count nor blocks of
+    # coordinates that are not integers >= 0
+    for blocks in (support, ((support,),), ((0,), (support,))):
+        with pytest.raises(ValueError, match="odd support: blocks must be None or a tuple of nonempty tuples that partition"):
+            F = declared(zero_nonlinearity, blocks=blocks, jacobian=zero_nonlinearity.jacobian)
+            LocalMapSpec(synthetic_operator_a(), F, RegionSpec.ball(1.0), name="odd support")
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [((0,), (0, 1)), ((0,), ()), ((), (0,)), ((1,),), ((0,), (2,)), [(0,)], ((0,), [1])],
+    ids=["overlap", "empty", "empty first", "no 0", "a gap", "a list", "a list block"],
+)
+def test_blocks_must_partition_their_leading_coordinates(blocks):
+    F = declared(zero_nonlinearity, blocks=blocks, jacobian=zero_nonlinearity.jacobian)
+    with pytest.raises(ValueError, match="odd blocks: blocks must be None or a tuple of nonempty tuples that partition"):
+        LocalMapSpec(synthetic_operator_a(), F, RegionSpec.ball(1.0), name="odd blocks")
+
+
+def test_two_blocks_need_a_jacobian():
+    F = declared(zero_nonlinearity, blocks=((0,), (1,)), jacobian=None)
+    with pytest.raises(ValueError, match="no jacobian: 2 blocks need a jacobian to check them"):
+        LocalMapSpec(synthetic_operator_a(), F, RegionSpec.ball(1.0), name="no jacobian")
+    one = declared(zero_nonlinearity, blocks=((0, 1),), jacobian=None)
+    assert LocalMapSpec(synthetic_operator_a(), one, RegionSpec.ball(1.0)).blocks == ((0, 1),)
 
 
 @pytest.mark.parametrize(
@@ -242,12 +280,26 @@ def test_every_declaration_is_checked_where_the_map_is_built(declaration, value)
 def test_a_support_is_read_from_the_nonlinearity():
     poly = Polynomial.from_terms(3, [((2, 0, 0), 1.0)])
     op = synthetic_operator_a()
-    assert LocalMapSpec(op, potential_nonlinearity(poly), RegionSpec.ball(1.0)).support == 3
-    assert LocalMapSpec(op, zero_nonlinearity, RegionSpec.ball(1.0)).support == 0
-    assert LocalMapSpec(op, declared(zero_nonlinearity, support=np.int64(2)), RegionSpec.ball(1.0)).support == 2
+    assert LocalMapSpec(op, potential_nonlinearity(poly), RegionSpec.ball(1.0)).blocks == ((0,), (1,), (2,))
+    assert LocalMapSpec(op, zero_nonlinearity, RegionSpec.ball(1.0)).blocks == ()
+    two = declared(zero_nonlinearity, blocks=((np.int64(0), np.int64(1)),))
+    assert LocalMapSpec(op, two, RegionSpec.ball(1.0)).blocks == ((0, 1),)
     f = LocalMapSpec(op, zero_nonlinearity, RegionSpec.ball(1.0))
-    assert direct_sum_local_maps(f, f).support is None
-    assert normalization_map(op).support is None
+    assert direct_sum_local_maps(f, f).blocks is None
+    assert normalization_map(op).blocks is None
+
+
+@pytest.mark.parametrize(
+    "terms, blocks",
+    [
+        ([((2, 0, 0, 0), 1.0), ((0, 0, 0, 2), 1.0)], ((0,), (1,), (2,), (3,))),
+        ([((1, 0, 0, 1), 1.0), ((0, 1, 1, 0), 1.0)], ((0, 3), (1, 2))),
+        ([((1, 1, 0, 0), 1.0), ((0, 0, 1, 1), 1.0), ((0, 1, 1, 0), 1.0)], ((0, 1, 2, 3),)),
+        ([((0, 2, 0, 1), 1.0), ((4, 0, 0, 0), 1.0), ((0, 0, 3, 0), 1.0)], ((0,), (1, 3), (2,))),
+    ],
+)
+def test_a_potential_declares_the_components_of_the_variables_its_terms_share(terms, blocks):
+    assert potential_nonlinearity(Polynomial.from_terms(4, terms)).blocks == blocks
 
 
 def test_the_zero_nonlinearity_searches_no_coordinate(monkeypatch):
@@ -257,7 +309,7 @@ def test_the_zero_nonlinearity_searches_no_coordinate(monkeypatch):
     f = LocalMapSpec(op, zero_nonlinearity, RegionSpec.ball(1.0))
     full = LocalMapSpec(op, scalar_nonlinearity(0.0), RegionSpec.ball(1.0))
     assert deg_infinite(f).value == deg_infinite(full).value == unit_multiple(1)
-    assert dims[0] == 0 and len(dims) == 3  # then the two levels of the full search
+    assert len(dims) == 2  # the two levels of the full search: no block, no search
     dims.clear()
     # a ball off the origin, the one zero of Ax: W widens over its center
     off = f.with_region(RegionSpec.ball(0.5, center=(0.7, 0.0, 0.0), center_level=1))
@@ -305,7 +357,7 @@ def test_a_direct_sum_of_two_potential_maps_has_the_product_degree():
     insts = {i.name: i for i in corpus_local_maps()}
     f, g = insts["abstract-a"].build(), insts["abstract-b"].build()
     fg = direct_sum_local_maps(f, g)
-    assert fg.support is None  # the summands' coordinates interleave
+    assert fg.blocks is None  # the summands' coordinates interleave
     assert deg_infinite(fg).value == deg_infinite(f).value * deg_infinite(g).value == insts["abstract-b"].expected
 
 

@@ -153,7 +153,7 @@ def recording(f: LocalMapSpec):
         levels.append(basis.level)
         return f.nonlinearity(X, basis)
 
-    declarations = {k: getattr(f, k) for k in ("tail", "jacobian", "affine", "support")}
+    declarations = {k: getattr(f, k) for k in ("tail", "jacobian", "affine", "blocks")}
     return LocalMapSpec(f.operator, declared(F, **declarations), f.region, f.name), levels
 
 
