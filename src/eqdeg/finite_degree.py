@@ -491,15 +491,7 @@ def _unique_zero(fld: GradientField, bsamples: np.ndarray, bvalues: np.ndarray, 
 # Degree of a gradient field
 
 
-def grad_degree(
-    fld: GradientField,
-    *,
-    seed: int = 0,
-    return_zeros: bool = False,
-    _boundary: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    _off_space_proved: bool = False,
-    _fixed_zeros: Optional[np.ndarray] = None,
-):
+def grad_degree(fld: GradientField, *, seed: int = 0, return_zeros: bool = False):
     """Equivariant gradient degree over the field's domain.
 
     All zeros must be nondegenerate and lie in the fixed-point space; the
@@ -521,29 +513,29 @@ def grad_degree(
     The boundary checks run on BOUNDARY_PER_DIM seeded samples per
     dimension and the field's values there; past the boundary-zero check,
     all else runs on the field divided by the largest |f| among them, which
-    has the field's zeros and degree.  ``_boundary`` is internal: the
-    Galerkin level step passes the (samples, values) of the pass its margin
-    certificate made on this field, in place of a second pass, with as
-    many samples as its budget set.  ``_off_space_proved`` is internal
-    too: the level step sets it where its map's derivative bound proves
-    that no zero lies off the fixed space, and the probes for one are
-    skipped.  So is ``_fixed_zeros``: the level step's zeros of a lower
-    level with this fixed space, in place of a search; each must be a
-    zero here (StabilizationFailure).
+    has the field's zeros and degree (``search_zeros``, ``classify_zeros``).
     """
     if not fld.domain.dim:  # the origin, when the domain holds it, is the one zero
         zeros = np.zeros((1, 0))[fld.domain.contains(np.zeros((1, 0)))]
         total = basis_element(CIRCLE, FULL) if len(zeros) else ring_zero(CIRCLE)
         return (total, zeros) if return_zeros else total
-    zeros, degrees = classify_zeros(*search_zeros(fld, seed, _boundary, _off_space_proved, _fixed_zeros))
+    zeros, degrees = classify_zeros(*search_zeros(fld, seed=seed))
     total = sum(degrees, ring_zero(CIRCLE))
     return (total, zeros) if return_zeros else total
 
 
-def search_zeros(fld, seed=0, boundary=None, off_space_proved=False, fixed_zeros=None, on_boundary_ok=False):
+def search_zeros(fld, *, seed=0, boundary=None, off_space_proved=False, fixed_zeros=None, on_boundary_ok=False):
     """grad_degree up to its Hessians, on a domain of dimension >= 1: the field
     over its boundary scale, its zeros, its values there on the fixed
     coordinates and the singular floor, for ``classify_zeros`` to read.
+
+    ``boundary``, the (samples, values) of a pass already made on this
+    field, such as a Galerkin level's margin pass, stands in for the
+    field's own pass, with as many samples as it holds.
+    ``off_space_proved``, set where a derivative bound proves that no zero
+    lies off the fixed space, skips the probes for one.  ``fixed_zeros``,
+    the zeros of a lower level with this fixed space, stand in for the
+    search; each must be a zero here (StabilizationFailure).
     ``on_boundary_ok``, set for the blocks of a split W, accepts boundary
     samples on zeros, which the open domain leaves out and no tuple of the
     region holds, as long as one sample gives the scale."""

@@ -28,7 +28,10 @@ is searched once per certificate over its block's section of the ball (W
 whole where a split cannot pay or hold), and deg f_n is the sum over the
 zero tuples in the region of the products of their blocks' degrees, times
 the linear degree of A on W^perp: degrees multiply over products (Geba,
-1997).  Each level's pass checks the blocks (SupportFailure otherwise).
+1997).  W splits on one ball only, whose squared graph distance from the
+center is the sum of its blocks' ones, so the tuples are counted block by
+block by their running distance.  Each level's pass checks the blocks
+(SupportFailure otherwise).
 
 Without blocks, a map on a RegionSpec searches its fixed space once per
 certificate too.  Where shells N+1 .. n add no trivial coordinate
@@ -43,7 +46,7 @@ sections need not agree.
 ``diagnostics["zeros_from"]`` records per level the level searched (N for blocks).
 
 A zero of f_n off the fixed space lies on a whole orbit of zeros, which
-grad_degree rejects; a map that declares a bound L on |DF| over its region
+the zero search rejects; a map that declares a bound L on |DF| over its region
 (``lipschitz``) proves there is none at a level n where L < mu_n, the
 least |eigenvalue| of A on the rotation planes of V_n (``SpectralOperator.gap``).
 Write x = x_F + x_N with x_F the fixed part of x in V_n.  Ball centers lie
@@ -79,7 +82,6 @@ above V_n does, so the search moves on to the next level.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -116,7 +118,6 @@ from .finite_degree import (
     check_declared,
     classify_zeros,
     finite_values,
-    grad_degree,
     linear_degree,
     restricted_field,
     search_zeros,
@@ -126,8 +127,7 @@ from .reps import Rep, ShellBasis, SpectralOperator, _json_count, _json_number, 
 
 MAX_LEVEL = 10  # the automatic level search stops here
 MAX_SAMPLE_VALUES = 2**27  # float64 values one boundary pass may hold: 1 GiB
-MAX_ZERO_TUPLES = 2**24  # zero tuples one block search may combine
-TUPLE_CHUNK = 2**14  # zero tuples built at once
+MAX_ZERO_TUPLES = 2**24  # rows of zero tuples one count of a split W may build
 SPLIT_WIDTH = 3  # the least number of coordinates W splits into its blocks from
 
 
@@ -489,42 +489,39 @@ def _search_blocks(f: LocalMapSpec, basis: ShellBasis) -> Optional[np.ndarray]:
     return label if split else np.zeros_like(label)
 
 
-def _zero_tuples(domain, blocks: list[np.ndarray], searches) -> tuple[RingElement, int]:
+def _zero_tuples(searches) -> tuple[RingElement, int]:
     """The degree and number of zeros of a field on W that splits into
-    ``blocks``, from each block's ``search_zeros``: the zero tuples in
-    ``domain``, TUPLE_CHUNK at a time, DimensionLimit past MAX_ZERO_TUPLES.
-    Only zeros in such a tuple are classified, and each tuple weighs the
-    product of its blocks' degrees, looked up in one table per block from
-    the distinct products of the blocks before it."""
+    blocks over one ball, from each block's ``search_zeros`` on its section
+    of the ball: the zero tuples whose squared graph distances from the
+    center, one per block, add up to less than the squared radius.  A zero
+    is classified only where its distance and the other blocks' nearest do.
+    The tuples are built block by block as rows of (running distance, code
+    of the product of their degrees, looked up in one table per block from
+    the distinct products of the blocks before it), a row dropped once its
+    distance reaches the squared radius; DimensionLimit past MAX_ZERO_TUPLES
+    rows."""
 
-    def chunks(zeros):  # which tuples of these zeros lie in the domain, and each one's rows
-        counts = [len(z) for z in zeros]
-        total = math.prod(counts)
-        if total > MAX_ZERO_TUPLES:
-            raise DimensionLimit(f"{total} zero tuples of {len(blocks)} blocks, more than MAX_ZERO_TUPLES = {MAX_ZERO_TUPLES}")
-        for start in range(0, total, TUPLE_CHUNK):
-            rows = np.arange(start, min(start + TUPLE_CHUNK, total))
-            picks, points = np.unravel_index(rows, counts) if counts else (), np.empty((len(rows), domain.dim))
-            for block, z, pick in zip(blocks, zeros, picks):
-                points[:, block] = z[pick]
-            yield domain.contains(points), picks
+    def distances(fld, zeros):
+        return np.sum(fld.domain.weights * (zeros - fld.domain.center) ** 2, axis=1)
 
-    used = [np.zeros(len(zeros), dtype=bool) for _, zeros, _, _ in searches]
-    for inside, picks in chunks([zeros for _, zeros, _, _ in searches]):
-        for u, pick in zip(used, picks):
-            u[pick[inside]] = True
-    kept = [classify_zeros(fld, zeros[u], values[u], floor) for (fld, zeros, values, floor), u in zip(searches, used)]
-    values, tables = [unit(CIRCLE)], []
-    for _, degrees in kept:
+    near = [distances(fld, zeros).min(initial=np.inf) for fld, zeros, _, _ in searches]
+    kept = []
+    for i, (fld, zeros, values, floor) in enumerate(searches):
+        used = distances(fld, zeros) + sum(near[:i] + near[i + 1 :]) < fld.domain.radius**2
+        kept.append((fld, *classify_zeros(fld, zeros[used], values[used], floor)))
+    values, reach, code = [unit(CIRCLE)], np.zeros(1), np.zeros(1, dtype=int)
+    for fld, zeros, degrees in kept:
         index: dict = {}
-        tables.append(np.array([[index.setdefault(v * d, len(index)) for d in degrees] for v in values], dtype=int))
-        values = list(index)
-    tally = np.zeros(len(values), dtype=np.int64)
-    for inside, picks in chunks([zeros for zeros, _ in kept]):
-        code = np.zeros(len(inside), dtype=int)
-        for table, pick in zip(tables, picks):
-            code = table[code, pick]
-        tally += np.bincount(code[inside], minlength=len(values))
+        rows = [[index.setdefault(v * d, len(index)) for d in degrees] for v in values]
+        table, values = np.array(rows, dtype=int).reshape(len(values), len(degrees)), list(index)
+        total = len(reach) * len(zeros)
+        if total > MAX_ZERO_TUPLES:
+            raise DimensionLimit(f"{total} zero tuples of {len(kept)} blocks, more than MAX_ZERO_TUPLES = {MAX_ZERO_TUPLES}")
+        reach = (reach[:, None] + distances(fld, zeros)).ravel()
+        inside = reach < fld.domain.radius**2
+        code = table[code].ravel()[inside]  # one step at a time: the peak holds fewer rows
+        reach = reach[inside]
+    tally = np.bincount(code, minlength=len(values))
     return sum((int(k) * v for k, v in zip(tally, values)), ring_zero(CIRCLE)), int(tally.sum())
 
 
@@ -564,17 +561,19 @@ def _level_degrees(
     n = N .. N+depth, each level above N certified first.  The proof is
     {"proved": True, "bound": L, "gap": mu_n} where the map's bound L is
     below ``SpectralOperator.gap`` (module docstring), else {"proved": False}.
-    Each level's degree takes the field its margin certified
-    (``Margin.field``) and the boundary checks from that one pass, whatever
-    the budget set its size to; where the proof holds, it skips its
-    off-space probes.  On a RegionSpec, a level with the fixed space of the
-    last level searched takes its zeros (module docstring).  With blocks,
-    each block of W (``_search_blocks``) is searched once, on level N's
-    field restricted to it, with level N's proof, and each level n checks
-    them (f_n = Ax beyond them; where W splits, J is 0 between its blocks;
-    SupportFailure otherwise; without a Jacobian there is one declared block)
-    and multiplies the degree of the zero tuples in the region
-    (``_zero_tuples``) by the linear degree of A beyond W in V_n."""
+    Every level takes its zeros and their degrees from ``search_zeros`` and
+    ``classify_zeros``.  Without blocks, the search runs on the field its
+    margin certified (``Margin.field``) with the boundary values of that one
+    pass, whatever the budget set its size to, and skips its off-space
+    probes where the proof holds; on a RegionSpec, a level with the fixed
+    space of the last level searched takes its zeros (module docstring).
+    With blocks, each block of W (``_search_blocks``) is searched once, on
+    level N's field restricted to it, with level N's proof, and each level
+    n checks them (f_n = Ax beyond them; where W splits, J is 0 between its
+    blocks; SupportFailure otherwise; without a Jacobian there is one
+    declared block) and multiplies the degree of the zero tuples in the
+    region (``_zero_tuples``, or W's zeros where it is one block) by the
+    linear degree of A beyond W in V_n."""
     label = _search_blocks(f, f.operator.basis(N))
     bound = _lipschitz_bound(f)
     tuples = None  # (degree, count) of the zero tuples of f_N on W, shared by the levels
@@ -588,12 +587,12 @@ def _level_degrees(
         if label is None:
             reuse = found is not None and not f.operator.adds_fixed(found[0], n) and not callable(f.region)
             known = np.pad(found[1], ((0, 0), (0, basis.dim - found[1].shape[1]))) if reuse else None
-            degree, zeros = grad_degree(
-                level.field, seed=seed, return_zeros=True, _boundary=(level.samples, level.values),
-                _off_space_proved=proof["proved"], _fixed_zeros=known,
-            )
+            boundary = (level.samples, level.values)
+            zeros, degrees = classify_zeros(*search_zeros(
+                level.field, seed=seed, boundary=boundary, off_space_proved=proof["proved"], fixed_zeros=known
+            ))
             found = found if reuse else (n, zeros)
-            per_level.append((degree, len(zeros), {"off_space": proof, "zeros_from": found[0]}))
+            per_level.append((sum(degrees, ring_zero(CIRCLE)), len(zeros), {"off_space": proof, "zeros_from": found[0]}))
             continue
         s = sum(map(len, f.blocks))
         claim = f"{f.name}: declared blocks {f.blocks}, but at level {n}"
@@ -605,8 +604,12 @@ def _level_degrees(
         if tuples is None:
             blocks = [np.flatnonzero(label == k) for k in dict.fromkeys(label.tolist())]
             how = dict(off_space_proved=proof["proved"], on_boundary_ok=len(blocks) > 1)
-            searches = [search_zeros(restricted_field(level.field, b), seed, **how) for b in blocks]
-            tuples = _zero_tuples(level.field.domain.section(range(len(label))), blocks, searches)
+            searches = [search_zeros(restricted_field(level.field, b), seed=seed, **how) for b in blocks]
+            if len(blocks) == 1:  # W searched whole: its zeros are the tuples
+                zeros, degrees = classify_zeros(*searches[0])
+                tuples = sum(degrees, ring_zero(CIRCLE)), len(zeros)
+            else:
+                tuples = _zero_tuples(searches)
         degree, count = tuples
         if count:
             degree = degree * _outside_degree(f, basis, len(label))

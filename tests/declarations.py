@@ -2,6 +2,8 @@
 
 import functools
 
+import eqdeg.galerkin
+
 
 def declared(nonlinearity, **declarations):
     """A nonlinearity that computes as ``nonlinearity`` does and carries its
@@ -14,3 +16,16 @@ def declared(nonlinearity, **declarations):
 
     vars(F).update(declarations)
     return F
+
+
+def count_searches(monkeypatch):
+    """The dimension of each zero search the Galerkin level step runs: over
+    all of V_n, or over one block of W."""
+    dims = []
+
+    def counting(fld, *args, original=eqdeg.galerkin.search_zeros, **kwargs):
+        dims.append(fld.rep.dim)
+        return original(fld, *args, **kwargs)
+
+    monkeypatch.setattr(eqdeg.galerkin, "search_zeros", counting)
+    return dims

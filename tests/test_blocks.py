@@ -3,6 +3,7 @@ searched on its own, the zero tuples in the region are counted with the
 products of their blocks' degrees, and every level checks the declaration."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,23 +11,24 @@ import pytest
 
 import eqdeg.galerkin
 from eqdeg.cli import EXIT_CERTIFICATION, EXIT_OK, build_problem, main
-from eqdeg.errors import DimensionLimit, SupportFailure
+from eqdeg.errors import DimensionLimit, SupportFailure, UnresolvedZeroCluster
 from eqdeg.euler_ring import CIRCLE, FULL, RingElement, SubgroupClass
 from eqdeg.galerkin import LocalMapSpec, RegionSpec, deg_infinite, potential_nonlinearity
 from eqdeg.polynomials import Polynomial
 from eqdeg.reps import Rep, SpectralOperator
 from eqdeg.selftest import synthetic_operator_a
 
-from declarations import declared
+from declarations import count_searches, declared
 
 DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def separable_wells(d):
     """``double_wells.json`` with d kernel variables, -x^4/4 + a x^2 on each,
-    radius 2.9, the a drawn from [0.15, 0.3] by one default_rng(5) over
-    d = 3 .. 9 in that order: all 3^d zeros lie in the ball, and the degree
-    is [S1/S1]."""
+    radius 2.9, the a the last of the draws of n values from [0.15, 0.3]
+    that one default_rng(5) makes for n = 3 .. d in that order, so that the
+    wells of each d are the CI step's: all 3^d zeros lie in the ball (for d
+    up to 17 at least), and the degree is [S1/S1]."""
     rng = np.random.default_rng(5)
     for n in range(3, d + 1):
         wells = rng.uniform(0.15, 0.3, size=n)
@@ -43,15 +45,34 @@ def separable_wells(d):
     return problem
 
 
-@pytest.mark.parametrize("d", [5, 6, 7, 8, 9])
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 12])
 def test_separable_wells_certify_through_the_command_line(tmp_path, capsys, d):
     # one seed grid over all d variables found only some of the 3^d zeros:
-    # 7, -10, -3, -4 and -3 [S1/S1] at d = 5 .. 9, each with exit 0
+    # 7, -10, -3, -4 and -3 [S1/S1] at d = 5 .. 9, each with exit 0; at
+    # d = 12 the 3^12 tuples are counted by their running distance
     path = tmp_path / "wells.json"
     path.write_text(json.dumps(separable_wells(d)))
     assert main(["compute", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "degree     : [S1/S1]\n" in out
+    assert out.count(": pass\n") == 3
+
+
+def test_equal_wells_past_the_tuple_budget_count_only_the_tuples_in_the_ball(tmp_path, capsys):
+    # 16 wells -x^4/4 + x^2/4, zeros 0 and +-1/sqrt(2) with indices -1 and +1:
+    # of the 3^16 tuples, more than MAX_ZERO_TUPLES, those with k nonzero
+    # coordinates lie at squared distance k / 2 from the center
+    problem = separable_wells(16)
+    for term in problem["nonlinearity"]["terms"]:
+        term["coeff"] = 0.25 if 2 in term["exps"] else -0.25
+    problem["radius"] = 1.17
+    path = tmp_path / "wells.json"
+    path.write_text(json.dumps(problem))
+    degree = sum(math.comb(16, k) * 2**k * (-1) ** (16 - k) for k in range(17) if k / 2 < 1.17**2)
+    assert degree == 449
+    assert main(["compute", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"degree     : {RingElement.make(CIRCLE, {FULL: degree})}\n" in out
     assert out.count(": pass\n") == 3
 
 
@@ -71,27 +92,6 @@ def test_tuples_past_the_budget_are_a_dimension_limit(tmp_path, capsys, monkeypa
     path.write_text(json.dumps(separable_wells(5)))
     assert main(["compute", str(path)]) == EXIT_CERTIFICATION
     assert "(DimensionLimit)" in capsys.readouterr().err
-
-
-def test_chunks_of_tuples_count_as_one_pass(monkeypatch):
-    f, _ = build_problem(separable_wells(5))
-    whole = deg_infinite(f)
-    monkeypatch.setattr(eqdeg.galerkin, "TUPLE_CHUNK", 7)
-    chunked = deg_infinite(f)
-    assert (chunked.value, chunked.diagnostics["zero_counts"]) == (whole.value, whole.diagnostics["zero_counts"])
-
-
-def count_searches(monkeypatch):
-    """The dimension of each zero search the Galerkin level step runs: a
-    grad_degree over all of V_n, or a search of one block of W."""
-    dims = []
-    for name in ("grad_degree", "search_zeros"):
-        def counting(fld, *args, original=getattr(eqdeg.galerkin, name), **kwargs):
-            dims.append(fld.rep.dim)
-            return original(fld, *args, **kwargs)
-
-        monkeypatch.setattr(eqdeg.galerkin, name, counting)
-    return dims
 
 
 def plane_kernel_map(radius=1.6):
@@ -157,30 +157,40 @@ def test_a_map_without_a_jacobian_declares_one_block_and_searches_beyond_it(monk
     assert dims == [2, 1, 1, 1, 1]
 
 
-OUT_OF_THE_REGION = {
+DEGENERATE_WELL = [((1, 0, 0), -0.7), ((2, 0, 0), 0.5), ((0, 4, 0), 0.25), ((0, 3, 0), -2 / 3), ((0, 2, 0), 0.5), ((0, 0, 2), 0.5)]
+
+OUT_OF_THE_REGION = {  # case -> (terms, radius, (multiple, count) or the error of both searches)
     # x_0 - 0.7, x_1 (x_1 - 1)^2 and x_2: the degenerate zero x_1 = 1 lies in
     # the projection of the ball, but its one tuple (0.7, 1, 0) outside
-    "a degenerate zero": (
-        [((1, 0, 0), -0.7), ((2, 0, 0), 0.5), ((0, 4, 0), 0.25), ((0, 3, 0), -2 / 3), ((0, 2, 0), 0.5), ((0, 0, 2), 0.5)],
-        -1, 1,
-    ),
+    "a degenerate zero": (DEGENERATE_WELL, 1.2, (-1, 1)),
     # x_0 - 1.2, x_1 - 0.5 and x_2 + x_2^3: the zero x_0 = 1.2 lies on the
     # boundary of the projection, and its one tuple (1.2, 0.5, 0) outside
     "a zero on the boundary of the projection": (
         [((2, 0, 0), 0.5), ((1, 0, 0), -1.2), ((0, 2, 0), 0.5), ((0, 1, 0), -0.5), ((0, 0, 2), 0.5), ((0, 0, 4), 0.25)],
-        0, 0,
+        1.2, (0, 0),
     ),
+    # the other side: at radius 1.5 the tuple (0.7, 1, 0) lies inside, and
+    # its degenerate zero x_1 = 1, not its block's nearest, is classified
+    "a degenerate zero in a tuple of the region": (DEGENERATE_WELL, 1.5, UnresolvedZeroCluster),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_THE_REGION))
 def test_a_block_zero_in_no_tuple_of_the_region_raises_nothing(monkeypatch, case):
-    # on the ball of radius 1.2, as the search of W whole finds
-    terms, multiple, count = OUT_OF_THE_REGION[case]
+    # as the search of W whole finds; a zero in a tuple of the region raises
+    terms, radius, expected = OUT_OF_THE_REGION[case]
     F = potential_nonlinearity(Polynomial.from_terms(3, terms))
     op = SpectralOperator.from_eigenvalues([(0.0, Rep(3))] + [(s * (n - 0.3), Rep(1)) for n in (1, 2, 3) for s in (-1, 1)])
-    f = LocalMapSpec(op, F, RegionSpec.ball(1.2), name="block zero")
+    f = LocalMapSpec(op, F, RegionSpec.ball(radius), name="block zero")
     dims = count_searches(monkeypatch)
+    if isinstance(expected, type):
+        for width in (3, 4):  # SPLIT_WIDTH: W split, then W searched whole
+            monkeypatch.setattr(eqdeg.galerkin, "SPLIT_WIDTH", width)
+            with pytest.raises(expected):
+                deg_infinite(f)
+        assert dims == [1, 1, 1, 3]
+        return
+    multiple, count = expected
     split = deg_infinite(f)
     assert dims == [1, 1, 1]
     monkeypatch.setattr(eqdeg.galerkin, "SPLIT_WIDTH", 4)  # W searched whole

@@ -305,7 +305,7 @@ def short_table(last=3):
 
 
 def no_degree(*args, **kwargs):
-    raise AssertionError("grad_degree ran")
+    raise AssertionError("a zero search ran")
 
 
 def halve(X, basis):
@@ -317,7 +317,7 @@ def test_a_spectrum_too_short_for_its_reference_shells_fails_before_any_degree(m
     # at depth 3, level 1 would need level 4 certified, and the table ends
     # at shell 3
     f = LocalMapSpec(short_table(), declared(halve, tail=zero_tail), RegionSpec.ball(1.0), name="short")
-    monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
+    monkeypatch.setattr(eqdeg.galerkin, "search_zeros", no_degree)
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
         deg_infinite(f, stabilization_depth=3)
     # an otopy certifies at depth 1, so level 1 needs shell 2
@@ -328,7 +328,7 @@ def test_a_spectrum_too_short_for_its_reference_shells_fails_before_any_degree(m
 
 def test_an_explicit_level_on_a_short_spectrum_fails_before_any_degree(monkeypatch):
     f = LocalMapSpec(short_table(), declared(halve, tail=zero_tail), RegionSpec.ball(1.0), name="short")
-    monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
+    monkeypatch.setattr(eqdeg.galerkin, "search_zeros", no_degree)
     with pytest.raises(MarginFailure, match="the declared spectrum is too short"):
         deg_infinite(f, level=3)
     # level 2 at depth 2 needs shell 4
@@ -428,7 +428,7 @@ def test_the_sample_bound_counts_samples_times_the_dimension(monkeypatch):
     ],
 )
 def test_levels_depths_and_budgets_must_be_integers_in_range(monkeypatch, name, value):
-    monkeypatch.setattr(eqdeg.galerkin, "grad_degree", no_degree)
+    monkeypatch.setattr(eqdeg.galerkin, "search_zeros", no_degree)
     f = half_shift_map()
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         deg_infinite(f, **{name: value})

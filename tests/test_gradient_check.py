@@ -9,7 +9,7 @@ from eqdeg import finite_degree
 from eqdeg.domains import Ball
 from eqdeg.errors import DegreeError, NotAGradient
 from eqdeg.euler_ring import CIRCLE, unit
-from eqdeg.finite_degree import GRADIENT_RATIO, GradientField, brouwer_oracle, grad_degree
+from eqdeg.finite_degree import GRADIENT_RATIO, GradientField, brouwer_oracle, classify_zeros, grad_degree, search_zeros
 from eqdeg.galerkin import LocalMapSpec, RegionSpec, deg_infinite, potential_nonlinearity
 from eqdeg.polynomials import Polynomial
 from eqdeg.reps import Rep
@@ -37,7 +37,7 @@ def test_a_symmetric_jacobian_that_is_not_complex_linear_on_a_plane_is_refused(m
     flip = np.diag([1.0, -1.0])
     fld = GradientField(Rep(0, ((1, 1),)), lambda X: np.atleast_2d(X) @ flip, Ball(np.zeros(2), 1.0), name="flip")
     with pytest.raises(NotAGradient, match="flip: zero at"):
-        grad_degree(fld, _off_space_proved=True)
+        classify_zeros(*search_zeros(fld, off_space_proved=True))
 
 
 def rotating_potential(eps):

@@ -34,7 +34,7 @@ from eqdeg.polynomials import Polynomial
 from eqdeg.reps import Layout, Rep, SpectralOperator
 from eqdeg.selftest import corpus_local_maps, synthetic_operator_a
 
-from declarations import declared
+from declarations import count_searches, declared
 
 DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 SHRINK = 0.9  # the CLI's restriction check shrinks the ball by this factor
@@ -181,19 +181,6 @@ def test_each_level_equals_the_search_over_all_of_v_n(name):
         padded = np.pad(zeros, ((0, 0), (0, f.operator.basis(n).dim - len(label))))
         order = lambda Z: Z[np.lexsort(np.round(Z, 6).T[::-1])]
         assert np.abs(order(padded) - order(full_zeros)).max(initial=0.0) < 1e-8, (name, n)
-
-
-def count_searches(monkeypatch):
-    """The dimension of each zero search the Galerkin level step runs: a
-    grad_degree over all of V_n, or a search of one block of W."""
-    dims = []
-    for name in ("grad_degree", "search_zeros"):
-        def counting(fld, *args, original=getattr(eqdeg.galerkin, name), **kwargs):
-            dims.append(fld.rep.dim)
-            return original(fld, *args, **kwargs)
-
-        monkeypatch.setattr(eqdeg.galerkin, name, counting)
-    return dims
 
 
 def test_the_levels_of_a_certificate_share_one_restricted_search(monkeypatch):

@@ -12,8 +12,8 @@ import eqdeg.finite_degree as finite_degree
 from eqdeg.cli import EXIT_CERTIFICATION, main
 from eqdeg.domains import Ball
 from eqdeg.errors import EquivarianceFailure, MarginFailure, StabilizationFailure
-from eqdeg.euler_ring import CIRCLE, unit
-from eqdeg.finite_degree import GradientField, grad_degree
+from eqdeg.euler_ring import CIRCLE, unit, zero as ring_zero
+from eqdeg.finite_degree import GradientField, classify_zeros, grad_degree, search_zeros
 from eqdeg.galerkin import (
     LocalMapSpec,
     RegionSpec,
@@ -88,7 +88,8 @@ def test_reused_zeros_equal_a_fresh_search_at_each_level():
     for n in (2, 3):
         fld = shell_field(f, n)
         known = np.pad(base, ((0, 0), (0, fld.rep.dim - base.shape[1])))
-        degree, zeros = grad_degree(fld, return_zeros=True, _fixed_zeros=known)
+        zeros, degrees = classify_zeros(*search_zeros(fld, fixed_zeros=known))
+        degree = sum(degrees, ring_zero(CIRCLE))
         fresh_degree, fresh = grad_degree(fld, return_zeros=True)
         assert degree == fresh_degree
         assert zeros.shape == fresh.shape and np.abs(zeros - fresh).max() < 1e-8
