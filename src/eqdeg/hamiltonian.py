@@ -3,7 +3,9 @@
 On the loop space L^2(S^1, R^{2n}) the operator Az = -J dz/dt (J the
 standard symplectic matrix) is equivariant for the time-shift circle
 action and has spectrum Z: the kernel consists of constant loops and the
-eigenvalues +-k pair the mode-k Fourier coefficients.  A 2*pi*lambda
+eigenvalues +-k pair the mode-k Fourier coefficients.  One orthogonal Q
+(``_mode_transform``) takes a mode's eigencoordinates to them, and one
+product with Q or Q^T converts every mode of a batch.  A 2*pi*lambda
 periodic solution of dz/dt = J grad H(z) corresponds to a zero of
 f(z) = Az - lambda * grad H(z), so a nonzero stabilized degree of f on an
 invariant ball certifies existence.
@@ -37,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -101,38 +103,18 @@ def loop_operator(dof: int) -> SpectralOperator:
 
 @lru_cache(maxsize=None)
 def _mode_transform(dof: int) -> np.ndarray:
-    """Orthogonal map from shell-k eigencoordinates to Fourier (cos, sin)
-    coordinates; the same matrix works for every k.
-
-    Columns are the +-k eigenvectors of -J d/dt on the span of
-    cos(kt) a + sin(kt) b, paired and oriented so that the time-shift
-    action is rotation by +k*theta on each consecutive coordinate pair.
-    """
-    n2 = 2 * dof
-    J = symplectic_matrix(dof)
-    Q = np.zeros((2 * n2, 2 * n2))
-    col = 0
-    s = 1.0 / math.sqrt(2.0)
-    for j in range(n2 // 2):
-        e = np.zeros(n2)
-        e[j] = 1.0
-        Je = J @ e
-        # eigenvalue -k block: pair ((Je, e), (e, -Je)) / sqrt(2)
-        Q[:n2, col] = s * Je
-        Q[n2:, col] = s * e
-        Q[:n2, col + 1] = s * e
-        Q[n2:, col + 1] = -s * Je
-        col += 2
-    for j in range(n2 // 2):
-        e = np.zeros(n2)
-        e[j] = 1.0
-        Je = J @ e
-        # eigenvalue +k block: pair ((e, Je), (Je, -e)) / sqrt(2)
-        Q[:n2, col] = s * e
-        Q[n2:, col] = s * Je
-        Q[:n2, col + 1] = s * Je
-        Q[n2:, col + 1] = -s * e
-        col += 2
+    """Orthogonal map Q, read-only, from shell-k eigencoordinates to the Fourier
+    coordinates (a, b) of cos(kt) a + sin(kt) b, the same for every k.  With
+    e_j (j < dof) the first unit vectors of R^{2 dof}, columns 2j, 2j + 1 are
+    the -k eigenvectors ((Je_j, e_j), (e_j, -Je_j)) / sqrt(2), then columns
+    2 dof + 2j, 2 dof + 2j + 1 the +k ones ((e_j, Je_j), (Je_j, -e_j)) / sqrt(2):
+    the time shift by theta rotates each such pair by +k*theta."""
+    E = np.eye(2 * dof)[:, :dof]
+    JE = symplectic_matrix(dof) @ E
+    first = np.block([[JE, E], [E, JE]])  # first column of each pair: -k pairs, then +k
+    second = np.block([[E, JE], [-JE, -E]])
+    Q = np.stack([first, second], axis=-1).reshape(4 * dof, 4 * dof) / math.sqrt(2.0)
+    Q.setflags(write=False)
     return Q
 
 
@@ -200,52 +182,43 @@ def _grid_values(c0: np.ndarray, C: np.ndarray, S: np.ndarray, size: int) -> np.
 
 
 def _fourier_batches(X: np.ndarray, dof: int, level: int):
-    """Split (m, dim V_level) eigencoordinates into classical Fourier data."""
+    """Split (m, dim V_level) eigencoordinates into classical Fourier data:
+    constant terms (m, 2dof) and mode coefficients C, S (m, level, 2dof)."""
     n2 = 2 * dof
-    Q = _mode_transform(dof)
-    m = len(X)
-    c0 = X[:, :n2] / math.sqrt(2.0 * math.pi)
-    C = np.zeros((m, level, n2))
-    S = np.zeros((m, level, n2))
-    sp = math.sqrt(math.pi)
-    for k in range(1, level + 1):
-        off = n2 + 2 * n2 * (k - 1)
-        ab = X[:, off : off + 2 * n2] @ Q.T
-        C[:, k - 1, :] = ab[:, :n2] / sp
-        S[:, k - 1, :] = ab[:, n2:] / sp
-    return c0, C, S
+    ab = (X[:, n2:].reshape(len(X), level, 2 * n2) @ _mode_transform(dof).T) / math.sqrt(math.pi)
+    return X[:, :n2] / math.sqrt(2.0 * math.pi), ab[..., :n2], ab[..., n2:]
 
 
 def _coords_batches(c0: np.ndarray, C: np.ndarray, S: np.ndarray, dof: int) -> np.ndarray:
-    n2 = 2 * dof
-    Q = _mode_transform(dof)
-    m, level = C.shape[0], C.shape[1]
-    out = np.zeros((m, n2 + 2 * n2 * level))
-    out[:, :n2] = c0 * math.sqrt(2.0 * math.pi)
-    sp = math.sqrt(math.pi)
-    for k in range(1, level + 1):
-        ab = np.concatenate([sp * C[:, k - 1, :], sp * S[:, k - 1, :]], axis=1)
-        out[:, n2 + 2 * n2 * (k - 1) : n2 + 2 * n2 * k] = ab @ Q
-    return out
+    """The eigencoordinates of Fourier data, inverse to ``_fourier_batches``."""
+    ab = (math.sqrt(math.pi) * np.concatenate([C, S], axis=2)) @ _mode_transform(dof)
+    return np.concatenate([c0 * math.sqrt(2.0 * math.pi), ab.reshape(len(C), -1)], axis=1)
+
+
+def _check_fit(count: int, dof: int, basis: ShellBasis):
+    """A ValueError unless count = basis.dim = 2 dof (2 level + 1)."""
+    dim = 2 * dof * (2 * basis.level + 1)
+    if not count == dim == basis.dim:
+        raise ValueError(
+            f"{count} coordinates of dof-{dof} loops (dimension {dim} at level {basis.level}) "
+            f"do not fit a basis of dimension {basis.dim}"
+        )
 
 
 def state_to_coords(state: LoopState, basis: ShellBasis) -> np.ndarray:
     """Eigencoordinates of a loop state in a loop-operator shell basis."""
     level = basis.level
-    if state.modes > level and (
-        np.any(state.cos[level:]) or np.any(state.sin[level:])
-    ):
+    _check_fit(2 * state.dof * (2 * level + 1), state.dof, basis)
+    if np.any(state.cos[level:]) or np.any(state.sin[level:]):
         raise ValueError(f"state has active modes beyond truncation level {level}")
-    n = min(state.modes, level)
-    C = np.zeros((1, level, 2 * state.dof))
-    S = np.zeros_like(C)
-    C[0, :n] = state.cos[:n]
-    S[0, :n] = state.sin[:n]
+    pad = ((0, max(level - state.modes, 0)), (0, 0))
+    C, S = (np.pad(a[:level], pad)[None] for a in (state.cos, state.sin))
     return _coords_batches(state.constant[None, :], C, S, state.dof)[0]
 
 
 def coords_to_state(coords: np.ndarray, basis: ShellBasis, dof: int) -> LoopState:
-    c0, C, S = _fourier_batches(np.atleast_2d(coords), dof, basis.level)
+    _check_fit(np.size(coords), dof, basis)
+    c0, C, S = _fourier_batches(np.reshape(coords, (1, -1)), dof, basis.level)
     return LoopState(dof, c0[0], C[0], S[0])
 
 
@@ -265,10 +238,7 @@ def _loop_sup_bound(region: RegionSpec) -> float:
 
 
 def _pow2_at_least(n: int) -> int:
-    m = 4
-    while m < n:
-        m *= 2
-    return m
+    return max(4, 1 << (n - 1).bit_length())
 
 
 def default_quadrature_size(poly_degree: int, modes: int) -> int:
@@ -361,7 +331,8 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
     is lambda sqrt(|grad R(u)|^2 - |P_n grad R(u)|^2), both terms exact,
     plus a bound on their rounding under the square root, so that
     cancellation never makes it an underestimate.  Both grids read the
-    active rows B_a of one synthesis matrix per level and grid size.
+    active rows B_a of one synthesis matrix per level and grid size, and
+    each map builds those and its L and f0 once (``functools.cache``).
 
     The nonlinearity, the Jacobian and the tail each run their grid work
     through ``_row_blocks``, over blocks of rows whose largest grid array
@@ -394,36 +365,31 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
         for e, c in higher
     ]
     hessian_base = float(np.abs(np.linalg.eigvalsh(S)).max(initial=0.0))  # |S|_2, S symmetric
-    levels: dict[int, tuple] = {}  # level -> (M, w, L, f0, B_a), built on first use
-    rows: dict[tuple[int, int], np.ndarray] = {}  # (level, grid size) -> B_a, kept for both grids
     na = len(active)
 
+    @cache
     def synthesis(level, M):
         """The (M, 2 dof, dim) synthesis matrix of a level and its active rows B_a."""
         B = _synthesis_matrix(spec.dof, level, M).reshape(M, n2, -1)
-        Ba = rows.setdefault((level, M), B[:, active, :].reshape(M * na, B.shape[2]))
-        return B, Ba
+        return B, B[:, active, :].reshape(M * na, B.shape[2])
 
-    def matrices(basis):
+    @cache
+    def matrices(level):
         """The level's grid size M, weight w, affine L and f0, and active rows B_a."""
-        mats = levels.get(basis.level)
-        if mats is None:
-            M = default_quadrature_size(poly.degree, basis.level)
-            B, Ba = synthesis(basis.level, M)
-            w = spec.lam * 2.0 * math.pi / M
-            L = w * B.reshape(M * n2, -1).T @ (S @ B).reshape(M * n2, -1)
-            # symmetric up to rounding; made exact so that L[idx, idx] is the derivative of X L
-            L = 0.5 * (L + L.T)
-            f0 = w * g0 @ B.sum(axis=0)
-            mats = levels[basis.level] = (M, w, L, f0, Ba)
-        return mats
+        M = default_quadrature_size(poly.degree, level)
+        B, Ba = synthesis(level, M)
+        w = spec.lam * 2.0 * math.pi / M
+        L = w * B.reshape(M * n2, -1).T @ (S @ B).reshape(M * n2, -1)
+        # symmetric up to rounding; made exact so that L[idx, idx] is the derivative of X L
+        L = 0.5 * (L + L.T)
+        return M, w, L, w * g0 @ B.sum(axis=0), Ba
 
     def on_grid(X, M, Ba):
         """The (m, M, |active|) grid values of the active variables of the loops X."""
         return (X @ Ba.T).reshape(len(X), M, na)
 
     def nonlinearity(X, basis):
-        M, w, L, f0, Ba = matrices(basis)
+        M, w, L, f0, Ba = matrices(basis.level)
 
         def block(X):
             return X @ L + f0 + w * rest.gradient(on_grid(X, M, Ba)).reshape(len(X), -1) @ Ba
@@ -431,7 +397,7 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
         return _row_blocks(block, np.atleast_2d(X), 8 * M * na)
 
     def jacobian(X, basis, idx):
-        M, w, L, f0, Ba = matrices(basis)
+        M, w, L, f0, Ba = matrices(basis.level)
         k = len(idx)
         Bi, Li = Ba[:, idx], L[np.ix_(idx, idx)]
 
@@ -450,7 +416,7 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
         if not higher:
             return np.zeros(len(X))
         M = tail_quadrature_size(rest.degree, basis.level)
-        Ba = rows[(basis.level, M)] if (basis.level, M) in rows else synthesis(basis.level, M)[1]
+        Ba = synthesis(basis.level, M)[1]
         h = 2.0 * math.pi / M
         # each coefficient of P_n grad R is a K-term sum, K = M |active|, with
         # rounding below K eps |grad R|; this bounds the rounding of total - kept

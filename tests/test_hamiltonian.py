@@ -24,7 +24,9 @@ from eqdeg.hamiltonian import (
     quadratic_spectral_degree,
     state_to_coords,
     symplectic_matrix,
+    _grid_values,
     _mode_transform,
+    _synthesis_matrix,
 )
 from eqdeg.polynomials import Polynomial
 from eqdeg.reps import Rep
@@ -106,6 +108,82 @@ def test_state_coords_round_trip_and_action():
     shifted = state_to_coords(st.shift_time(theta), basis)
     assert np.allclose(rotated, shifted, atol=1e-12)
     assert np.isclose(np.sqrt(np.sum(basis.graph_weights * coords**2)), st.graph_norm())
+
+
+def test_mode_transform_is_shared_and_read_only():
+    # built once per dof and shared by every loop map, so no caller may write to it
+    for dof in (1, 2, 3):
+        Q = _mode_transform(dof)
+        assert Q is _mode_transform(dof) and not Q.flags.writeable
+        assert np.allclose(Q.T @ Q, np.eye(4 * dof), atol=1e-15)
+
+
+def mode_transform_loop(dof):
+    """The mode transform built column by column, as before its block stacks."""
+    n2 = 2 * dof
+    J = symplectic_matrix(dof)
+    Q = np.zeros((2 * n2, 2 * n2))
+    col = 0
+    s = 1.0 / math.sqrt(2.0)
+    for j in range(dof):
+        e = np.zeros(n2)
+        e[j] = 1.0
+        Je = J @ e
+        Q[:n2, col], Q[n2:, col] = s * Je, s * e
+        Q[:n2, col + 1], Q[n2:, col + 1] = s * e, -s * Je
+        col += 2
+    for j in range(dof):
+        e = np.zeros(n2)
+        e[j] = 1.0
+        Je = J @ e
+        Q[:n2, col], Q[n2:, col] = s * e, s * Je
+        Q[:n2, col + 1], Q[n2:, col + 1] = s * Je, -s * e
+        col += 2
+    return Q
+
+
+def synthesis_matrix_loop(dof, level, size):
+    """The synthesis matrix from per-mode products with the looped transform."""
+    n2, dim = 2 * dof, 2 * dof * (2 * level + 1)
+    Q, X = mode_transform_loop(dof), np.eye(dim)
+    C, S = np.zeros((dim, level, n2)), np.zeros((dim, level, n2))
+    sp = math.sqrt(math.pi)
+    for k in range(1, level + 1):
+        off = n2 + 2 * n2 * (k - 1)
+        ab = X[:, off : off + 2 * n2] @ Q.T
+        C[:, k - 1, :], S[:, k - 1, :] = ab[:, :n2] / sp, ab[:, n2:] / sp
+    loops = _grid_values(X[:, :n2] / math.sqrt(2.0 * math.pi), C, S, size)
+    return np.moveaxis(loops, 0, -1).reshape(size * n2, dim)
+
+
+def test_mode_transform_and_synthesis_match_the_per_mode_loops_bit_for_bit():
+    for dof in range(1, 7):
+        assert _mode_transform(dof).tobytes() == mode_transform_loop(dof).tobytes()
+        for level in range(1, 14):
+            for size in (8, 16, 32, 64, 128):
+                if size >= level:
+                    got, ref = _synthesis_matrix(dof, level, size), synthesis_matrix_loop(dof, level, size)
+                    assert got.tobytes() == ref.tobytes(), (dof, level, size)
+
+
+def test_coords_to_state_refuses_coordinates_that_do_not_fit_the_basis():
+    level2 = ShellBasis(loop_operator(1), 2)
+    assert level2.dim == 10
+    with pytest.raises(ValueError, match="14 coordinates .* basis of dimension 10"):
+        coords_to_state(np.ones(14), level2, 1)
+    with pytest.raises(ValueError, match="8 coordinates .* basis of dimension 10"):
+        coords_to_state(np.ones(8), level2, 1)
+    dof2 = ShellBasis(loop_operator(2), 1)
+    with pytest.raises(ValueError, match=r"12 coordinates of dof-1 loops \(dimension 6 .* dimension 12"):
+        coords_to_state(np.ones(12), dof2, 1)
+    assert coords_to_state(np.ones(12), dof2, 2).modes == 1
+
+
+def test_state_to_coords_refuses_a_state_of_another_dof():
+    st = LoopState(1, np.ones(2), np.ones((1, 2)), np.ones((1, 2)))
+    with pytest.raises(ValueError, match=r"6 coordinates of dof-1 loops .* dimension 12"):
+        state_to_coords(st, ShellBasis(loop_operator(2), 1))
+    assert len(state_to_coords(st, ShellBasis(loop_operator(1), 3))) == 14
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ sqrt(2).  Every zero is a tuple of closed-form one-variable roots, so the
 degree is the signed count of the tuples inside the ball, computed here
 without the pipeline.  Each instance also multiplies two of its blocks as
 fields: grad_degree of their product_field is the product of their degrees.
+Twenty seeded pairs of one-degree-of-freedom Hamiltonians give the same
+relation on loop space: their decoupled sum is the product of their maps.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from eqdeg.domains import Ball
 from eqdeg.euler_ring import CIRCLE, FULL, RingElement
 from eqdeg.finite_degree import GradientField, grad_degree, product_field
 from eqdeg.galerkin import deg_infinite
+from eqdeg.hamiltonian import HamiltonianSpec, periodic_existence, quadratic_spectral_degree, symplectic_matrix
 from eqdeg.polynomials import Polynomial
 from eqdeg.reps import Rep
 
@@ -135,3 +138,47 @@ def test_the_degree_of_a_product_field_is_the_product_of_the_degrees(seed):
     assert df == unit_multiple(sum(s for z, s in first_zeros if math.hypot(*z) < 1.0))
     assert dg == unit_multiple(sum(s for z, s in pair_zeros if math.hypot(*z) < 1.2))
     assert grad_degree(product_field(f, g)) == df * dg
+
+
+CROSSING_GAP = 0.1  # smallest |eigenvalue| allowed in a mode block of a drawn Hamiltonian
+
+
+def loop_pair(seed):
+    """A shared lambda, the terms of two dof-1 Hamiltonians and a radius."""
+    rng = np.random.default_rng(seed)
+    J = symplectic_matrix(1)
+    while True:
+        lam = float(rng.uniform(0.3, 1.2))
+        diags = [[float(rng.choice([-1, 1]) * rng.uniform(0.5, 1.5)) for _ in range(2)] for _ in range(2)]
+        blocks = [
+            np.block([[-lam * np.diag(d), -k * J], [k * J, -lam * np.diag(d)]]) if k else -lam * np.diag(d)
+            for d in diags
+            for k in range(5)
+        ]
+        if min(np.min(np.abs(np.linalg.eigvalsh(b))) for b in blocks) >= CROSSING_GAP:
+            break
+    terms = [[((2, 0), 0.5 * a), ((0, 2), 0.5 * b), ((0, 4), float(rng.uniform(0.0, 0.3)))] for a, b in diags]
+    return lam, terms, float(rng.uniform(0.5, 1.0))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_decoupled_hamiltonian_has_the_product_of_its_degrees(seed):
+    """H(q1, q2, p1, p2) = H1(q1, p1) + H2(q2, p2), each H_i = (a q^2 + b p^2) / 2
+    + c p^4 with a, b = +-[0.5, 1.5], lambda in [0.3, 1.2] and every mode block
+    of the linearization at least 0.1 from singular, as the cli benchmark
+    draws them; c in [0, 0.3] and radius in [0.5, 1.0].  The loop map of H is
+    the product of those of H1 and H2, so its degree is the product of
+    theirs, and both equal the closed form of its quadratic part.
+
+    The draw keeps lambda |S| <= 1.8.  From lambda |S| >= 2 the mode-2 block
+    has crossed, the automatic level 1 starts below it, and the level step
+    raises StabilizationFailure (H = |z|^2 / 2 at lambda = 2.1 does); that
+    case belongs to the truncation floor (ROADMAP.md item 10), not to this
+    relation.
+    """
+    lam, (first, second), radius = loop_pair(seed)
+    joint = [((e[0], 0, e[1], 0), c) for e, c in first] + [((0, e[0], 0, e[1]), c) for e, c in second]
+    v1, v2 = (periodic_existence(HamiltonianSpec.from_terms(1, t, lam), radius).result.value for t in (first, second))
+    value = periodic_existence(HamiltonianSpec.from_terms(2, joint, lam), radius).result.value
+    quadratic = HamiltonianSpec.from_terms(2, [(e, c) for e, c in joint if sum(e) == 2], lam)
+    assert value == v1 * v2 == quadratic_spectral_degree(quadratic)
