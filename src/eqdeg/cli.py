@@ -15,7 +15,8 @@ the leading eigencoordinates:
      "radius": 1.0, "truncation": "auto", "sampling_budget": 2000}
 
 Exit codes: 0 degree computed (nonzero), 2 degree zero (no certificate),
-3 certification failure (any DegreeError from the computation), 4 input error.
+3 certification failure (any DegreeError from the computation, or a check
+that prints ``fail``, after the report), 4 input error.
 """
 
 from __future__ import annotations
@@ -253,6 +254,8 @@ def cmd_compute(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"report written to {args.json}")
+    if "fail" in checks.values():
+        return EXIT_CERTIFICATION
     return EXIT_OK if nonzero else EXIT_ZERO_DEGREE
 
 

@@ -33,16 +33,16 @@ center is the sum of its blocks' ones, so the tuples are counted block by
 block by their running distance.  Each level's pass checks the blocks
 (SupportFailure otherwise).
 
-Without blocks, a map on a RegionSpec searches its fixed space once per
-certificate too.  Where shells N+1 .. n add no trivial coordinate
+Without blocks, a map searches its fixed space once per certificate too.
+Where shells N+1 .. n add no trivial coordinate
 (``SpectralOperator.adds_fixed``), Fix(V_n) = Fix(V_N) lies in V_N; there
 P_N P_n = P_N gives P_N f_n = f_N, and (P_n - P_N) F(x) is a fixed vector
 of those shells, 0, so f_n = f_N (Browder & Petryshyn, J. Funct. Anal.
-1969).  Level n takes the zeros of the last level searched, padded with 0,
-checks that f_n vanishes there (StabilizationFailure otherwise) and takes
-their Hessians on V_n.  A loop map's fixed space, the constant loops,
-lies in shell 0; a callable region searches at every level, since its
-sections need not agree.
+1969) on the same section of the region (a product's is the product of
+its factors' sections).  Level n takes the zeros of the last level
+searched, padded with 0, checks that f_n vanishes there
+(StabilizationFailure otherwise) and takes their Hessians on V_n.  A loop
+map's fixed space, the constant loops, lies in shell 0.
 ``diagnostics["zeros_from"]`` records per level the level searched (N for blocks).
 
 A zero of f_n off the fixed space lies on a whole orbit of zeros, which
@@ -51,9 +51,11 @@ the zero search rejects; a map that declares a bound L on |DF| over its region
 least |eigenvalue| of A on the rotation planes of V_n (``SpectralOperator.gap``).
 Write x = x_F + x_N with x_F the fixed part of x in V_n.  Ball centers lie
 in the fixed space and the graph norm is diagonal, so x_F lies in every
-ball that x does, and so does the segment between them.  Equivariance
-maps the fixed space into itself, so the normal part P_N f_n(x_F) is 0,
-and along the segment
+ball that x does, and so does the segment between them; in a product,
+x_F lies in each factor's region, its factors being the fixed parts of
+x's, so the segment does too, and L is the larger factor bound (DF is
+block diagonal).  Equivariance maps the fixed space into itself, so the
+normal part P_N f_n(x_F) is 0, and along the segment
 
     |P_N f_n(x)| = |A x_N - P_N (F(x) - F(x_F))| >= (mu_n - L) |x_N|,
 
@@ -82,6 +84,7 @@ above V_n does, so the search moves on to the next level.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -143,24 +146,28 @@ class BallSpec:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    balls: tuple[BallSpec, ...]
+    balls: tuple[BallSpec, ...] = ()
     mode: str = "union"  # or "intersection"
+    parts: tuple[tuple[SpectralOperator, "RegionSpec"], ...] = ()  # a direct sum's: (operator, region) per summand
 
     def __post_init__(self):
         if self.mode not in ("union", "intersection"):
             raise ValueError(f"unknown region mode {self.mode!r}")
-        if not self.balls:
-            raise ValueError("a region needs at least one ball")
+        if bool(self.balls) == bool(self.parts) or len(self.parts) not in (0, 2):
+            raise ValueError("a region needs at least one ball or else two parts")
 
     @staticmethod
     def ball(radius: float, center: Sequence[float] = (), center_level: int = 0) -> "RegionSpec":
         return RegionSpec((BallSpec(radius, tuple(center), center_level),))
 
 
-def realize_region(region, basis: ShellBasis):
-    """Instantiate a region as a concrete domain over the basis coordinates."""
-    if callable(region):
-        return region(basis)
+def realize_region(region: RegionSpec, basis: ShellBasis):
+    """Instantiate a region as a concrete domain over the basis coordinates,
+    a product's parts each over its summand's basis (``_embedding_indices``)."""
+    if region.parts:
+        ia, ib = _embedding_indices(region.parts[0][0], region.parts[1][0], basis)
+        da, db = (realize_region(part, op.basis(basis.level)) for op, part in region.parts)
+        return ProductDomain(ia, da, ib, db)
     balls = []
     fixed = set(basis.layout.trivial)
     for spec in region.balls:
@@ -204,7 +211,8 @@ _DECLARATIONS = {
 @dataclass
 class LocalMapSpec:
     """A gradient perturbation f = Ax - F(x) of a spectral operator on a
-    region, which bounds the invariant domain in the graph norm.
+    region, a RegionSpec (ValueError naming the map otherwise), which
+    bounds the invariant domain in the graph norm.
 
     ``nonlinearity(X, basis)`` receives an (m, basis.dim) batch of
     eigencoordinates of V_{basis.level} and returns the projection of F
@@ -231,7 +239,7 @@ class LocalMapSpec:
       RegionSpec) and at every level, or None for no bound.  Where L is
       below the least |eigenvalue| of A on the rotation planes of V_n, no
       zero of f_n lies off the fixed space (see the module docstring), and
-      the degree skips its probes for one; a callable region takes them.
+      the degree skips its probes for one.
 
     The nonlinearities of this module and the Hamiltonian local map carry
     their declarations.
@@ -239,7 +247,7 @@ class LocalMapSpec:
 
     operator: SpectralOperator
     nonlinearity: Callable
-    region: object
+    region: RegionSpec
     name: str = "local map"
     jacobian: Optional[Callable] = field(init=False, repr=False)
     affine: bool = field(init=False)
@@ -248,6 +256,8 @@ class LocalMapSpec:
     lipschitz: Optional[Callable] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.region, RegionSpec):
+            raise ValueError(f"{self.name}: region must be a RegionSpec, got {self.region!r}")
         for attr, (default, valid, what) in _DECLARATIONS.items():
             value = getattr(self.nonlinearity, attr, default)
             try:
@@ -472,9 +482,8 @@ def _search_blocks(f: LocalMapSpec, basis: ShellBasis) -> Optional[np.ndarray]:
     blocks, the region a center above V_n).  W is one block where a split
     cannot pay or hold: an affine W is one solve, one under SPLIT_WIDTH
     seeds fewer points than a second search costs, and disjoint balls may
-    overlap in a block.  None, for all of V_n, without blocks or with a
-    callable region."""
-    if f.blocks is None or callable(f.region):
+    overlap in a block.  None, for all of V_n, without blocks."""
+    if f.blocks is None:
         return None
     centers = [int(np.flatnonzero(b.center).max(initial=-1)) + 1 for b in f.region.balls]
     label = np.arange(max([sum(map(len, f.blocks))] + centers))
@@ -540,11 +549,9 @@ def _outside_degree(f: LocalMapSpec, basis: ShellBasis, w: int) -> RingElement:
 
 def _lipschitz_bound(f: LocalMapSpec) -> Optional[float]:
     """The map's declared bound L on |DF| over its region; None without a
-    declaration, with a callable region or when it returns None, and a
-    ValueError naming the map unless it is a finite number >= 0."""
-    if f.lipschitz is None or callable(f.region):
-        return None
-    bound = f.lipschitz(f.region)
+    declaration or when it returns None, and a ValueError naming the map
+    unless it is a finite number >= 0."""
+    bound = None if f.lipschitz is None else f.lipschitz(f.region)
     if bound is None:
         return None
     bound = _json_number(bound, f"{f.name}: lipschitz(region)")
@@ -565,8 +572,8 @@ def _level_degrees(
     ``classify_zeros``.  Without blocks, the search runs on the field its
     margin certified (``Margin.field``) with the boundary values of that one
     pass, whatever the budget set its size to, and skips its off-space
-    probes where the proof holds; on a RegionSpec, a level with the fixed
-    space of the last level searched takes its zeros (module docstring).
+    probes where the proof holds, and a level with the fixed space of the
+    last level searched takes its zeros (module docstring).
     With blocks, each block of W (``_search_blocks``) is searched once, on
     level N's field restricted to it, with level N's proof, and each level
     n checks them (f_n = Ax beyond them; where W splits, J is 0 between its
@@ -585,7 +592,7 @@ def _level_degrees(
         gap = f.operator.gap(n)
         proof = {"proved": True, "bound": bound, "gap": gap} if bound is not None and bound < gap else {"proved": False}
         if label is None:
-            reuse = found is not None and not f.operator.adds_fixed(found[0], n) and not callable(f.region)
+            reuse = found is not None and not f.operator.adds_fixed(found[0], n)
             known = np.pad(found[1], ((0, 0), (0, basis.dim - found[1].shape[1]))) if reuse else None
             boundary = (level.samples, level.values)
             zeros, degrees = classify_zeros(*search_zeros(
@@ -885,16 +892,15 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
 
     Its Jacobian, present when both summands have one, is block diagonal;
     it is affine when both summands are.  Its tail is the hypot of theirs:
-    the summands' tails are orthogonal.
+    the summands' tails are orthogonal.  Its region is their product, its
+    ``lipschitz`` the larger of their bounds (DF is block diagonal) or None.
     """
     op = f.operator.direct_sum(g.operator)
-    levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # level -> (ia, ib), built on first use
 
+    @functools.cache
     def split(basis):
         """The (ascending) indices of each summand's coordinates and the summand bases."""
-        if basis.level not in levels:
-            levels[basis.level] = _embedding_indices(f.operator, g.operator, basis)
-        ia, ib = levels[basis.level]
+        ia, ib = _embedding_indices(f.operator, g.operator, basis)
         return ia, f.operator.basis(basis.level), ib, g.operator.basis(basis.level)
 
     def nonlinearity(X, basis):
@@ -918,19 +924,13 @@ def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
         ia, basisA, ib, basisB = split(basis)
         return np.hypot(f.tail(X[:, ia], basisA), g.tail(X[:, ib], basisB))
 
+    def lipschitz(region):
+        bounds = [_lipschitz_bound(s.with_region(part)) for s, (_, part) in zip((f, g), region.parts)]
+        return max(bounds) if bounds and None not in bounds else None
+
     nonlinearity.jacobian = jacobian if f.jacobian is not None and g.jacobian is not None else None
     nonlinearity.affine = f.affine and g.affine
     nonlinearity.tail = tail
-
-    def region(basis):
-        ia, basisA, ib, basisB = split(basis)
-        return ProductDomain(
-            ia, realize_region(f.region, basisA), ib, realize_region(g.region, basisB)
-        )
-
-    return LocalMapSpec(
-        operator=op,
-        nonlinearity=nonlinearity,
-        region=region,
-        name=f"{f.name} x {g.name}",
-    )
+    nonlinearity.lipschitz = lipschitz
+    region = RegionSpec(parts=((f.operator, f.region), (g.operator, g.region)))
+    return LocalMapSpec(operator=op, nonlinearity=nonlinearity, region=region, name=f"{f.name} x {g.name}")

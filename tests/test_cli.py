@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,7 +129,7 @@ def test_restriction_check_fails_with_zeros_outside_the_shrunk_ball(tmp_path):
     ]
     out = tmp_path / "report.json"
     code = main(["compute", write(tmp_path, "p.json", problem), "--json", str(out)])
-    assert code == EXIT_OK
+    assert code == EXIT_CERTIFICATION
     report = json.loads(out.read_text())
     assert report["degree"]["value"] == [{"coeff": -1, "subgroup": "S1"}]
     assert report["checks"]["restriction_consistency"] == "fail"
@@ -605,9 +607,58 @@ def kernel_well(a):
     ],
 )
 def test_the_restriction_check_prints_what_the_shrunk_ball_gave(tmp_path, capsys, a, line):
-    assert main(["compute", write(tmp_path, "p.json", kernel_well(a))]) == EXIT_OK
+    code = EXIT_CERTIFICATION if line.endswith(": fail") else EXIT_OK  # a skipped check is no fail
+    assert main(["compute", write(tmp_path, "p.json", kernel_well(a))]) == code
     out = capsys.readouterr().out
     assert "degree     : [S1/S1]\n" in out and f"\n{line}\n" in out
+
+
+def test_a_failing_check_exits_3_after_the_report(tmp_path, capsys):
+    # the zeros +-0.95 lie between the shrunk sphere and the sphere: the
+    # degree is right, the shrunk ball disagrees, and the run still prints
+    # its report and writes --json before it exits
+    out = tmp_path / "report.json"
+    assert main(["compute", write(tmp_path, "p.json", kernel_well(0.95)), "--json", str(out)]) == EXIT_CERTIFICATION
+    printed = capsys.readouterr().out
+    assert "degree     : [S1/S1]\n" in printed and "verdict    : " in printed
+    assert printed.endswith(f"report written to {out}\n")
+    report = json.loads(out.read_text())
+    assert report["degree"]["value"] == [{"coeff": 1, "subgroup": "S1"}]
+    assert report["checks"] == {
+        "normalization_selftest": "pass", "stabilization": "pass", "restriction_consistency": "fail",
+    }
+
+
+def rotated_wells(d):
+    """The separable wells -y^4/4 + a y^2 of double_wells.json in d kernel
+    variables, a from one default_rng(5) over d = 3, 4, .., written in the
+    frame x = Q y, Q from the QR of a default_rng(100 + d) Gaussian matrix,
+    on radius 2.9: one coupled quartic block with 3^d zeros, degree [S1/S1]."""
+    rng = np.random.default_rng(5)
+    for k in range(3, d + 1):
+        a = rng.uniform(0.15, 0.3, size=k)
+    Q = np.linalg.qr(np.random.default_rng(100 + d).standard_normal((d, d)))[0]
+    terms: dict = {}
+    for j in range(d):
+        for p, coeff in ((4, -0.25), (2, float(a[j]))):
+            for combo in itertools.combinations_with_replacement(range(d), p):
+                exps = tuple(combo.count(i) for i in range(d))
+                weight = math.factorial(p) / math.prod(math.factorial(e) for e in exps)
+                terms[exps] = terms.get(exps, 0.0) + coeff * weight * math.prod(Q[i, j] ** e for i, e in enumerate(exps))
+    problem = json.loads((DEMO_PROBLEMS / "double_wells.json").read_text())
+    problem["spectrum"][0]["rep"]["trivial"] = d
+    problem["nonlinearity"] = {"variables": d, "terms": [{"exps": list(e), "coeff": c} for e, c in terms.items()]}
+    problem["radius"] = 2.9
+    return problem
+
+
+def test_the_rotated_wells_at_d5_fail_their_restriction_check_and_exit_3(tmp_path, capsys):
+    # the Halton seeds miss zeros of the 3^5 here, so the degree is wrong,
+    # and the shrunk ball, searched from other seeds, disagrees with it
+    out = tmp_path / "report.json"
+    assert main(["compute", write(tmp_path, "p.json", rotated_wells(5)), "--json", str(out)]) == EXIT_CERTIFICATION
+    assert "check restriction_consistency: fail\n" in capsys.readouterr().out
+    assert json.loads(out.read_text())["checks"]["restriction_consistency"] == "fail"
 
 
 def test_scaling_the_double_wells_keeps_their_degree(tmp_path, capsys):

@@ -667,6 +667,10 @@ def test_region_spec_checks_its_mode_and_its_balls():
         RegionSpec((BallSpec(1.0), BallSpec(0.5)), mode="uniom")
     with pytest.raises(ValueError, match="at least one ball"):
         RegionSpec(())
+    part = (loop_operator(1), RegionSpec.ball(1.0))
+    for bad in (dict(parts=(part,)), dict(parts=(part,) * 3), dict(balls=(BallSpec(1.0),), parts=(part,) * 2)):
+        with pytest.raises(ValueError, match="at least one ball or else two parts"):
+            RegionSpec(**bad)
     assert RegionSpec((BallSpec(1.0),), mode="intersection").mode == "intersection"
 
 

@@ -169,7 +169,7 @@ def test_a_proved_exclusion_never_scans(monkeypatch, depth):
         "quartic dof=2": local_map(quartic_hamiltonian(2, 0.4), 0.8),
         "coupled quartic": local_map(coupled_quartic(), 0.9),
     }
-    unproved = {name: deg_infinite(f.with_region(lambda b, r=f.region: realize_region(r, b)),
+    unproved = {name: deg_infinite(LocalMapSpec(f.operator, declared(f.nonlinearity, lipschitz=None), f.region, f.name),
                                    stabilization_depth=depth) for name, f in maps.items()}
     forbid_scan(monkeypatch)
     for name, f in maps.items():
@@ -206,8 +206,37 @@ def test_maps_without_a_usable_bound_record_no_proof():
     assert deg_infinite(potential).diagnostics["off_space"] == [{"proved": False}] * 2
     loop = local_map(quartic_hamiltonian(1, 0.4), 0.8)
     product = direct_sum_local_maps(loop, potential)
-    assert callable(product.region)
+    assert product.region == RegionSpec(parts=((loop.operator, loop.region), (potential.operator, potential.region)))
+    assert product.lipschitz(product.region) is None
     assert deg_infinite(product).diagnostics["off_space"] == [{"proved": False}] * 2
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_product_of_loop_maps_proves_its_exclusion_from_both_bounds(monkeypatch, depth):
+    # DF is block diagonal, so the larger summand bound bounds it on the
+    # product region, and the fixed-space zeros of level N serve every level
+    f = local_map(quartic_hamiltonian(1, 0.4), 0.8)
+    g = local_map(quartic_hamiltonian(1, 0.3), 0.9)
+    values = [deg_infinite(m, stabilization_depth=depth).value for m in (f, g)]
+    product = direct_sum_local_maps(f, g)
+    bound = max(f.lipschitz(f.region), g.lipschitz(g.region))
+    assert product.lipschitz(product.region) == bound
+    forbid_scan(monkeypatch)
+    res = deg_infinite(product, stabilization_depth=depth)
+    assert res.value == values[0] * values[1] == ONE
+    assert res.diagnostics["off_space"] == [{"proved": True, "bound": bound, "gap": 1.0}] * (depth + 1)
+    assert res.diagnostics["zeros_from"] == [res.level] * (depth + 1)
+    assert res.diagnostics["zero_counts"] == [1] * (depth + 1)
+    # off a product region the summands' bounds say nothing
+    assert product.lipschitz(RegionSpec.ball(0.8)) is None
+
+
+def test_a_region_must_be_a_region_spec():
+    f = local_map(quartic_hamiltonian(1, 0.4), 0.8)
+    with pytest.raises(ValueError, match="callable region: region must be a RegionSpec"):
+        LocalMapSpec(f.operator, f.nonlinearity, lambda basis: realize_region(f.region, basis), "callable region")
+    with pytest.raises(ValueError, match=r"hamiltonian\(dof=1, lambda=0.4\): region must be a RegionSpec"):
+        f.with_region(lambda basis: realize_region(f.region, basis))
 
 
 def test_a_bound_must_be_callable():

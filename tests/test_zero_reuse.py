@@ -1,6 +1,6 @@
 """Galerkin levels that add no fixed coordinate take the fixed-space zeros of
 the last level searched instead of searching again; a level whose shells add
-a fixed coordinate, and a map on a callable region, search on their own.
+a fixed coordinate searches on its own.
 Also the floor of a declared support and the batched equivariance check."""
 
 import json
@@ -105,7 +105,9 @@ def test_a_level_that_adds_a_fixed_line_searches_again(monkeypatch):
     assert res.diagnostics["zero_counts"] == [1] * 4
 
 
-def test_a_direct_sum_searches_at_every_level(monkeypatch):
+def test_a_direct_sum_whose_summand_adds_a_fixed_line_in_every_shell_searches_at_every_level(monkeypatch):
+    # synthetic_operator_a adds a trivial coordinate at every level, so no
+    # level may take the zeros of the one below
     dims = count_fixed_space_searches(monkeypatch)
     f = direct_sum_local_maps(
         local_map(quartic_hamiltonian(1, 0.4), radius=0.8), normalization_map(synthetic_operator_a())
