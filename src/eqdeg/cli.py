@@ -16,7 +16,8 @@ the leading eigencoordinates:
 
 Exit codes: 0 degree computed (nonzero), 2 degree zero (no certificate),
 3 certification failure (any DegreeError from the computation, or a check
-that prints ``fail``, after the report), 4 input error.
+that prints ``fail``, after the report, whose verdict then names the failed
+checks and claims no certificate), 4 input error.
 """
 
 from __future__ import annotations
@@ -225,7 +226,11 @@ def cmd_compute(args) -> int:
     elapsed = time.perf_counter() - started
 
     nonzero = not result.value.is_zero
-    if meta["kind"] == "hamiltonian":
+    checks = _run_checks(lm, result, seed, budget)
+    failed = [name for name, status in checks.items() if status == "fail"]
+    if failed:
+        verdict = f"no certificate: check {', '.join(failed)} failed"
+    elif meta["kind"] == "hamiltonian":
         verdict = (
             "periodic solution certified (nonzero degree)"
             if nonzero
@@ -233,8 +238,6 @@ def cmd_compute(args) -> int:
         )
     else:
         verdict = "zero of the map certified (nonzero degree)" if nonzero else "degree is zero"
-
-    checks = _run_checks(lm, result, seed, budget)
     report = _format_report(meta, result, checks, verdict, seed, elapsed)
 
     print(f"degree     : {result.value}")
@@ -254,7 +257,7 @@ def cmd_compute(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"report written to {args.json}")
-    if "fail" in checks.values():
+    if failed:
         return EXIT_CERTIFICATION
     return EXIT_OK if nonzero else EXIT_ZERO_DEGREE
 

@@ -15,13 +15,14 @@ of the affine gradient of the terms of degree <= 2 as an exact matrix per
 truncation level.  The remaining terms depend only on their active
 variables; their gradient is evaluated pointwise on a uniform time grid
 over those variables and projected back by quadrature on the same grid,
-both through the active rows of one synthesis matrix per level.  This is
-exact (no aliasing) once the grid has at least deg(H)*N + 1 points for N
-retained modes.  The exact Jacobian of the local map, the affine matrix
-plus the Galerkin matrix of lambda * Hessian along the loop, is alias-free
-on the same grid.  The projection tail |(I - P_N) F| is exact too: the
-affine part keeps V_N, and |grad R|^2 along a loop of V_N has frequencies
-up to 2(deg(H) - 1)N, so a grid past that integrates it exactly.
+both through the active rows of one synthesis matrix per level.  Each
+level has one grid, of M = 2 max(deg(H) - 1, 1) N + 1 points for N
+retained modes (``default_quadrature_size``), and everything the level
+computes is exact (no aliasing) on it.  The projections of grad R (the
+values) and of lambda * hess R along the loop (with the affine matrix, the
+exact Jacobian) reach frequency deg(H) N, and the affine matrix 2N.  The
+projection tail |(I - P_N) F| is exact too: the affine part keeps V_N, and
+|grad R|^2 along a loop of V_N reaches 2(deg(H) - 1)N, the largest of these.
 ``hamiltonian_gradient`` is the local map's nonlinearity at lambda = 1,
 read on a single loop.
 
@@ -237,21 +238,15 @@ def _loop_sup_bound(region: RegionSpec) -> float:
     )
 
 
-def _pow2_at_least(n: int) -> int:
-    return max(4, 1 << (n - 1).bit_length())
-
-
 def default_quadrature_size(poly_degree: int, modes: int) -> int:
-    """Power-of-two grid size guaranteeing alias-free projection."""
-    return _pow2_at_least(max(poly_degree, 2) * max(modes, 1) + 1)
-
-
-def tail_quadrature_size(poly_degree: int, modes: int) -> int:
-    """Power-of-two grid size on which, for H of degree p = poly_degree and
-    a loop u of the given modes, both |grad H(u)|^2 (frequencies up to
-    2(p - 1) modes) and the projection of grad H(u) onto those modes
-    (products up to p modes) are exact."""
-    return _pow2_at_least(max(poly_degree * modes + 1, 2 * (poly_degree - 1) * modes + 1))
+    """M = 2 max(p - 1, 1) max(modes, 1) + 1 for H of degree p = poly_degree:
+    the fewest points of a uniform grid that integrates exactly every
+    product a level of the local map forms on loops of the given modes.
+    A grid of M points sums a trigonometric polynomial of frequencies below
+    M exactly.  The projection of grad H(u) and of hess H(u) onto the modes
+    reaches frequency p modes, the affine Galerkin matrix 2 modes, and
+    |grad H(u)|^2 of the tail 2(p - 1) modes, the largest of the three."""
+    return 2 * max(poly_degree - 1, 1) * max(modes, 1) + 1
 
 
 def _synthesis_matrix(dof: int, level: int, size: int) -> np.ndarray:
@@ -323,25 +318,25 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
 
     and the idx-block of the Jacobian is
     L[idx, idx] + w B_a[:, idx]^T hess R B_a[:, idx].  Only R is evaluated
-    on the grid, whose size M stays the alias-free size for deg H.  With no
-    terms of degree >= 3 the map is affine.
+    on the grid, of the size M of ``default_quadrature_size`` for deg H.
+    With no terms of degree >= 3 the map is affine.
 
     The tail of F on V_n is lambda |(I - P_n) grad R(u)|, since the affine
-    part maps V_n into itself; on the grid of ``tail_quadrature_size`` it
-    is lambda sqrt(|grad R(u)|^2 - |P_n grad R(u)|^2), both terms exact,
-    plus a bound on their rounding under the square root, so that
-    cancellation never makes it an underestimate.  Both grids read the
-    active rows B_a of one synthesis matrix per level and grid size, and
-    each map builds those and its L and f0 once (``functools.cache``).
+    part maps V_n into itself; on the same grid it is
+    lambda sqrt(|grad R(u)|^2 - |P_n grad R(u)|^2), both terms exact, plus
+    a bound on their rounding under the square root, so that cancellation
+    never makes it an underestimate.  The values, the Jacobian and the tail
+    read the one synthesis matrix of a level, through its active rows B_a,
+    and each map builds it and its L and f0 once (``functools.cache``).
 
     The nonlinearity, the Jacobian and the tail each run their grid work
     through ``_row_blocks``, over blocks of rows whose largest grid array
     stays under ``_BLOCK_BYTES``: 8 M |active| bytes per row for the values
-    and the tail (M of its own grid), 8 M |active| (|active| + |idx|) for
-    the Jacobian, whose Hessians and their products with B_a[:, idx] are
-    the largest arrays.  Every row is computed from its own loop alone, so
-    the blocks give the rows of the whole batch up to rounding; the calls
-    and the rows that reach the map are the same as without blocks.
+    and the tail, 8 M |active| (|active| + |idx|) for the Jacobian, whose
+    Hessians and their products with B_a[:, idx] are the largest arrays.
+    Every row is computed from its own loop alone, so the blocks give the
+    rows of the whole batch up to rounding; the calls and the rows that
+    reach the map are the same as without blocks.
 
     Its ``lipschitz(region)`` bounds |DF| by lambda sup |hess H(z)| over
     |z| <= rho, rho the sup-norm bound of the region's loops (the
@@ -368,21 +363,15 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
     na = len(active)
 
     @cache
-    def synthesis(level, M):
-        """The (M, 2 dof, dim) synthesis matrix of a level and its active rows B_a."""
-        B = _synthesis_matrix(spec.dof, level, M).reshape(M, n2, -1)
-        return B, B[:, active, :].reshape(M * na, B.shape[2])
-
-    @cache
     def matrices(level):
         """The level's grid size M, weight w, affine L and f0, and active rows B_a."""
         M = default_quadrature_size(poly.degree, level)
-        B, Ba = synthesis(level, M)
+        B = _synthesis_matrix(spec.dof, level, M).reshape(M, n2, -1)
         w = spec.lam * 2.0 * math.pi / M
         L = w * B.reshape(M * n2, -1).T @ (S @ B).reshape(M * n2, -1)
         # symmetric up to rounding; made exact so that L[idx, idx] is the derivative of X L
         L = 0.5 * (L + L.T)
-        return M, w, L, w * g0 @ B.sum(axis=0), Ba
+        return M, w, L, w * g0 @ B.sum(axis=0), B[:, active, :].reshape(M * na, B.shape[2])
 
     def on_grid(X, M, Ba):
         """The (m, M, |active|) grid values of the active variables of the loops X."""
@@ -415,8 +404,7 @@ def local_map(spec: HamiltonianSpec, radius: float) -> LocalMapSpec:
         X = np.atleast_2d(X)
         if not higher:
             return np.zeros(len(X))
-        M = tail_quadrature_size(rest.degree, basis.level)
-        Ba = synthesis(basis.level, M)[1]
+        M, _, _, _, Ba = matrices(basis.level)
         h = 2.0 * math.pi / M
         # each coefficient of P_n grad R is a K-term sum, K = M |active|, with
         # rounding below K eps |grad R|; this bounds the rounding of total - kept

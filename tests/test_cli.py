@@ -616,17 +616,21 @@ def test_the_restriction_check_prints_what_the_shrunk_ball_gave(tmp_path, capsys
 def test_a_failing_check_exits_3_after_the_report(tmp_path, capsys):
     # the zeros +-0.95 lie between the shrunk sphere and the sphere: the
     # degree is right, the shrunk ball disagrees, and the run still prints
-    # its report and writes --json before it exits
+    # its report and writes --json before it exits; its verdict names the
+    # failed check and claims no certificate
     out = tmp_path / "report.json"
     assert main(["compute", write(tmp_path, "p.json", kernel_well(0.95)), "--json", str(out)]) == EXIT_CERTIFICATION
     printed = capsys.readouterr().out
-    assert "degree     : [S1/S1]\n" in printed and "verdict    : " in printed
+    verdict = "no certificate: check restriction_consistency failed"
+    assert "degree     : [S1/S1]\n" in printed and f"\nverdict    : {verdict}\n" in printed
+    assert "certified" not in printed
     assert printed.endswith(f"report written to {out}\n")
     report = json.loads(out.read_text())
     assert report["degree"]["value"] == [{"coeff": 1, "subgroup": "S1"}]
     assert report["checks"] == {
         "normalization_selftest": "pass", "stabilization": "pass", "restriction_consistency": "fail",
     }
+    assert report["verdict"] == verdict
 
 
 def rotated_wells(d):

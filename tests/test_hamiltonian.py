@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eqdeg import hamiltonian
 from eqdeg.errors import (
     DegenerateZero,
     MarginFailure,
@@ -395,3 +396,60 @@ def test_state_to_coords_rejects_active_high_modes():
     st = LoopState(1, np.zeros(2), np.ones((3, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         state_to_coords(st, basis)
+
+
+# ---------------------------------------------------------------------------
+# The quadrature grid of a level
+
+
+def test_each_level_builds_one_synthesis_matrix(monkeypatch):
+    # the values, the Jacobian and the tail of a level share one grid
+    built = []
+
+    def spy(dof, level, size):
+        built.append((level, size))
+        return _synthesis_matrix(dof, level, size)
+
+    monkeypatch.setattr(hamiltonian, "_synthesis_matrix", spy)
+    res = periodic_existence(quartic_hamiltonian(1, 0.4), 0.8, level=3).result
+    assert res.diagnostics["levels_checked"] == [3, 4]
+    assert sorted(built) == [(3, 19), (4, 25)]
+
+
+def seeded_hamiltonian(rng, dof, p):
+    """Two random terms of each degree 2..p in the 2 dof variables."""
+    nv = 2 * dof
+    exps = [np.bincount(rng.integers(0, nv, size=d), minlength=nv) for d in range(2, p + 1) for _ in range(2)]
+    return HamiltonianSpec.from_terms(dof, [(tuple(map(int, e)), rng.uniform(-1, 1)) for e in exps], 0.7)
+
+
+def level_outputs(spec, level, X):
+    lm = hamiltonian.local_map(spec, radius=1.0)
+    basis = lm.operator.basis(level)
+    return lm.nonlinearity(X, basis), lm.jacobian(X, basis, list(range(basis.dim))), lm.tail(X, basis)
+
+
+def relative_gap(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("p", [3, 4, 6])
+@pytest.mark.parametrize("dof", [1, 2])
+def test_the_default_grid_is_exact_and_one_point_fewer_is_not(monkeypatch, p, dof):
+    # on twice the grid the values, the Jacobian and the tail stay put up to
+    # rounding (the tail's rounding bound grows with M); one point fewer
+    # aliases the top frequency 2(p - 1)n of the tail's |grad R|^2
+    rng = np.random.default_rng(100 * p + dof)
+    exact = hamiltonian.default_quadrature_size
+    for level in range(1, 5):
+        spec = seeded_hamiltonian(rng, dof, p)
+        X = rng.uniform(-1.0, 1.0, size=(5, 2 * dof * (2 * level + 1)))
+        F, J, tail = level_outputs(spec, level, X)
+        with monkeypatch.context() as m:
+            m.setattr(hamiltonian, "default_quadrature_size", lambda q, n: 2 * exact(q, n))
+            F2, J2, tail2 = level_outputs(spec, level, X)
+        assert relative_gap(F2, F) <= 1e-13 and relative_gap(J2, J) <= 1e-13
+        assert relative_gap(tail2, tail) <= 1e-10
+        with monkeypatch.context() as m:
+            m.setattr(hamiltonian, "default_quadrature_size", lambda q, n: exact(q, n) - 1)
+            assert relative_gap(level_outputs(spec, level, X)[2], tail) > 1e-7
