@@ -84,7 +84,6 @@ above V_n does, so the search moves on to the next level.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -126,7 +125,7 @@ from .finite_degree import (
     search_zeros,
 )
 from .polynomials import Polynomial
-from .reps import Rep, ShellBasis, SpectralOperator, _json_count, _json_number, shell_operator
+from .reps import ShellBasis, SpectralOperator, _json_count, _json_number, shell_operator
 
 MAX_LEVEL = 10  # the automatic level search stops here
 MAX_SAMPLE_VALUES = 2**27  # float64 values one boundary pass may hold: 1 GiB
@@ -146,15 +145,21 @@ class BallSpec:
 
 @dataclass(frozen=True)
 class RegionSpec:
+    """The union or intersection of graph-norm balls, or the product of two
+    regions, a direct sum's: ``parts`` holds its summands' regions, in the
+    summands' order (ValueError for anything else)."""
+
     balls: tuple[BallSpec, ...] = ()
     mode: str = "union"  # or "intersection"
-    parts: tuple[tuple[SpectralOperator, "RegionSpec"], ...] = ()  # a direct sum's: (operator, region) per summand
+    parts: tuple["RegionSpec", ...] = ()
 
     def __post_init__(self):
         if self.mode not in ("union", "intersection"):
             raise ValueError(f"unknown region mode {self.mode!r}")
         if bool(self.balls) == bool(self.parts) or len(self.parts) not in (0, 2):
             raise ValueError("a region needs at least one ball or else two parts")
+        if not all(isinstance(part, RegionSpec) for part in self.parts):
+            raise ValueError(f"a region's parts must be RegionSpecs, got {self.parts!r}")
 
     @staticmethod
     def ball(radius: float, center: Sequence[float] = (), center_level: int = 0) -> "RegionSpec":
@@ -163,11 +168,11 @@ class RegionSpec:
 
 def realize_region(region: RegionSpec, basis: ShellBasis):
     """Instantiate a region as a concrete domain over the basis coordinates,
-    a product's parts each over its summand's basis (``_embedding_indices``)."""
+    a product's parts each over its summand's coordinates and basis
+    (``ShellBasis.parts``)."""
     if region.parts:
-        ia, ib = _embedding_indices(region.parts[0][0], region.parts[1][0], basis)
-        da, db = (realize_region(part, op.basis(basis.level)) for op, part in region.parts)
-        return ProductDomain(ia, da, ib, db)
+        (ia, basis_a), (ib, basis_b) = basis.parts
+        return ProductDomain(ia, realize_region(region.parts[0], basis_a), ib, realize_region(region.parts[1], basis_b))
     balls = []
     fixed = set(basis.layout.trivial)
     for spec in region.balls:
@@ -188,6 +193,12 @@ def realize_region(region: RegionSpec, basis: ShellBasis):
     if len(balls) == 1:
         return balls[0]
     return (UnionDomain if region.mode == "union" else IntersectionDomain)(balls)
+
+
+def _nests(region: RegionSpec, op: SpectralOperator) -> bool:
+    """Whether a product region's parts nest like the operator's summands
+    (any region of balls nests)."""
+    return not region.parts or (bool(op.summands) and all(map(_nests, region.parts, op.summands)))
 
 
 def _is_partition(blocks) -> bool:
@@ -211,7 +222,8 @@ _DECLARATIONS = {
 @dataclass
 class LocalMapSpec:
     """A gradient perturbation f = Ax - F(x) of a spectral operator on a
-    region, a RegionSpec (ValueError naming the map otherwise), which
+    region, a RegionSpec whose parts, if it has any, nest like the
+    operator's direct summands (ValueError naming the map otherwise), which
     bounds the invariant domain in the graph norm.
 
     ``nonlinearity(X, basis)`` receives an (m, basis.dim) batch of
@@ -258,6 +270,8 @@ class LocalMapSpec:
     def __post_init__(self):
         if not isinstance(self.region, RegionSpec):
             raise ValueError(f"{self.name}: region must be a RegionSpec, got {self.region!r}")
+        if not _nests(self.region, self.operator):
+            raise ValueError(f"{self.name}: the region's parts do not nest like the summands of {self.operator.label}")
         for attr, (default, valid, what) in _DECLARATIONS.items():
             value = getattr(self.nonlinearity, attr, default)
             try:
@@ -752,58 +766,44 @@ def deg_along_otopy(path: OtopyPath, *, seed: int = 0) -> list[DegreeResult]:
 # Common nonlinearities and products
 
 
-def _diagonal_jacobian(X, diag) -> np.ndarray:
-    """One diagonal matrix repeated for each point of the batch X."""
-    return np.repeat(np.diag(diag)[None], len(np.atleast_2d(X)), axis=0)
-
-
 def _no_tail(X, basis) -> np.ndarray:
     """The tail of a nonlinearity that maps V_n into itself: exactly 0."""
     return np.zeros(len(np.atleast_2d(X)))
 
 
-def zero_nonlinearity(X, basis):
-    return np.zeros_like(np.atleast_2d(X))
-
-
-zero_nonlinearity.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.zeros(len(idx)))
-zero_nonlinearity.affine = True
-zero_nonlinearity.tail = _no_tail
-zero_nonlinearity.blocks = ()
-zero_nonlinearity.lipschitz = lambda region: 0.0
-
-
-def scalar_nonlinearity(c: float):
-    """F(x) = c x; diagonal in the eigenbasis, so projections are exact."""
+def _diagonal_nonlinearity(diagonal: Callable, bound: float):
+    """F(x) = d x with d = diagonal(basis), one number or one per
+    eigencoordinate of V_n: diagonal in the eigenbasis, so F maps V_n into
+    itself (no tail), affine, with Jacobian diag(d) and |DF| <= bound."""
 
     def F(X, basis):
-        return c * np.atleast_2d(X)
-
-    F.jacobian = lambda X, basis, idx: _diagonal_jacobian(X, np.full(len(idx), float(c)))
-    F.affine = True
-    F.tail = _no_tail
-    F.lipschitz = lambda region: abs(float(c))
-    return F
-
-
-def kernel_projection_nonlinearity():
-    """F(x) = -P_0 x, so that Ax - F(x) = Ax + P_0 x (the normalization map)."""
-
-    def F(X, basis):
-        X = np.atleast_2d(X)
-        out = np.zeros_like(X)
-        d0 = basis.prefix_dim(0)
-        out[:, :d0] = -X[:, :d0]
-        return out
+        return diagonal(basis) * np.atleast_2d(X)
 
     def jacobian(X, basis, idx):
-        return _diagonal_jacobian(X, -(np.asarray(idx) < basis.prefix_dim(0)).astype(float))
+        d = np.asarray(diagonal(basis), dtype=float)
+        d = np.full(len(idx), d) if d.ndim == 0 else d[np.asarray(idx, dtype=int)]
+        return np.repeat(np.diag(d)[None], len(np.atleast_2d(X)), axis=0)
 
     F.jacobian = jacobian
     F.affine = True
     F.tail = _no_tail
-    F.lipschitz = lambda region: 1.0
+    F.lipschitz = lambda region: bound
     return F
+
+
+zero_nonlinearity = _diagonal_nonlinearity(lambda basis: 0.0, 0.0)
+zero_nonlinearity.blocks = ()
+
+
+def scalar_nonlinearity(c: float):
+    """F(x) = c x."""
+    return _diagonal_nonlinearity(lambda basis: float(c), abs(float(c)))
+
+
+def kernel_projection_nonlinearity():
+    """F(x) = -P_0 x, so that Ax - F(x) = Ax + P_0 x (the normalization map);
+    P_0 projects onto the kernel of A, whose coordinates are those of shell 0."""
+    return _diagonal_nonlinearity(lambda basis: np.where(basis.eigenvalues == 0.0, -1.0, 0.0), 1.0)
 
 
 def potential_nonlinearity(poly: Polynomial):
@@ -863,74 +863,47 @@ def normalization_map(op: SpectralOperator) -> LocalMapSpec:
     )
 
 
-def _embedding_indices(
-    opA: SpectralOperator, opB: SpectralOperator, basis: ShellBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate indices of the two summands inside a direct-sum basis."""
-    ia: list[int] = []
-    ib: list[int] = []
-    for shell, lam, rep, offset in basis.entries:
-        repA = dict(opA.shell(shell)).get(lam, Rep())
-        repB = dict(opB.shell(shell)).get(lam, Rep())
-        assert repA + repB == rep
-        pos = offset
-        ia.extend(range(pos, pos + repA.trivial))
-        pos += repA.trivial
-        ib.extend(range(pos, pos + repB.trivial))
-        pos += repB.trivial
-        for k, n in rep.modes:
-            na = repA.mode_mult(k)
-            ia.extend(range(pos, pos + 2 * na))
-            pos += 2 * na
-            ib.extend(range(pos, pos + 2 * (n - na)))
-            pos += 2 * (n - na)
-    return np.asarray(ia, dtype=int), np.asarray(ib, dtype=int)
-
-
 def direct_sum_local_maps(f: LocalMapSpec, g: LocalMapSpec) -> LocalMapSpec:
     """The product map f x g on the direct sum of the operators.
 
-    Its Jacobian, present when both summands have one, is block diagonal;
-    it is affine when both summands are.  Its tail is the hypot of theirs:
-    the summands' tails are orthogonal.  Its region is their product, its
-    ``lipschitz`` the larger of their bounds (DF is block diagonal) or None.
+    Each summand reads and writes its own coordinates of the sum's V_n,
+    over its own basis (``ShellBasis.parts``).  Its Jacobian, present when
+    both summands have one, is block diagonal; it is affine when both
+    summands are.  Its tail is the hypot of theirs: the summands' tails are
+    orthogonal.  Its region is their product, ``RegionSpec(parts=(f.region,
+    g.region))``, and its ``lipschitz`` the larger of their bounds (DF is
+    block diagonal) or None.
     """
     op = f.operator.direct_sum(g.operator)
 
-    @functools.cache
-    def split(basis):
-        """The (ascending) indices of each summand's coordinates and the summand bases."""
-        ia, ib = _embedding_indices(f.operator, g.operator, basis)
-        return ia, f.operator.basis(basis.level), ib, g.operator.basis(basis.level)
-
     def nonlinearity(X, basis):
         X = np.atleast_2d(X)
-        ia, basisA, ib, basisB = split(basis)
+        (ia, basis_a), (ib, basis_b) = basis.parts
         out = np.zeros_like(X)
-        out[:, ia] = f.nonlinearity(X[:, ia], basisA)
-        out[:, ib] = g.nonlinearity(X[:, ib], basisB)
+        out[:, ia] = f.nonlinearity(X[:, ia], basis_a)
+        out[:, ib] = g.nonlinearity(X[:, ib], basis_b)
         return out
 
     def jacobian(X, basis, idx):
-        ia, basisA, ib, basisB = split(basis)
+        (ia, basis_a), (ib, basis_b) = basis.parts
         blocks = (
-            (lambda Y, sub: f.jacobian(Y, basisA, sub), ia),
-            (lambda Y, sub: g.jacobian(Y, basisB, sub), ib),
+            (lambda Y, sub: f.jacobian(Y, basis_a, sub), ia),
+            (lambda Y, sub: g.jacobian(Y, basis_b, sub), ib),
         )
         return block_diagonal_jacobian(X, idx, blocks)
 
     def tail(X, basis):
         X = np.atleast_2d(X)
-        ia, basisA, ib, basisB = split(basis)
-        return np.hypot(f.tail(X[:, ia], basisA), g.tail(X[:, ib], basisB))
+        (ia, basis_a), (ib, basis_b) = basis.parts
+        return np.hypot(f.tail(X[:, ia], basis_a), g.tail(X[:, ib], basis_b))
 
     def lipschitz(region):
-        bounds = [_lipschitz_bound(s.with_region(part)) for s, (_, part) in zip((f, g), region.parts)]
+        bounds = [_lipschitz_bound(s.with_region(part)) for s, part in zip((f, g), region.parts)]
         return max(bounds) if bounds and None not in bounds else None
 
     nonlinearity.jacobian = jacobian if f.jacobian is not None and g.jacobian is not None else None
     nonlinearity.affine = f.affine and g.affine
     nonlinearity.tail = tail
     nonlinearity.lipschitz = lipschitz
-    region = RegionSpec(parts=((f.operator, f.region), (g.operator, g.region)))
+    region = RegionSpec(parts=(f.region, g.region))
     return LocalMapSpec(operator=op, nonlinearity=nonlinearity, region=region, name=f"{f.name} x {g.name}")

@@ -337,6 +337,7 @@ class SpectralOperator:
             self._fn = shells
         self.max_level = max_level
         self.label = label
+        self.summands: tuple[SpectralOperator, ...] = ()  # set by direct_sum
         self._cache: dict[int, tuple[tuple[float, Rep], ...]] = {}
         self._bases: dict[int, ShellBasis] = {}
 
@@ -415,6 +416,8 @@ class SpectralOperator:
         return self.basis(n).rep.trivial > self.basis(N).rep.trivial
 
     def direct_sum(self, other: "SpectralOperator") -> "SpectralOperator":
+        """The operator on the sum of the two spaces, which records its
+        ``summands``; its bases place their coordinates (``ShellBasis.parts``)."""
         tops = [top for top in (self.max_level, other.max_level) if top is not None]
         max_level = min(tops) if tops else None
 
@@ -424,9 +427,9 @@ class SpectralOperator:
                 acc[lam] = acc[lam] + rep if lam in acc else rep
             return [(lam, rep) for lam, rep in sorted(acc.items())]
 
-        return SpectralOperator(
-            shells, max_level=max_level, label=f"{self.label}+{other.label}"
-        )
+        out = SpectralOperator(shells, max_level=max_level, label=f"{self.label}+{other.label}")
+        out.summands = (self, other)
+        return out
 
 
 class ShellBasis:
@@ -437,25 +440,32 @@ class ShellBasis:
     V_n are a prefix of those of V_m for n <= m and orthogonal projection
     onto V_n is coordinate truncation.  ``SpectralOperator.basis`` builds
     one per level and shares it, so its arrays are read-only.
+
+    A direct sum's basis holds in ``parts`` one pair per summand: its
+    coordinates in V_n, ascending, and its own basis of V_n.  In each shared
+    eigenspace the first summand holds the leading trivial lines and the
+    leading planes of each mode.  Any other basis has parts ().
     """
 
     def __init__(self, operator: SpectralOperator, level: int):
         self.level = int(level)
-        entries = []
         layouts = []
         eigs: list[float] = []
         prefix = []
+        owner: list[int] = []  # per coordinate, the summand that holds it
         offset = 0
         rep = ZERO_REP
         for n in range(self.level + 1):
             for lam, r in operator.shell(n):
-                entries.append((n, lam, r, offset))
                 layouts.append(canonical_layout(r))
                 eigs.extend([lam] * r.dim)
                 offset += r.dim
                 rep = rep + r
+                if operator.summands:  # lam's eigenspace in each summand, placed as in the docstring
+                    own = [s.eigenspace(lam) for s in operator.summands]
+                    owner += [i for i, p in enumerate(own) for _ in range(p.trivial)]
+                    owner += [i for k, _ in r.modes for i, p in enumerate(own) for _ in range(2 * p.mode_mult(k))]
             prefix.append(offset)
-        self.entries = tuple(entries)
         self.layout = concat_layouts(layouts)
         self.dim = offset
         self.rep = rep
@@ -464,6 +474,10 @@ class ShellBasis:
         self.eigenvalues.setflags(write=False)
         self.graph_weights.setflags(write=False)
         self._prefix = prefix
+        owner = np.asarray(owner, dtype=int)
+        self.parts = tuple((np.flatnonzero(owner == i), s.basis(self.level)) for i, s in enumerate(operator.summands))
+        for coords, _ in self.parts:
+            coords.setflags(write=False)
 
     def prefix_dim(self, lower_level: int) -> int:
         """Dimension of V_lower inside this basis."""

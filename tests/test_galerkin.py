@@ -50,6 +50,7 @@ from eqdeg.selftest import (
     quadratic_hamiltonian,
     quartic_hamiltonian,
     synthetic_operator_a,
+    synthetic_operator_b,
 )
 from eqdeg.hamiltonian import local_map as hamiltonian_local_map
 
@@ -667,11 +668,35 @@ def test_region_spec_checks_its_mode_and_its_balls():
         RegionSpec((BallSpec(1.0), BallSpec(0.5)), mode="uniom")
     with pytest.raises(ValueError, match="at least one ball"):
         RegionSpec(())
-    part = (loop_operator(1), RegionSpec.ball(1.0))
+    part = RegionSpec.ball(1.0)
     for bad in (dict(parts=(part,)), dict(parts=(part,) * 3), dict(balls=(BallSpec(1.0),), parts=(part,) * 2)):
         with pytest.raises(ValueError, match="at least one ball or else two parts"):
             RegionSpec(**bad)
     assert RegionSpec((BallSpec(1.0),), mode="intersection").mode == "intersection"
+
+
+def test_a_product_region_holds_two_regions():
+    ball = RegionSpec.ball(1.0)
+    for parts in ((1.0, 2.0), ((synthetic_operator_a(), ball), (synthetic_operator_b(), ball))):
+        with pytest.raises(ValueError, match="parts must be RegionSpecs"):
+            RegionSpec(parts=parts)
+
+
+def test_a_product_region_nests_like_the_summands_of_its_operator():
+    # a product region needs a direct sum, and a product part a summand that is one
+    a, b = synthetic_operator_a(), synthetic_operator_b()
+    ball = RegionSpec.ball(1.0)
+    product = RegionSpec(parts=(ball, ball))
+    F = scalar_nonlinearity(0.3)
+    for op, region in ((a, product), (a.direct_sum(b), RegionSpec(parts=(product, ball)))):
+        with pytest.raises(ValueError, match="bad product: the region's parts do not nest"):
+            LocalMapSpec(op, F, region, name="bad product")
+    with pytest.raises(ValueError, match="ball map: the region's parts do not nest"):
+        LocalMapSpec(a, F, ball, name="ball map").with_region(product)
+    # a ball nests over any operator, and parts over summands that nest alike
+    assert LocalMapSpec(a.direct_sum(b), F, ball).region == ball
+    nested = RegionSpec(parts=(product, ball))
+    assert LocalMapSpec(a.direct_sum(b).direct_sum(a), F, nested).region == nested
 
 
 def test_region_validation_rejects_center_off_fixed_space():

@@ -24,11 +24,14 @@ from eqdeg.finite_degree import (
 )
 from eqdeg.galerkin import (
     LocalMapSpec,
+    RegionSpec,
     ShellBasis,
     deg_infinite,
     direct_sum_local_maps,
     normalization_map,
+    scalar_nonlinearity,
     shell_field,
+    zero_nonlinearity,
 )
 from eqdeg.hamiltonian import (
     HamiltonianSpec,
@@ -50,6 +53,8 @@ from eqdeg.selftest import (
     random_fixed_space_field,
     random_sym_op,
     synthetic_operator_a,
+    synthetic_operator_b,
+    synthetic_operator_c,
 )
 
 from declarations import declared
@@ -102,6 +107,12 @@ def jacobian_maps():
         "abstract-b potential": CORPUS["abstract-b"].build(),
         "normalization loop": normalization_map(loop_operator(2)),
         "normalization synthetic": normalization_map(synthetic_operator_a()),
+        "scalar synthetic-c": LocalMapSpec(synthetic_operator_c(), scalar_nonlinearity(0.5), RegionSpec.ball(1.0)),
+        "zero synthetic-b": LocalMapSpec(synthetic_operator_b(), zero_nonlinearity, RegionSpec.ball(1.0)),
+        "loop1-quartic x (abstract-b x loop2-quadratic-mixed)": direct_sum_local_maps(
+            CORPUS["loop1-quartic"].build(),
+            direct_sum_local_maps(CORPUS["abstract-b"].build(), CORPUS["loop2-quadratic-mixed"].build()),
+        ),
     }
 
 

@@ -206,7 +206,7 @@ def test_maps_without_a_usable_bound_record_no_proof():
     assert deg_infinite(potential).diagnostics["off_space"] == [{"proved": False}] * 2
     loop = local_map(quartic_hamiltonian(1, 0.4), 0.8)
     product = direct_sum_local_maps(loop, potential)
-    assert product.region == RegionSpec(parts=((loop.operator, loop.region), (potential.operator, potential.region)))
+    assert product.region == RegionSpec(parts=(loop.region, potential.region))
     assert product.lipschitz(product.region) is None
     assert deg_infinite(product).diagnostics["off_space"] == [{"proved": False}] * 2
 

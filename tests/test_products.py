@@ -19,12 +19,13 @@ import pytest
 
 from eqdeg.cli import build_problem
 from eqdeg.domains import Ball
-from eqdeg.euler_ring import CIRCLE, FULL, RingElement
+from eqdeg.euler_ring import CIRCLE, FULL, RingElement, SubgroupClass
 from eqdeg.finite_degree import GradientField, grad_degree, product_field
-from eqdeg.galerkin import deg_infinite
+from eqdeg.galerkin import deg_infinite, direct_sum_local_maps
 from eqdeg.hamiltonian import HamiltonianSpec, periodic_existence, quadratic_spectral_degree, symplectic_matrix
 from eqdeg.polynomials import Polynomial
 from eqdeg.reps import Rep
+from eqdeg.selftest import corpus_local_maps
 
 NEAR = 0.05  # draws with a tuple within this share of the sphere are redrawn
 ROOT2 = math.sqrt(2.0)
@@ -182,3 +183,19 @@ def test_a_decoupled_hamiltonian_has_the_product_of_its_degrees(seed):
     value = periodic_existence(HamiltonianSpec.from_terms(2, joint, lam), radius).result.value
     quadratic = HamiltonianSpec.from_terms(2, [(e, c) for e, c in joint if sum(e) == 2], lam)
     assert value == v1 * v2 == quadratic_spectral_degree(quadratic)
+
+
+def test_a_sum_of_three_maps_has_the_product_of_their_degrees_either_way_it_nests():
+    """f + (g + h) and (f + g) + h, with f the quartic loop map (the unit),
+    g abstract-b and h loop2-quadratic-mixed: the product of the three
+    values, [S1/S1] - [S1/Z1] - [S1/Z2] since [S1/Z1][S1/Z2] = 0."""
+    corpus = {inst.name: inst for inst in corpus_local_maps()}
+    f, g, h = (corpus[name] for name in ("loop1-quartic", "abstract-b", "loop2-quadratic-mixed"))
+    product = f.expected * g.expected * h.expected
+    one, z1, z2 = (RingElement.make(CIRCLE, {k: 1}) for k in (FULL, SubgroupClass.finite(1), SubgroupClass.finite(2)))
+    assert product == one - z1 - z2
+    for nested in (
+        direct_sum_local_maps(f.build(), direct_sum_local_maps(g.build(), h.build())),
+        direct_sum_local_maps(direct_sum_local_maps(f.build(), g.build()), h.build()),
+    ):
+        assert deg_infinite(nested).value == product

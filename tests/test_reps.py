@@ -268,6 +268,34 @@ def test_direct_sum_of_operators_merges_shells():
     assert merged.shell(0) == ((0.0, Rep(1, ((1, 1),))),)
     assert dict(merged.shell(1))[1.0] == Rep(2)
     assert dict(merged.shell(1))[-0.5] == Rep(1)
+    assert merged.summands == (a, b) and a.summands == () and a.basis(1).parts == ()
+
+
+def _placement_sums() -> dict[str, tuple[SpectralOperator, SpectralOperator]]:
+    """Sums whose summands share eigenvalues: every one (loop + loop), the
+    kernel with trivial and mode-2 parts (synthetic-a + synthetic-b), and
+    -1 with a mode-1 plane of the loop and a mode-3 one of synthetic-c,
+    both ways round."""
+    return {
+        "loop + loop": (loop_operator(1), loop_operator(1)),
+        "synthetic-a + synthetic-b": (synthetic_operator_a(), synthetic_operator_b()),
+        "loop + synthetic-c": (loop_operator(1), synthetic_operator_c()),
+        "synthetic-c + loop": (synthetic_operator_c(), loop_operator(1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_placement_sums()))
+@pytest.mark.parametrize("level", range(4))
+def test_a_direct_sum_places_each_summand_as_its_own_basis_lays_it_out(name, level):
+    ops = _placement_sums()[name]
+    basis = ops[0].direct_sum(ops[1]).basis(level)
+    assert len(basis.parts) == 2
+    assert sorted(i for coords, _ in basis.parts for i in coords) == list(range(basis.dim))
+    for op, (coords, sub) in zip(ops, basis.parts):
+        assert sub is op.basis(level)
+        assert np.array_equal(coords, np.sort(coords)) and not coords.flags.writeable
+        assert np.array_equal(basis.eigenvalues[coords], sub.eigenvalues)
+        assert basis.layout.section(coords) == sub.layout
 
 
 # ---------------------------------------------------------------------------
